@@ -16,10 +16,12 @@
 #      mid-rebalance, bitrot isolation + repair, eviction-error
 #      surfacing)
 #   4. an AddressSanitizer build running the streaming-ingest and storage
-#      suites (the subsystems that serialize/restore raw state blobs)
-#      plus the `faults` and `governance` ctest groups (crash-recovery,
-#      fault injection, and cancellation — the error paths that exercise
-#      partially-initialized and partially-released state)
+#      suites (the subsystems that serialize/restore raw state blobs),
+#      both engines' store-shell paths (Exh and SegDiff open, ingest and
+#      serial/parallel search), plus the `faults` and `governance` ctest
+#      groups (crash-recovery, fault injection, and cancellation — the
+#      error paths that exercise partially-initialized and
+#      partially-released state)
 #   5. a ThreadSanitizer build running the `concurrency` ctest group
 #      (snapshot reads racing WAL-backed ingest, admission control,
 #      cooperative cancellation, sharded scatter-gather fan-out racing
@@ -182,10 +184,11 @@ if [[ "${RUN_ASAN}" == "1" ]]; then
   cmake -B build-asan -S . -DSEGDIFF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
     streaming_ingest_test storage_test segdiff_index_test \
+    exh_naive_test parallel_query_test \
     fault_injection_test chaos_test transect_chaos_test governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "common/logging.h"
@@ -8,10 +9,25 @@ namespace segdiff {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   SEGDIFF_CHECK_GE(num_threads, size_t{1});
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
+  Grow(num_threads);
+}
+
+size_t ThreadPool::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return workers_.size();
+}
+
+void ThreadPool::Grow(size_t num_threads) {
+  std::lock_guard<std::mutex> lock(mu_);
+  while (workers_.size() < num_threads) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+}
+
+ThreadPool* SharedThreadPool(size_t width) {
+  static ThreadPool pool(1);
+  pool.Grow(width > 1 ? width - 1 : 1);
+  return &pool;
 }
 
 ThreadPool::~ThreadPool() {
@@ -70,6 +86,12 @@ Status ThreadPool::ParallelFor(size_t n,
 }
 
 Status ThreadPool::ParallelFor(size_t n, const QueryContext* ctx,
+                               const std::function<Status(size_t)>& fn) {
+  return ParallelFor(n, /*width=*/0, ctx, fn);
+}
+
+Status ThreadPool::ParallelFor(size_t n, size_t width,
+                               const QueryContext* ctx,
                                const std::function<Status(size_t)>& fn) {
   if (n == 0) {
     return Status::OK();
@@ -133,7 +155,12 @@ Status ThreadPool::ParallelFor(size_t n, const QueryContext* ctx,
       }
     }
   };
-  const size_t helpers = std::min(n - 1, workers_.size());
+  // The calling thread runs iterations too, so `width - 1` helpers keep
+  // at most `width` in flight.
+  size_t helpers = std::min(n - 1, size());
+  if (width > 0) {
+    helpers = std::min(helpers, width - 1);
+  }
   for (size_t i = 0; i < helpers; ++i) {
     Submit(run);
   }

@@ -1,11 +1,14 @@
-// Fixed-size worker pool for intra-query parallelism.
+// Worker pool for intra-query and transect fan-out parallelism.
 //
-// The pool is created once with N workers and destroyed deterministically:
-// the destructor stops intake, drains queued tasks, and joins every
-// worker. ParallelFor is the primary API — it dynamically load-balances
-// iterations over the workers *and* the calling thread, so it completes
-// even when every worker is busy (nested ParallelFor from a worker
-// thread is therefore safe, if rarely useful).
+// A pool starts with N workers, may grow (never shrink) while in use,
+// and is destroyed deterministically: the destructor stops intake,
+// drains queued tasks, and joins every worker. ParallelFor is the
+// primary API — it dynamically load-balances iterations over the
+// workers *and* the calling thread, so it completes even when every
+// worker is busy (nested ParallelFor from a worker thread is therefore
+// safe, if rarely useful). Engines share one process-wide pool
+// (SharedThreadPool); each fan-out caps its own width, so a pool grown
+// by a wide caller never widens a narrow one.
 
 #ifndef SEGDIFF_COMMON_THREAD_POOL_H_
 #define SEGDIFF_COMMON_THREAD_POOL_H_
@@ -69,7 +72,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t size() const { return workers_.size(); }
+  size_t size() const;
+
+  /// Adds workers until the pool has at least `num_threads`. Existing
+  /// workers and queued tasks are untouched, so this is safe while other
+  /// threads run fan-outs on the pool.
+  void Grow(size_t num_threads);
 
   /// Enqueues `task` for execution by some worker.
   void Submit(std::function<void()> task);
@@ -91,11 +99,17 @@ class ThreadPool {
   Status ParallelFor(size_t n, const QueryContext* ctx,
                      const std::function<Status(size_t)>& fn);
 
+  /// Width-capped governed variant: at most `width` iterations run at
+  /// once — the calling thread plus up to `width - 1` workers — however
+  /// many workers the pool has. 0 means no cap.
+  Status ParallelFor(size_t n, size_t width, const QueryContext* ctx,
+                     const std::function<Status(size_t)>& fn);
+
  private:
   void WorkerLoop();
 
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
+  std::vector<std::thread> workers_;  ///< grows under mu_
   std::condition_variable task_ready_;   ///< workers wait here for tasks
   std::condition_variable all_idle_;     ///< Wait() waits here
   std::deque<std::function<void()>> tasks_;
@@ -103,19 +117,28 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// The process-wide pool every engine fans out on, grown to serve a
+/// fan-out of `width` (`width - 1` workers; the caller participates).
+/// It only ever grows, so concurrent callers never see it rebuilt;
+/// callers pass their `width` to ParallelFor/ParallelMap to keep their
+/// own degree of parallelism. Lives until process exit.
+ThreadPool* SharedThreadPool(size_t width);
+
 /// Fan-out with ordered result collection: invokes `fn(i, &(*out)[i])`
 /// for every i in [0, n), each iteration writing only its own
 /// pre-allocated slot — so no aggregation lock is needed and the
 /// collected results are in index order no matter which worker finished
 /// first (deterministic merges fold `*out` front to back afterwards).
-/// With a null `pool` the iterations run serially on the calling thread
-/// (same slots, same order); `ctx` may be null for ungoverned fan-outs.
+/// At most `width` iterations run at once (0 = no cap). With a null
+/// `pool` the iterations run serially on the calling thread (same
+/// slots, same order); `ctx` may be null for ungoverned fan-outs.
 /// On error the first failure (by completion order) is returned and
 /// `*out` slots of unfinished iterations keep their default-constructed
 /// value — callers must not use `*out` after a failure.
 template <typename T, typename Fn>
-Status ParallelMap(ThreadPool* pool, size_t n, const QueryContext* ctx,
-                   std::vector<T>* out, const Fn& fn) {
+Status ParallelMap(ThreadPool* pool, size_t width, size_t n,
+                   const QueryContext* ctx, std::vector<T>* out,
+                   const Fn& fn) {
   out->clear();
   out->resize(n);
   if (pool == nullptr) {
@@ -134,7 +157,7 @@ Status ParallelMap(ThreadPool* pool, size_t n, const QueryContext* ctx,
     return Status::OK();
   }
   return pool->ParallelFor(
-      n, ctx, [&](size_t i) -> Status { return fn(i, &(*out)[i]); });
+      n, width, ctx, [&](size_t i) -> Status { return fn(i, &(*out)[i]); });
 }
 
 }  // namespace segdiff

@@ -3,13 +3,18 @@
 // The paper evaluates sequential scan and index access separately and
 // observes the crossover: index access loses once a query matches a
 // large fraction of rows (random heap fetches dominate). The planner
-// encodes that rule of thumb: pick the index only when the estimated
-// selectivity of the leading index column range is below a threshold.
+// prices both sides from zone-map and columnar-segment statistics and
+// picks the cheaper one.
 
 #ifndef SEGDIFF_QUERY_PLANNER_H_
 #define SEGDIFF_QUERY_PLANNER_H_
 
 #include <cstdint>
+#include <vector>
+
+#include "query/predicate.h"
+#include "storage/column_page.h"
+#include "storage/snapshot.h"
 
 namespace segdiff {
 
@@ -21,36 +26,20 @@ struct PlanChoice {
 };
 
 struct PlannerOptions {
-  /// Use the index when the estimated fraction of scanned index entries
-  /// is below this. ~10% mirrors the classical secondary-index rule.
-  double index_selectivity_threshold = 0.10;
-
-  /// Cost-model constants for the zone-map-aware overload, in relative
-  /// units where reading one heap page sequentially costs 1. Index
-  /// entries are cheap (cache-dense leaf walks); each candidate heap
-  /// fetch is a random page read, the classical reason secondary-index
-  /// access loses on dense queries (paper Figures 10-11).
+  /// Cost-model constants, in relative units where reading one heap
+  /// page sequentially costs 1. Index entries are cheap (cache-dense
+  /// leaf walks); each candidate heap fetch is a random page read, the
+  /// classical reason secondary-index access loses on dense queries
+  /// (paper Figures 10-11).
   double seq_page_cost = 1.0;
   double index_entry_cost = 0.001;
   double random_fetch_cost = 4.0;
 };
 
-/// `leading_lo`/`leading_hi`: observed min/max of the leading index
-/// column; `query_hi`: the query's upper bound on that column (range
-/// [leading_lo, query_hi]). Index must exist for kIndexScan to be chosen.
-/// Malformed statistics (inverted range, NaN anywhere) fall back to a
-/// sequential scan; a zero-width range (single distinct value) is legal
-/// and treated as all-or-nothing.
-PlanChoice ChooseAccessPath(uint64_t row_count, double leading_lo,
-                            double leading_hi, double query_hi,
-                            bool index_available,
-                            const PlannerOptions& options = {});
-
-/// Zone-map-derived statistics for the cost-based overload. The page
-/// counts come from a per-query zone survey (SurveyZones), so the
-/// sequential side is priced at what the pruned scan will actually
-/// read; the fractions estimate the index side from real per-column
-/// ranges instead of a single leading-column guess.
+/// Zone-map-derived statistics for the cost model. The page counts come
+/// from a per-query zone survey (SurveyZones), so the sequential side is
+/// priced at what the pruned scan will actually read; the fractions
+/// estimate the index side from real per-column ranges.
 struct TableStatsView {
   uint64_t row_count = 0;
   uint64_t pages_total = 0;
@@ -80,6 +69,21 @@ inline constexpr double kColumnarFetchCostScale = 4.0;
 /// estimated_selectivity reports the index-entry fraction.
 PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
                             const PlannerOptions& options = {});
+
+/// Plans one conjunctive range query whose leading condition bounds the
+/// index's leading key column, over a table as a search's snapshot sees
+/// it: heap pages (`view`, whose zone map may be null) plus immutable
+/// columnar segments (`columnar`, may be null). The sequential side is
+/// priced at what the pruned scan will read — heap pages surviving the
+/// zone map plus columnar pages surviving the segment directory — and
+/// the index side from per-column value ranges merged across both
+/// formats, with random fetches weighted by the table's row mix. No
+/// statistics at all, or no index, means the sequential scan.
+PlanChoice PlanRangeQuery(const TableSnapshotView& view,
+                          const ColumnStore* columnar,
+                          const std::vector<ColumnCondition>& conditions,
+                          bool index_available,
+                          const PlannerOptions& options = {});
 
 }  // namespace segdiff
 

@@ -11,39 +11,21 @@
 
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/admission.h"
-#include "common/governance.h"
 #include "common/result.h"
 #include "feature/sink.h"
-#include "query/executor.h"
-#include "segdiff/segdiff_index.h"
-#include "storage/db.h"
+#include "segdiff/feature_store.h"
 #include "ts/series.h"
 
 namespace segdiff {
 
-struct ExhOptions {
+/// Build-time configuration of an Exh store (storage and admission
+/// settings in StoreOptions).
+struct ExhOptions : StoreOptions {
   double window_s = 28800.0;  ///< w (same default as SegDiff)
   bool build_index = true;
-  size_t buffer_pool_pages = 4096;
-  /// Simulated storage read latency (cold-cache experiments); 0 = off.
-  uint64_t sim_seq_read_ns = 0;
-  uint64_t sim_random_read_ns = 0;
-  /// File system the store's IO goes through (nullptr = default POSIX
-  /// Vfs; non-owning). Fault-injection tests substitute their own.
-  Vfs* vfs = nullptr;
-  /// Verify page checksums on read (see DatabaseOptions).
-  bool verify_checksums = true;
-  /// Write-ahead logging (see SegDiffOptions::wal).
-  bool wal = true;
-  /// Group-commit window in ms (see SegDiffOptions::wal_group_commit_ms).
-  int64_t wal_group_commit_ms = -1;
-  /// Admission-control limits for this store's query entry points.
-  AdmissionOptions admission;
 };
 
 /// One matching event (pair of sampled observations).
@@ -64,16 +46,13 @@ class ExhIndex : public FeatureSink {
  public:
   /// Opens (creating if missing) the Exh store at `path`. Reopened
   /// stores resume appending: the trailing sample window and the build
-  /// window are persisted in the store and restored here, persisted
-  /// parameters taking precedence over `options`. Legacy stores (written
-  /// before state persistence) reopen query-only-equivalent: appends
-  /// start a fresh window, so pairs spanning the reopen gap are lost.
+  /// window are persisted in the store's ingest-state blob and restored
+  /// here, persisted parameters taking precedence over `options`. A
+  /// store holding rows but no blob fails with Corruption (see
+  /// FeatureStore), leaving its files untouched. Closing saves the blob
+  /// before the database checkpoints.
   static Result<std::unique_ptr<ExhIndex>> Open(const std::string& path,
                                                 const ExhOptions& options);
-
-  /// Saves ingest state into the database before the database handle
-  /// checkpoints itself on destruction.
-  ~ExhIndex() override;
 
   /// Appends one observation: inserts a (dt, dv, t) row for every
   /// retained earlier sample within the window. Rows are immediately
@@ -119,65 +98,45 @@ class ExhIndex : public FeatureSink {
   Status Repair(const std::string& destination_path, RepairReport* report);
 
   ExhSizes GetSizes() const;
-  uint64_t num_observations() const override { return observations_; }
+  uint64_t num_observations() const override {
+    return store_.num_observations();
+  }
   const ExhOptions& options() const { return options_; }
-  Database* db() { return db_.get(); }
+  Database* db() { return store_.db(); }
 
   /// The store's admission gate (see SegDiffIndex::admission_controller).
-  AdmissionController* admission_controller() { return &admission_; }
+  AdmissionController* admission_controller() { return store_.admission(); }
 
  private:
   explicit ExhIndex(ExhOptions options);
-  /// Everything fallible in Open: database, table, restored state. On
-  /// failure the instance may be partially built; Open marks the
-  /// database handle to not checkpoint on close.
-  Status OpenImpl(const std::string& path);
-  /// Governance shell around SearchScan (admission, deadline/cancel
-  /// context, budget truncation contract — see SegDiffIndex::Search).
-  Result<std::vector<ExhEvent>> Search(bool drop, double T, double V,
+  /// The engine side of Open: creates or adopts the pair table.
+  Status LayOut();
+  /// Inserts a (dt, dv, t) row per retained sample within the window,
+  /// then retains (t, v).
+  Status Apply(double t, double v);
+  /// Ingest-state payload: window length, observation count, trailing
+  /// sample window.
+  void SaveState(uint64_t observations, ByteWriter* w) const;
+  Status RestoreState(ByteReader* r, uint64_t* observations);
+  Result<std::vector<ExhEvent>> Search(SearchKind kind, double T, double V,
                                        const SearchOptions& options,
                                        SearchStats* stats);
-  /// Plans and runs the single range query against `snapshot`,
+  /// Plans and runs the single range query against the scope's snapshot,
   /// appending raw matches to `events` (kept on a budget breach for the
   /// shell's truncation path).
-  Status SearchScan(bool drop, double T, double V,
-                    const SearchOptions& options, size_t num_threads,
-                    const QueryContext& ctx,
-                    const DatabaseSnapshot& snapshot, bool allow_partial,
-                    std::vector<ExhEvent>* events, SearchStats* local);
-  /// Replays the WAL's recovered observation backlog through the append
-  /// path (under Wal::Suspend); see SegDiffIndex::DrainRecoveredOps.
-  Status DrainRecoveredOps();
-  ThreadPool* EnsurePool(size_t num_threads);
-  void ReleasePool();
-  /// Serializes the trailing sample window + counters into the
-  /// database's catalog meta blob (persisted at the next checkpoint).
-  void SaveIngestState();
-  /// Restores ingest state on reopen, adopting persisted build
-  /// parameters; silently absent for legacy stores.
-  Status RestoreIngestState();
+  Status SearchScan(SearchKind kind, double T, double V,
+                    const SearchOptions& options, const SearchScope& scope,
+                    std::vector<ExhEvent>* events);
 
   ExhOptions options_;
-  std::unique_ptr<Database> db_;
   Table* table_ = nullptr;
-  std::unique_ptr<ThreadPool> pool_;  ///< parallel-search workers
-  std::mutex pool_mu_;                ///< guards pool_ + pool_users_
-  size_t pool_users_ = 0;
-  AdmissionController admission_;
-  /// Serializes writers (appends, checkpoints) against each other and
-  /// against snapshot creation; searches read snapshots and never take
-  /// it while scanning. Lock order: ingest_mu_ before lazy_mu_.
-  std::mutex ingest_mu_;
-  /// Serializes the lazy zone-map build on first search.
-  std::mutex lazy_mu_;
   /// Trailing `window_s` of already-ingested samples, so pairs spanning
   /// chunk boundaries are not dropped on the next IngestSeries call.
   std::deque<Sample> window_;
-  uint64_t observations_ = 0;
-  /// Set only when Open fully succeeded; the destructor saves ingest
-  /// state only for opened instances so a failed open never overwrites
-  /// the persisted resume point.
-  bool opened_ = false;
+
+  /// Declared last so it is destroyed first: closing saves the ingest
+  /// state from the window above.
+  FeatureStore store_;
 };
 
 }  // namespace segdiff

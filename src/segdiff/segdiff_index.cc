@@ -1,17 +1,11 @@
 #include "segdiff/segdiff_index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
 #include <limits>
 #include <utility>
 
-#include "common/bytes.h"
-#include "common/logging.h"
-#include "common/stopwatch.h"
 #include "query/planner.h"
 #include "query/predicate.h"
-#include "query/scan_kernel.h"
 
 namespace segdiff {
 namespace {
@@ -21,7 +15,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Catalog meta blob holding the resumable ingest state.
 constexpr char kIngestStateKey[] = "segdiff.ingest";
 constexpr uint32_t kIngestStateMagic = 0x5347494E;  // "SGIN"
-constexpr uint32_t kIngestStateVersion = 1;
 
 std::string FeatureTableName(SearchKind kind, int corner_count) {
   std::string name(SearchKindName(kind));
@@ -45,35 +38,6 @@ struct RangeQuery {
   int corner = 1;  ///< point: corner j; line: edge (j, j+1)
 };
 
-/// Estimated fraction of rows satisfying `cond`, assuming a uniform
-/// distribution over the column's zone-map-observed [lo, hi]. A NaN
-/// query bound propagates into the result, which the cost-based planner
-/// rejects (falling back to the sequential scan).
-double ConditionFraction(const ZoneMap::ColumnRange& range,
-                         const ColumnCondition& cond) {
-  if (!(range.lo <= range.hi)) {
-    return 1.0;  // column never observed: no evidence to plan on
-  }
-  const double width = range.hi - range.lo;
-  switch (cond.op) {
-    case CmpOp::kLt:
-    case CmpOp::kLe:
-      if (width <= 0.0) {
-        return cond.value >= range.lo ? 1.0 : 0.0;
-      }
-      return std::clamp((cond.value - range.lo) / width, 0.0, 1.0);
-    case CmpOp::kGt:
-    case CmpOp::kGe:
-      if (width <= 0.0) {
-        return cond.value <= range.lo ? 1.0 : 0.0;
-      }
-      return std::clamp((range.hi - cond.value) / width, 0.0, 1.0);
-    case CmpOp::kEq:
-      return (cond.value >= range.lo && cond.value <= range.hi) ? 0.1 : 0.0;
-  }
-  return 1.0;
-}
-
 bool PairIdLess(const PairId& a, const PairId& b) {
   if (a.t_d != b.t_d) return a.t_d < b.t_d;
   if (a.t_c != b.t_c) return a.t_c < b.t_c;
@@ -85,19 +49,20 @@ bool PairIdKeyEq(const PairId& a, const PairId& b) {
 
 }  // namespace
 
-Status QuarantineScanError(Status status, const std::string& what) {
-  if (status.ok() || !status.IsCorruption()) {
-    return status;
-  }
-  return Status::Corruption(
-      "quarantined range: " + what + " has unreadable pages [" +
-      std::string(status.message()) +
-      "]; run `segdiff_cli verify --scrub` to map the damage, then "
-      "rebuild or compact from a healthy replica");
-}
-
 SegDiffIndex::SegDiffIndex(SegDiffOptions options)
-    : options_(std::move(options)), admission_(options_.admission) {}
+    : options_(std::move(options)),
+      store_(options_.admission,
+             {kIngestStateKey, kIngestStateMagic,
+              [this](double t, double v) {
+                return segmenter_->Add(Sample{t, v});
+              },
+              [this] { return segmenter_->Flush(); },
+              [this](uint64_t observations, ByteWriter* w) {
+                SaveState(observations, w);
+              },
+              [this](ByteReader* r, uint64_t* observations) {
+                return RestoreState(r, observations);
+              }}) {}
 
 Result<std::unique_ptr<SegDiffIndex>> SegDiffIndex::Open(
     const std::string& path, const SegDiffOptions& options) {
@@ -108,41 +73,16 @@ Result<std::unique_ptr<SegDiffIndex>> SegDiffIndex::Open(
     return Status::InvalidArgument("window_s must be positive");
   }
   std::unique_ptr<SegDiffIndex> index(new SegDiffIndex(options));
-  Status status = index->OpenImpl(path);
-  if (!status.ok()) {
-    // A failed open must not mutate the store: the destructor will not
-    // save (default/partial) ingest state over the persisted blob, and
-    // the abandoned database handle neither checkpoints nor flushes on
-    // close — the files stay as they were, recovery still possible.
-    if (index->db_ != nullptr) {
-      index->db_->Abandon();
-    }
-    return status;
-  }
-  index->opened_ = true;
+  SEGDIFF_RETURN_IF_ERROR(index->store_.Open(
+      path, options, options.create_if_missing,
+      [&index] { return index->LayOut(); }));
   return index;
 }
 
-Status SegDiffIndex::OpenImpl(const std::string& path) {
-  DatabaseOptions db_options;
-  db_options.buffer_pool_pages = options_.buffer_pool_pages;
-  db_options.create_if_missing = options_.create_if_missing;
-  db_options.sim_seq_read_ns = options_.sim_seq_read_ns;
-  db_options.sim_random_read_ns = options_.sim_random_read_ns;
-  db_options.vfs = options_.vfs;
-  db_options.verify_checksums = options_.verify_checksums;
-  db_options.wal = options_.wal;
-  db_options.wal_group_commit_ms = options_.wal_group_commit_ms;
-  // Engine stores log the observation stream, not the rows it fans out
-  // into: one kObservation record redoes the whole pipeline step
-  // (segment row + up to 6 feature rows + index inserts) on replay.
-  db_options.wal_observation_log = true;
-  SEGDIFF_ASSIGN_OR_RETURN(db_, Database::Open(path, db_options));
+Status SegDiffIndex::LayOut() {
   SEGDIFF_RETURN_IF_ERROR(InitTables());
-  SEGDIFF_RETURN_IF_ERROR(RestoreIngestState());
-
   // Streaming pipeline: segmenter -> segment directory + extractor ->
-  // feature tables. Built after RestoreIngestState so a reopened store's
+  // feature tables. Built after RestoreState so a reopened store's
   // adopted build parameters (eps, window, collected kinds) apply.
   ExtractorOptions extractor_options;
   extractor_options.eps = options_.eps;
@@ -165,46 +105,7 @@ Status SegDiffIndex::OpenImpl(const std::string& path) {
     SEGDIFF_RETURN_IF_ERROR(segmenter_->RestoreState(*restored_segmenter_));
     restored_segmenter_.reset();
   }
-  return DrainRecoveredOps();
-}
-
-Status SegDiffIndex::DrainRecoveredOps() {
-  if (!db_->HasRecoveredOps()) {
-    return Status::OK();
-  }
-  std::vector<WalRecord> ops = db_->TakeRecoveredOps();
-  // Replay through the normal pipeline, suspended so nothing is logged
-  // twice. The restored ingest-state blob is checkpoint-consistent with
-  // the tables (SaveIngestState never WAL-logs it), so the backlog
-  // normally applies in full; any observation the restored state does
-  // already cover (e.g. a legacy store upgraded mid-stream) is rejected
-  // by the segmenter's strictly-increasing-timestamp rule and skipped,
-  // which keeps the replay idempotent.
-  Wal::Suspend suspend(db_->wal());
-  for (const WalRecord& op : ops) {
-    if (op.type == WalRecordType::kFlush) {
-      SEGDIFF_RETURN_IF_ERROR(segmenter_->Flush());
-      continue;
-    }
-    SEGDIFF_ASSIGN_OR_RETURN(WalObservation obs,
-                             DecodeWalObservation(op.payload));
-    Status status = segmenter_->Add(Sample{obs.t, obs.v});
-    if (status.IsInvalidArgument()) {
-      continue;  // already absorbed before the crash
-    }
-    SEGDIFF_RETURN_IF_ERROR(status);
-    ++observations_;
-  }
   return Status::OK();
-}
-
-SegDiffIndex::~SegDiffIndex() {
-  // Only a fully-opened index has a pipeline to save; after a failed
-  // Open, segmenter_/extractor_ may be null and the persisted state must
-  // stay whatever it was (db_'s destructor also skips its checkpoint).
-  if (opened_) {
-    SaveIngestState();  // db_'s destructor checkpoints the catalog
-  }
 }
 
 Status SegDiffIndex::InitTables() {
@@ -213,14 +114,15 @@ Status SegDiffIndex::InitTables() {
   // being laid out can leave a durable PREFIX of the tables. Creation is
   // therefore written to be idempotent: every table and index is
   // ensured individually, so reopening a torn store finishes the job.
-  const bool fresh = db_->tables().empty();
-  auto ensure_table = [this](const std::string& name,
-                             TableSchema schema) -> Result<Table*> {
-    Result<Table*> existing = db_->GetTable(name);
+  Database* db = store_.db();
+  const bool fresh = db->tables().empty();
+  auto ensure_table = [db](const std::string& name,
+                           TableSchema schema) -> Result<Table*> {
+    Result<Table*> existing = db->GetTable(name);
     if (existing.ok() || !existing.status().IsNotFound()) {
       return existing;
     }
-    return db_->CreateTable(name, std::move(schema));
+    return db->CreateTable(name, std::move(schema));
   };
   SEGDIFF_ASSIGN_OR_RETURN(TableSchema seg_schema,
                            DoubleSchema({"t_s", "v_s", "t_e", "v_e"}));
@@ -231,7 +133,7 @@ Status SegDiffIndex::InitTables() {
   // the attached indexes fed. A store still mid-creation (some tables
   // missing) keeps the requested option instead.
   {
-    Result<Table*> first = db_->GetTable(FeatureTableName(SearchKind::kDrop, 1));
+    Result<Table*> first = db->GetTable(FeatureTableName(SearchKind::kDrop, 1));
     if (first.ok()) {
       options_.build_indexes = !(*first)->indexes().empty();
     } else if (!first.status().IsNotFound()) {
@@ -313,55 +215,10 @@ Status SegDiffIndex::OnSegment(const DataSegment& segment) {
 }
 
 Status SegDiffIndex::AppendObservation(double t, double v) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  Status status = [&]() -> Status {
-    if (db_->degraded()) {
-      // Fail fast with the recorded reason instead of tearing further
-      // state; searches keep running off the durable prefix.
-      return Status::NoSpace("store is degraded (read-only): " +
-                             db_->GetHealth().degraded_reason);
-    }
-    if (db_->wal() != nullptr) {
-      // WAL-before-data: the redo record is in the log (buffered for the
-      // next group commit) before the pipeline touches any page.
-      SEGDIFF_RETURN_IF_ERROR(db_->wal()->AppendObservation(t, v).status());
-    }
-    SEGDIFF_RETURN_IF_ERROR(segmenter_->Add(Sample{t, v}));
-    ++observations_;
-    return Status::OK();
-  }();
-  if (!status.ok()) {
-    // A no-space failure flips the store into degraded read-only mode;
-    // the observation was not acknowledged and will not be partially
-    // visible (WAL-before-data keeps replay consistent).
-    db_->NoteStorageFailure(status);
-  }
-  return status;
+  return store_.Append(t, v);
 }
 
-Status SegDiffIndex::FlushPending() {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  Status status = [&]() -> Status {
-    Wal* wal = db_->wal();
-    if (wal != nullptr) {
-      SEGDIFF_RETURN_IF_ERROR(wal->AppendFlushMarker().status());
-    }
-    SEGDIFF_RETURN_IF_ERROR(segmenter_->Flush());
-    if (wal != nullptr) {
-      // Acknowledged means durable: everything appended so far survives a
-      // crash from here on. State is saved first so an auto-checkpoint
-      // (which truncates the log) leaves a consistent resume point.
-      SaveIngestState();
-      SEGDIFF_RETURN_IF_ERROR(wal->Sync());
-      SEGDIFF_RETURN_IF_ERROR(db_->MaybeAutoCheckpoint());
-    }
-    return Status::OK();
-  }();
-  if (!status.ok()) {
-    db_->NoteStorageFailure(status);
-  }
-  return status;
-}
+Status SegDiffIndex::FlushPending() { return store_.Flush(); }
 
 Status SegDiffIndex::IngestSeries(const Series& series) {
   if (series.size() < 2) {
@@ -370,176 +227,101 @@ Status SegDiffIndex::IngestSeries(const Series& series) {
   return FeatureSink::IngestSeries(series);
 }
 
-void SegDiffIndex::SaveIngestState() {
+void SegDiffIndex::SaveState(uint64_t observations, ByteWriter* w) const {
   const SegmenterState seg = segmenter_->SaveState();
   const ExtractorState ext = extractor_->SaveState();
-  ByteWriter w;
-  w.U32(kIngestStateMagic);
-  w.U32(kIngestStateVersion);
-  w.F64(options_.eps);
-  w.F64(options_.window_s);
-  w.U8(options_.collect_drops ? 1 : 0);
-  w.U8(options_.collect_jumps ? 1 : 0);
-  w.U64(observations_);
-  w.U8(seg.has_anchor ? 1 : 0);
-  w.U8(seg.has_endpoint ? 1 : 0);
-  w.U8(seg.finished ? 1 : 0);
-  w.F64(seg.anchor.t);
-  w.F64(seg.anchor.v);
-  w.F64(seg.endpoint.t);
-  w.F64(seg.endpoint.v);
-  w.F64(seg.slope_lo);
-  w.F64(seg.slope_hi);
-  w.U64(seg.observations);
-  w.U64(seg.segments_emitted);
-  w.F64(ext.last_end_t);
-  w.U8(ext.has_last ? 1 : 0);
-  w.U64(ext.stats.segments_in);
-  w.U64(ext.stats.cross_pairs);
-  w.U64(ext.stats.self_pairs);
-  w.U64(ext.stats.rows_emitted);
-  w.U64(ext.stats.corners_emitted);
+  w->F64(options_.eps);
+  w->F64(options_.window_s);
+  w->U8(options_.collect_drops ? 1 : 0);
+  w->U8(options_.collect_jumps ? 1 : 0);
+  w->U64(observations);
+  w->U8(seg.has_anchor ? 1 : 0);
+  w->U8(seg.has_endpoint ? 1 : 0);
+  w->U8(seg.finished ? 1 : 0);
+  w->F64(seg.anchor.t);
+  w->F64(seg.anchor.v);
+  w->F64(seg.endpoint.t);
+  w->F64(seg.endpoint.v);
+  w->F64(seg.slope_lo);
+  w->F64(seg.slope_hi);
+  w->U64(seg.observations);
+  w->U64(seg.segments_emitted);
+  w->F64(ext.last_end_t);
+  w->U8(ext.has_last ? 1 : 0);
+  w->U64(ext.stats.segments_in);
+  w->U64(ext.stats.cross_pairs);
+  w->U64(ext.stats.self_pairs);
+  w->U64(ext.stats.rows_emitted);
+  w->U64(ext.stats.corners_emitted);
   for (int kind = 0; kind < 2; ++kind) {
     for (int k = 0; k < 4; ++k) {
-      w.U64(ext.stats.frontier_hist[kind][k]);
+      w->U64(ext.stats.frontier_hist[kind][k]);
     }
   }
   for (int c = 0; c < 7; ++c) {
-    w.U64(ext.stats.case_hist[c]);
+    w->U64(ext.stats.case_hist[c]);
   }
-  w.U32(static_cast<uint32_t>(ext.window.size()));
+  w->U32(static_cast<uint32_t>(ext.window.size()));
   for (const DataSegment& segment : ext.window) {
-    w.F64(segment.start.t);
-    w.F64(segment.start.v);
-    w.F64(segment.end.t);
-    w.F64(segment.end.v);
+    w->F64(segment.start.t);
+    w->F64(segment.start.v);
+    w->F64(segment.end.t);
+    w->F64(segment.end.v);
   }
-  // Suspended: the blob must reach the catalog only via Checkpoint,
-  // which flushes the tables it describes in the same operation. A
-  // kPutMeta WAL record would let recovery restore a pipeline state
-  // newer than the checkpointed tables and then skip re-deriving (via
-  // DrainRecoveredOps) exactly the rows that reverted with the data
-  // file. The state is redundant with the observation log, so losing
-  // the un-checkpointed blob costs nothing.
-  Wal::Suspend suspend(db_->wal());
-  // Suspended appends are no-ops, so this PutMeta cannot fail.
-  (void)db_->PutMeta(kIngestStateKey, w.Take());
 }
 
-Status SegDiffIndex::RestoreIngestState() {
-  auto blob = db_->GetMeta(kIngestStateKey);
-  if (!blob.ok()) {
-    if (!blob.status().IsNotFound()) {
-      return blob.status();
-    }
-    // Legacy store (written before ingest-state persistence) or fresh
-    // database. Non-empty legacy stores always ended with a flushed
-    // trailing segment, so the resumable state is reconstructible from
-    // the segment directory: replay the chain into the extractor's pair
-    // window (with the standard eviction rule) and anchor the segmenter
-    // at the last emitted endpoint. Lifetime counters are unknowable and
-    // restart at zero.
-    if (segments_table_ == nullptr || segments_table_->row_count() == 0) {
-      return Status::OK();
-    }
-    auto extractor = std::make_unique<ExtractorState>();
-    auto segmenter = std::make_unique<SegmenterState>();
-    std::deque<DataSegment> window;
-    // The reconstruction assumes the scan yields segments in temporal
-    // (insertion) order — the anchor and pair window come from the last
-    // rows seen. Validate the chain instead of trusting it: a violated
-    // order would silently corrupt the resume point.
-    double prev_end_t = -kInf;
-    SEGDIFF_RETURN_IF_ERROR(segments_table_->Scan(
-        [&](const char* record, RecordId, bool* keep_going) -> Status {
-          *keep_going = true;
-          DataSegment segment;
-          segment.start.t = DecodeDoubleColumn(record, 0);
-          segment.start.v = DecodeDoubleColumn(record, 1);
-          segment.end.t = DecodeDoubleColumn(record, 2);
-          segment.end.v = DecodeDoubleColumn(record, 3);
-          if (!(segment.start.t < segment.end.t) ||
-              segment.start.t < prev_end_t) {
-            return Status::Corruption(
-                "segment directory is not a temporal segment chain");
-          }
-          prev_end_t = segment.end.t;
-          const double win_start = segment.start.t - options_.window_s;
-          while (!window.empty() && window.front().end.t <= win_start) {
-            window.pop_front();
-          }
-          window.push_back(segment);
-          return Status::OK();
-        }));
-    extractor->window.assign(window.begin(), window.end());
-    extractor->last_end_t = window.back().end.t;
-    extractor->has_last = true;
-    extractor->stats.segments_in = segments_table_->row_count();
-    segmenter->has_anchor = true;
-    segmenter->anchor = window.back().end;
-    segmenter->segments_emitted = segments_table_->row_count();
-    restored_extractor_ = std::move(extractor);
-    restored_segmenter_ = std::move(segmenter);
-    return Status::OK();
-  }
-
-  ByteReader r(*blob);
-  SEGDIFF_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
-  SEGDIFF_ASSIGN_OR_RETURN(uint32_t version, r.U32());
-  if (magic != kIngestStateMagic || version != kIngestStateVersion) {
-    return Status::Corruption("bad segdiff ingest-state blob");
-  }
+Status SegDiffIndex::RestoreState(ByteReader* r, uint64_t* observations) {
   // Build parameters are properties of the store, not of this Open call.
-  SEGDIFF_ASSIGN_OR_RETURN(options_.eps, r.F64());
-  SEGDIFF_ASSIGN_OR_RETURN(options_.window_s, r.F64());
-  SEGDIFF_ASSIGN_OR_RETURN(uint8_t collect_drops, r.U8());
-  SEGDIFF_ASSIGN_OR_RETURN(uint8_t collect_jumps, r.U8());
+  SEGDIFF_ASSIGN_OR_RETURN(options_.eps, r->F64());
+  SEGDIFF_ASSIGN_OR_RETURN(options_.window_s, r->F64());
+  SEGDIFF_ASSIGN_OR_RETURN(uint8_t collect_drops, r->U8());
+  SEGDIFF_ASSIGN_OR_RETURN(uint8_t collect_jumps, r->U8());
   options_.collect_drops = collect_drops != 0;
   options_.collect_jumps = collect_jumps != 0;
-  SEGDIFF_ASSIGN_OR_RETURN(observations_, r.U64());
+  SEGDIFF_ASSIGN_OR_RETURN(*observations, r->U64());
 
   auto segmenter = std::make_unique<SegmenterState>();
-  SEGDIFF_ASSIGN_OR_RETURN(uint8_t has_anchor, r.U8());
-  SEGDIFF_ASSIGN_OR_RETURN(uint8_t has_endpoint, r.U8());
-  SEGDIFF_ASSIGN_OR_RETURN(uint8_t finished, r.U8());
+  SEGDIFF_ASSIGN_OR_RETURN(uint8_t has_anchor, r->U8());
+  SEGDIFF_ASSIGN_OR_RETURN(uint8_t has_endpoint, r->U8());
+  SEGDIFF_ASSIGN_OR_RETURN(uint8_t finished, r->U8());
   segmenter->has_anchor = has_anchor != 0;
   segmenter->has_endpoint = has_endpoint != 0;
   segmenter->finished = finished != 0;
-  SEGDIFF_ASSIGN_OR_RETURN(segmenter->anchor.t, r.F64());
-  SEGDIFF_ASSIGN_OR_RETURN(segmenter->anchor.v, r.F64());
-  SEGDIFF_ASSIGN_OR_RETURN(segmenter->endpoint.t, r.F64());
-  SEGDIFF_ASSIGN_OR_RETURN(segmenter->endpoint.v, r.F64());
-  SEGDIFF_ASSIGN_OR_RETURN(segmenter->slope_lo, r.F64());
-  SEGDIFF_ASSIGN_OR_RETURN(segmenter->slope_hi, r.F64());
-  SEGDIFF_ASSIGN_OR_RETURN(segmenter->observations, r.U64());
-  SEGDIFF_ASSIGN_OR_RETURN(segmenter->segments_emitted, r.U64());
+  SEGDIFF_ASSIGN_OR_RETURN(segmenter->anchor.t, r->F64());
+  SEGDIFF_ASSIGN_OR_RETURN(segmenter->anchor.v, r->F64());
+  SEGDIFF_ASSIGN_OR_RETURN(segmenter->endpoint.t, r->F64());
+  SEGDIFF_ASSIGN_OR_RETURN(segmenter->endpoint.v, r->F64());
+  SEGDIFF_ASSIGN_OR_RETURN(segmenter->slope_lo, r->F64());
+  SEGDIFF_ASSIGN_OR_RETURN(segmenter->slope_hi, r->F64());
+  SEGDIFF_ASSIGN_OR_RETURN(segmenter->observations, r->U64());
+  SEGDIFF_ASSIGN_OR_RETURN(segmenter->segments_emitted, r->U64());
 
   auto extractor = std::make_unique<ExtractorState>();
-  SEGDIFF_ASSIGN_OR_RETURN(extractor->last_end_t, r.F64());
-  SEGDIFF_ASSIGN_OR_RETURN(uint8_t has_last, r.U8());
+  SEGDIFF_ASSIGN_OR_RETURN(extractor->last_end_t, r->F64());
+  SEGDIFF_ASSIGN_OR_RETURN(uint8_t has_last, r->U8());
   extractor->has_last = has_last != 0;
-  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.segments_in, r.U64());
-  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.cross_pairs, r.U64());
-  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.self_pairs, r.U64());
-  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.rows_emitted, r.U64());
-  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.corners_emitted, r.U64());
+  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.segments_in, r->U64());
+  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.cross_pairs, r->U64());
+  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.self_pairs, r->U64());
+  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.rows_emitted, r->U64());
+  SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.corners_emitted, r->U64());
   for (int kind = 0; kind < 2; ++kind) {
     for (int k = 0; k < 4; ++k) {
       SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.frontier_hist[kind][k],
-                               r.U64());
+                               r->U64());
     }
   }
   for (int c = 0; c < 7; ++c) {
-    SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.case_hist[c], r.U64());
+    SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.case_hist[c], r->U64());
   }
-  SEGDIFF_ASSIGN_OR_RETURN(uint32_t window_size, r.U32());
+  SEGDIFF_ASSIGN_OR_RETURN(uint32_t window_size, r->U32());
   extractor->window.reserve(window_size);
   for (uint32_t i = 0; i < window_size; ++i) {
     DataSegment segment;
-    SEGDIFF_ASSIGN_OR_RETURN(segment.start.t, r.F64());
-    SEGDIFF_ASSIGN_OR_RETURN(segment.start.v, r.F64());
-    SEGDIFF_ASSIGN_OR_RETURN(segment.end.t, r.F64());
-    SEGDIFF_ASSIGN_OR_RETURN(segment.end.v, r.F64());
+    SEGDIFF_ASSIGN_OR_RETURN(segment.start.t, r->F64());
+    SEGDIFF_ASSIGN_OR_RETURN(segment.start.v, r->F64());
+    SEGDIFF_ASSIGN_OR_RETURN(segment.end.t, r->F64());
+    SEGDIFF_ASSIGN_OR_RETURN(segment.end.v, r->F64());
     extractor->window.push_back(segment);
   }
   restored_segmenter_ = std::move(segmenter);
@@ -559,8 +341,8 @@ Status SegDiffIndex::EnsureSegmentDirectory() {
   // Rebuild (reopened or cache-dropped store): block ingest so the live
   // scan plus the rebuilt map form one atomic state — a segment emitted
   // mid-rebuild could otherwise vanish from the directory. Lock order:
-  // ingest_mu_ before lazy_mu_, as everywhere.
-  std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
+  // the ingest lock before lazy_mu_, as everywhere.
+  std::lock_guard<std::mutex> ingest_lock(store_.ingest_mu());
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (segment_dir_fresh_) {
     return Status::OK();  // another search rebuilt it while we waited
@@ -579,202 +361,74 @@ Status SegDiffIndex::EnsureSegmentDirectory() {
   return Status::OK();
 }
 
-Status SegDiffIndex::EnsureZoneMaps(SearchKind kind) {
-  // Legacy stores build zone maps lazily here; serialize against both
-  // concurrent first searches (the build) and ingest (the attach would
-  // race OnAppend). Fresh stores hit only the is-attached check.
-  std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  for (int k = 1; k <= 3; ++k) {
-    Table* table = feature_tables_[static_cast<int>(kind)][k - 1];
-    SEGDIFF_RETURN_IF_ERROR(QuarantineScanError(
-        table->EnsureZoneMap(),
-        "feature table '" + table->name() + "'"));
-  }
-  return Status::OK();
-}
-
 Result<std::vector<PairId>> SegDiffIndex::SearchDrops(
     double T, double V, const SearchOptions& options, SearchStats* stats) {
-  if (!(V < 0.0)) {
-    return Status::InvalidArgument("drop search requires V < 0");
-  }
   return Search(SearchKind::kDrop, T, V, options, stats);
 }
 
 Result<std::vector<PairId>> SegDiffIndex::SearchJumps(
     double T, double V, const SearchOptions& options, SearchStats* stats) {
-  if (!(V > 0.0)) {
-    return Status::InvalidArgument("jump search requires V > 0");
-  }
   return Search(SearchKind::kJump, T, V, options, stats);
-}
-
-ThreadPool* SegDiffIndex::EnsurePool(size_t num_threads) {
-  const size_t workers = num_threads - 1;
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  // Resizing destroys the pool (joining its workers), so it is only safe
-  // when no other search holds it; concurrent searches with a different
-  // num_threads simply share the existing pool — ParallelFor spreads
-  // over whatever workers exist plus the calling thread, so only the
-  // parallelism degree differs, never the results.
-  if (pool_ == nullptr ||
-      (pool_->size() != workers && pool_users_ == 0)) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-  }
-  ++pool_users_;
-  return pool_.get();
-}
-
-void SegDiffIndex::ReleasePool() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  --pool_users_;
 }
 
 Result<std::vector<PairId>> SegDiffIndex::Search(SearchKind kind, double T,
                                                  double V,
                                                  const SearchOptions& options,
                                                  SearchStats* stats) {
-  if (!(T > 0.0)) {
-    return Status::InvalidArgument("T must be positive");
-  }
-  if (T > options_.window_s) {
-    return Status::InvalidArgument(
-        "T exceeds the configured window w; rebuild with a larger window");
-  }
-  Stopwatch stopwatch;
-  SearchStats local;
-
-  // Governance shell: one context shared by every thread of this search,
-  // one budget charged by result growth, one admission slot held for the
-  // query's whole execution.
-  MemoryBudget budget(options.max_result_bytes);
-  QueryContext ctx;
-  ctx.cancel = options.cancel;
-  ctx.deadline = options.deadline_ms > 0
-                     ? Deadline::Earlier(options.deadline,
-                                         Deadline::AfterMillis(
-                                             options.deadline_ms))
-                     : options.deadline;
-  ctx.budget = &budget;
-
-  Stopwatch admission_watch;
-  Result<AdmissionController::Ticket> ticket =
-      admission_.Admit(ctx, options.priority);
-  if (!ticket.ok()) {
-    admission_.RecordOutcome(ticket.status(), 0, false);
-    return ticket.status();
-  }
-  local.admission_wait_ms = admission_watch.ElapsedMillis();
-
-  // 0/1 stays serial (paper semantics); explicit parallelism is clamped
-  // by the store's per-query worker limit.
-  const size_t num_threads = options.num_threads <= 1
-                                 ? options.num_threads
-                                 : admission_.ClampThreads(
-                                       options.num_threads);
-  ThreadPool* pool = num_threads > 1 ? EnsurePool(num_threads) : nullptr;
-
-  // Freeze the view this search reads: taken between ingest operations
-  // (under ingest_mu_), so it is a consistent cut of every table, and
-  // the search needs no further coordination with concurrent appends.
-  DatabaseSnapshot snapshot;
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    snapshot = db_->CreateSnapshot();
-    local.snapshot_observations = observations_;
-  }
-
-  // With a stats out-param the search degrades gracefully over
-  // quarantined pages (routing around them, flagging the result
-  // partial); without one there is nowhere to surface the flag, so
-  // corruption stays a hard error.
-  const bool allow_partial = stats != nullptr;
   std::vector<PairId> results;
-  Status run = SearchImpl(kind, T, V, options, num_threads, pool, ctx,
-                          snapshot, allow_partial, &results, &local);
-  if (pool != nullptr) {
-    ReleasePool();
-  }
+  SEGDIFF_RETURN_IF_ERROR(store_.Search(
+      kind, T, V, options_.window_s, options, stats,
+      [&](const SearchScope& scope) {
+        return SearchImpl(kind, T, V, options, scope, &results);
+      },
+      [&]() -> Result<uint64_t> {
+        SEGDIFF_RETURN_IF_ERROR(FinishPairs(&results));
+        return results.size();
+      }));
+  return results;
+}
 
-  bool truncated = false;
-  if (!run.ok()) {
-    if (run.IsResourceExhausted() && budget.breached() && stats != nullptr) {
-      // Budget breach degrades gracefully: keep the pairs collected so
-      // far and flag the cut. Without a stats out-param there is nowhere
-      // to surface the flag, so fail instead — never a silent cut.
-      truncated = true;
-    } else {
-      admission_.RecordOutcome(run, budget.peak(),
-                               run.IsResourceExhausted() &&
-                                   budget.breached());
-      return run;
-    }
-  }
-
+Status SegDiffIndex::FinishPairs(std::vector<PairId>* results) {
   // Union of all queries: dedupe on (t_d, t_c, t_b).
-  std::sort(results.begin(), results.end(), PairIdLess);
-  results.erase(std::unique(results.begin(), results.end(), PairIdKeyEq),
-                results.end());
+  std::sort(results->begin(), results->end(), PairIdLess);
+  results->erase(std::unique(results->begin(), results->end(), PairIdKeyEq),
+                 results->end());
 
   // Materialize t_a from the segment directory. Every pair came from
   // the snapshot, so its segment is in the directory (which only grows
   // under concurrent ingest — lookups happen under lazy_mu_ because
   // OnSegment inserts while we read).
-  Status fin = EnsureSegmentDirectory();
-  if (fin.ok()) {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    for (PairId& id : results) {
-      auto it = segment_dir_.find(id.t_b);
-      if (it == segment_dir_.end()) {
-        fin = Status::Corruption("feature row references unknown segment");
-        break;
-      }
-      id.t_a = it->second;
+  SEGDIFF_RETURN_IF_ERROR(EnsureSegmentDirectory());
+  std::lock_guard<std::mutex> lock(lazy_mu_);
+  for (PairId& id : *results) {
+    auto it = segment_dir_.find(id.t_b);
+    if (it == segment_dir_.end()) {
+      return Status::Corruption("feature row references unknown segment");
     }
+    id.t_a = it->second;
   }
-  if (!fin.ok()) {
-    admission_.RecordOutcome(fin, budget.peak(), false);
-    return fin;
-  }
-
-  local.pairs_returned = results.size();
-  local.truncated = truncated;
-  local.partial = local.scan.pages_quarantined > 0 ||
-                  local.scan.rows_quarantined > 0;
-  local.result_bytes_peak = budget.peak();
-  local.seconds = stopwatch.ElapsedSeconds();
-  admission_.RecordOutcome(Status::OK(), budget.peak(), truncated);
-  if (stats != nullptr) {
-    *stats = local;
-  }
-  return results;
+  return Status::OK();
 }
 
 Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
                                 const SearchOptions& options,
-                                size_t num_threads, ThreadPool* pool,
-                                const QueryContext& ctx,
-                                const DatabaseSnapshot& snapshot,
-                                bool allow_partial,
-                                std::vector<PairId>* results,
-                                SearchStats* local) {
+                                const SearchScope& scope,
+                                std::vector<PairId>* results) {
   const bool drop = kind == SearchKind::kDrop;
+  Table* const* tables = feature_tables_[static_cast<int>(kind)];
 
   // Everything that lazily mutates index state happens before any task
   // can run on a worker thread; the tasks themselves are read-only.
   // Zone maps drive both page pruning inside the sequential scans and
-  // the kAuto cost model; legacy stores build theirs here, once.
-  SEGDIFF_RETURN_IF_ERROR(EnsureZoneMaps(kind));
+  // the kAuto cost model.
+  SEGDIFF_RETURN_IF_ERROR(
+      store_.EnsureZoneMaps({tables[0], tables[1], tables[2]}));
 
-  // Executor-level governance: every scan below checks `ctx` at page
-  // granularity (and the index walks every kGovernanceCheckInterval
-  // entries). Every scan and index descent reads the search's frozen
-  // snapshot, never the moving live tables.
-  SeqScanOptions scan_options;
-  scan_options.context = &ctx;
-  scan_options.snapshot = &snapshot;
-  scan_options.skip_quarantined = allow_partial;
+  // Executor-level governance: every scan below checks the scope's
+  // context at page granularity (and the index walks every
+  // kGovernanceCheckInterval entries). Every scan and index descent
+  // reads the search's frozen snapshot, never the moving live tables.
+  const SeqScanOptions scan_options = scope.scan_options();
 
   // Builds the paper's predicate for one query, for sequential scans.
   auto make_predicate = [drop, T, V](const RangeQuery& query) {
@@ -818,12 +472,12 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   };
   std::vector<QueryTask> tasks;
   for (int k = 1; k <= 3; ++k) {
-    Table* table = feature_tables_[static_cast<int>(kind)][k - 1];
+    Table* table = tables[k - 1];
     // Row counts, page counts, and zone maps all come from the frozen
     // view: concurrent ingest must affect neither the plan nor the
     // result. Columnar segments are immutable, so the live directory is
     // the snapshot directory.
-    const TableSnapshotView* view = snapshot.TableView(table->name());
+    const TableSnapshotView* view = scope.snapshot->TableView(table->name());
     if (view == nullptr) {
       return Status::Internal("search snapshot does not cover table '" +
                               table->name() + "'");
@@ -854,80 +508,11 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
             "index scan requested but indexes were not built");
       }
       if (mode == QueryMode::kAuto) {
-        const ZoneMap* zone_map = view->zone_map.get();
-        if (zone_map == nullptr && columnar == nullptr) {
-          mode = QueryMode::kSeqScan;  // no stats: always-correct default
-        } else {
-          // Price the sequential side at what the pruned scan will
-          // actually evaluate — heap pages surviving the zone map plus
-          // columnar pages surviving the segment directory — and the
-          // index side from real per-column ranges over both formats.
-          const Predicate predicate = make_predicate(query);
-          TableStatsView stats_view;
-          stats_view.row_count = snap_rows;
-          stats_view.pages_total = view->heap_meta.page_count;
-          stats_view.pages_after_pruning = 0;
-          if (zone_map != nullptr) {
-            const ZoneSurvey survey =
-                SurveyZones(*zone_map, predicate.conditions());
-            // Pages without a zone (e.g. crash-recovered tails) cannot
-            // be pruned; keep them on the sequential side's bill.
-            stats_view.pages_after_pruning =
-                survey.zones_surviving +
-                (stats_view.pages_total > survey.zones_total
-                     ? stats_view.pages_total - survey.zones_total
-                     : 0);
-          } else {
-            stats_view.pages_after_pruning = stats_view.pages_total;
-          }
-          if (columnar != nullptr) {
-            const ColumnarSurvey survey =
-                SurveyColumnarSegments(*columnar, predicate.conditions());
-            stats_view.pages_total += survey.pages_total;
-            stats_view.pages_after_pruning += survey.pages_surviving;
-            const uint64_t col_rows = columnar->row_count();
-            if (stats_view.row_count > 0) {
-              stats_view.random_fetch_cost_scale =
-                  (static_cast<double>(stats_view.row_count - col_rows) +
-                   kColumnarFetchCostScale * static_cast<double>(col_rows)) /
-                  static_cast<double>(stats_view.row_count);
-            }
-          }
-          // Per-column global ranges merged across formats.
-          auto global_range = [&](size_t column) {
-            ZoneMap::ColumnRange range{1.0, -1.0, false};
-            if (zone_map != nullptr) {
-              range = zone_map->GlobalRange(column);
-            }
-            if (columnar != nullptr) {
-              const ZoneMap::ColumnRange cr =
-                  ColumnarGlobalRange(*columnar, column);
-              if (cr.lo <= cr.hi) {
-                if (range.lo <= range.hi) {
-                  range.lo = std::min(range.lo, cr.lo);
-                  range.hi = std::max(range.hi, cr.hi);
-                } else {
-                  range.lo = cr.lo;
-                  range.hi = cr.hi;
-                }
-              }
-              range.has_nan = range.has_nan || cr.has_nan;
-            }
-            return range;
-          };
-          stats_view.index_entry_fraction = ConditionFraction(
-              global_range(predicate.conditions().front().column),
-              predicate.conditions().front());
-          stats_view.heap_fetch_fraction = 1.0;
-          for (const ColumnCondition& cond : predicate.conditions()) {
-            stats_view.heap_fetch_fraction *=
-                ConditionFraction(global_range(cond.column), cond);
-          }
-          const PlanChoice choice =
-              ChooseAccessPath(stats_view, options_.build_indexes);
-          mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
-                                                       : QueryMode::kSeqScan;
-        }
+        const PlanChoice choice =
+            PlanRangeQuery(*view, columnar, make_predicate(query).conditions(),
+                           options_.build_indexes);
+        mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
+                                                     : QueryMode::kSeqScan;
       }
       tasks.push_back(QueryTask{k, table, false, query, mode});
     }
@@ -939,21 +524,13 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   auto run_task = [&](const QueryTask& task, std::vector<PairId>* out,
                       ScanStats* scan) -> Status {
     const int k = task.k;
-    MemoryBudget* budget = ctx.budget;
-    const RowCallback collect = [out, k, budget](const char* record,
-                                                 RecordId) -> Status {
-      // Result-set growth is what the memory budget charges; a breach
-      // aborts this task (and, via the shared budget, every sibling).
-      if (budget != nullptr && !budget->Charge(sizeof(PairId))) {
-        return budget->Exceeded();
-      }
+    auto decode = [k](const char* record) {
       PairId id;
       id.t_d = DecodeDoubleColumn(record, TdCol(k));
       id.t_c = DecodeDoubleColumn(record, TcCol(k));
       id.t_b = DecodeDoubleColumn(record, TbCol(k));
       id.t_a = 0.0;  // resolved after dedup
-      out->push_back(id);
-      return Status::OK();
+      return id;
     };
     if (task.fused) {
       // One pass evaluating the OR of every query's conditions.
@@ -978,46 +555,16 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
         }
         return false;
       });
-      if (pool == nullptr) {
-        return SeqScan(*task.table, fused, collect, scan, scan_options);
-      }
-      std::vector<std::vector<PairId>> partition_out(num_threads);
-      Status status = ParallelSeqScan(
-          *task.table, fused, pool, num_threads,
-          [&partition_out, k, budget](size_t p) -> RowCallback {
-            std::vector<PairId>* sink = &partition_out[p];
-            return [sink, k, budget](const char* record,
-                                     RecordId) -> Status {
-              if (budget != nullptr && !budget->Charge(sizeof(PairId))) {
-                return budget->Exceeded();
-              }
-              PairId id;
-              id.t_d = DecodeDoubleColumn(record, TdCol(k));
-              id.t_c = DecodeDoubleColumn(record, TcCol(k));
-              id.t_b = DecodeDoubleColumn(record, TbCol(k));
-              id.t_a = 0.0;
-              sink->push_back(id);
-              return Status::OK();
-            };
-          },
-          scan, scan_options);
-      // Merge even on failure: a budget-truncated search keeps what the
-      // partitions collected before the breach.
-      for (const std::vector<PairId>& part : partition_out) {
-        out->insert(out->end(), part.begin(), part.end());
-      }
-      return status;
+      return PartitionedScan(*task.table, fused, scope, decode, out, scan);
     }
+    const RowCallback collect = CollectInto(scope.ctx->budget, out, decode);
     if (task.mode == QueryMode::kSeqScan) {
       return SeqScan(*task.table, make_predicate(task.query), collect, scan,
                      scan_options);
     }
     // Index scan: all conditions evaluate on the key; the heap fetch
     // only materializes the pair id.
-    IndexScanSpec spec;
-    spec.context = &ctx;
-    spec.snapshot = &snapshot;
-    spec.skip_quarantined = allow_partial;
+    IndexScanSpec spec = scope.index_spec();
     const std::string index_name =
         (task.query.is_line ? "ln" : "pt") + std::to_string(task.query.corner);
     SEGDIFF_ASSIGN_OR_RETURN(BPlusTree * tree,
@@ -1049,8 +596,9 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
     return IndexScan(*task.table, spec, Predicate::True(), collect, scan);
   };
 
+  SearchStats* local = scope.stats;
   local->queries_issued = tasks.size();
-  if (pool == nullptr || tasks.size() <= 1 ||
+  if (scope.pool == nullptr || tasks.size() <= 1 ||
       (options.mode == QueryMode::kSeqScan && options.fused_scan)) {
     // Serial task loop. Fused tasks still fan out internally when a pool
     // exists (table-at-a-time with partitioned passes avoids nesting
@@ -1064,20 +612,19 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   }
   // Concurrent point/line queries: each task gets a private result
   // vector and ScanStats, merged in task order so stats totals match
-  // the serial path exactly (satellite: stats correctness). The
-  // governed ParallelFor stops claiming tasks once the context fires;
-  // in-flight tasks stop at their own page-level checks.
+  // the serial path exactly. The governed ParallelFor stops claiming
+  // tasks once the context fires; in-flight tasks stop at their own
+  // page-level checks.
   std::vector<std::vector<PairId>> task_out(tasks.size());
   std::vector<ScanStats> task_scan(tasks.size());
-  Status status = pool->ParallelFor(tasks.size(), &ctx,
-                                    [&](size_t i) -> Status {
-                                      return QuarantineScanError(
-                                          run_task(tasks[i], &task_out[i],
-                                                   &task_scan[i]),
-                                          "feature table '" +
-                                              tasks[i].table->name() + "'");
-                                    });
-  // Merge even on failure (see partition merge above).
+  Status status = scope.pool->ParallelFor(
+      tasks.size(), scope.num_threads, scope.ctx, [&](size_t i) -> Status {
+        return QuarantineScanError(
+            run_task(tasks[i], &task_out[i], &task_scan[i]),
+            "feature table '" + tasks[i].table->name() + "'");
+      });
+  // Merge even on failure: a budget-truncated search keeps what the
+  // tasks collected before the breach.
   for (size_t i = 0; i < tasks.size(); ++i) {
     local->scan.Add(task_scan[i]);
     results->insert(results->end(), task_out[i].begin(), task_out[i].end());
@@ -1085,37 +632,23 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   return status;
 }
 
-Status SegDiffIndex::Checkpoint() {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  SaveIngestState();
-  return db_->Checkpoint();
-}
+Status SegDiffIndex::Checkpoint() { return store_.Checkpoint(); }
 
 Status SegDiffIndex::Compact(const std::string& destination_path) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  SaveIngestState();  // the copied ingest blob must reflect the tables
-  return db_->CompactInto(destination_path);
+  return store_.Compact(destination_path);
 }
 
 Status SegDiffIndex::Repair(const std::string& destination_path,
                             RepairReport* report) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  // Best-effort: on a degraded store PutMeta is gated, so the copied
-  // blob is the last one saved — the WAL backlog (already replayed at
-  // Open) covers the difference.
-  SaveIngestState();
-  return db_->Repair(destination_path, report);
+  return store_.Repair(destination_path, report);
 }
 
 Status SegDiffIndex::DropCaches() {
-  std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-  {
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    segment_dir_.clear();
-    segment_dir_fresh_ = false;  // force re-read through the (cold) pool
-  }
-  SaveIngestState();
-  return db_->DropCaches();
+  Status status = store_.DropCaches();
+  std::lock_guard<std::mutex> lock(lazy_mu_);
+  segment_dir_.clear();
+  segment_dir_fresh_ = false;  // force re-read through the (cold) pool
+  return status;
 }
 
 SegDiffSizes SegDiffIndex::GetSizes() const {
@@ -1129,7 +662,7 @@ SegDiffSizes SegDiffIndex::GetSizes() const {
     }
   }
   sizes.segment_dir_bytes = segments_table_->DataSizeBytes();
-  sizes.file_bytes = db_->SizeStats().file_bytes;
+  sizes.file_bytes = store_.db()->SizeStats().file_bytes;
   return sizes;
 }
 

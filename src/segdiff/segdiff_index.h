@@ -25,122 +25,24 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/admission.h"
-#include "common/governance.h"
 #include "common/result.h"
 #include "feature/extractor.h"
 #include "feature/sink.h"
-#include "query/executor.h"
+#include "segdiff/feature_store.h"
 #include "segment/sliding_window.h"
-#include "storage/db.h"
 #include "ts/series.h"
 
 namespace segdiff {
 
-/// Build-time configuration of a SegDiff store.
-struct SegDiffOptions {
+/// Build-time configuration of a SegDiff store (storage and admission
+/// settings in StoreOptions).
+struct SegDiffOptions : StoreOptions {
   double eps = 0.2;            ///< user error tolerance (degrees C in the paper)
   double window_s = 28800.0;   ///< w: longest supported T (8 h default)
   bool collect_drops = true;
   bool collect_jumps = true;
   bool build_indexes = true;   ///< build the Section 4.4 B+-trees
   bool create_if_missing = true;  ///< false: only open an existing store
-  size_t buffer_pool_pages = 4096;
-  /// Simulated storage read latency (cold-cache experiments); 0 = off.
-  uint64_t sim_seq_read_ns = 0;
-  uint64_t sim_random_read_ns = 0;
-  /// File system the store's IO goes through (nullptr = default POSIX
-  /// Vfs; non-owning). Fault-injection tests substitute their own.
-  Vfs* vfs = nullptr;
-  /// Verify page checksums on read (see DatabaseOptions).
-  bool verify_checksums = true;
-  /// Write-ahead logging: every appended observation is redo-logged and
-  /// group-committed, so a crash loses at most the tail after the last
-  /// group commit. false reverts to checkpoint-only durability (an
-  /// unclean shutdown loses everything since the last Checkpoint).
-  bool wal = true;
-  /// Group-commit window in milliseconds; 0 = fsync every append; -1 =
-  /// the SEGDIFF_WAL_GROUP_COMMIT_MS environment variable (default 1).
-  int64_t wal_group_commit_ms = -1;
-  /// Admission-control limits for this store's query entry points
-  /// (defaults auto-size to the machine; see AdmissionOptions).
-  AdmissionOptions admission;
-};
-
-/// How a search executes its range queries.
-enum class QueryMode : unsigned char {
-  kSeqScan = 0,   ///< paper's "sequential scan"
-  kIndexScan = 1, ///< paper's "using indexes"
-  kAuto = 2,      ///< planner picks per point/line query
-};
-
-/// Per-search knobs.
-struct SearchOptions {
-  QueryMode mode = QueryMode::kSeqScan;
-  /// Paper semantics issue one range query per stored corner/edge (each
-  /// its own scan). `fused_scan` instead evaluates all of a table's
-  /// conditions in a single pass — an optimization the ablation bench
-  /// quantifies. Only affects kSeqScan.
-  bool fused_scan = false;
-  /// Intra-query parallelism. 0 or 1 executes everything serially on the
-  /// calling thread, preserving the paper's single-threaded semantics.
-  /// >= 2 runs the search's independent range queries concurrently on a
-  /// worker pool (fused and Exh scans are instead partitioned across the
-  /// workers by heap page). Results and SearchStats are identical to the
-  /// serial path; only wall-clock time changes. Requests > 1 are clamped
-  /// to the store's AdmissionOptions::max_threads_per_query.
-  size_t num_threads = 0;
-
-  // Governance (see DESIGN.md §11). All default to "ungoverned".
-
-  /// Relative deadline: the search fails with DeadlineExceeded within
-  /// one page of work once `deadline_ms` ms have elapsed. 0 = none.
-  uint64_t deadline_ms = 0;
-  /// Absolute deadline, combined (earlier wins) with `deadline_ms`.
-  /// Lets a driver spread one budget across several searches
-  /// (TransectIndex::SearchAll).
-  Deadline deadline;
-  /// Cooperative cancel: obtain from a CancellationSource and Cancel()
-  /// from any thread; the search fails with Status::Cancelled within one
-  /// page of work.
-  CancellationToken cancel;
-  /// Cap on result-set memory. On breach the search returns the pairs
-  /// found so far with SearchStats::truncated set — or, when the caller
-  /// passed no SearchStats out-param (nowhere to surface the flag),
-  /// fails with ResourceExhausted instead. Never silent. 0 = unlimited.
-  uint64_t max_result_bytes = 0;
-  /// Admission scheduling class (see QueryPriority).
-  QueryPriority priority = QueryPriority::kNormal;
-};
-
-/// Execution report for one search.
-struct SearchStats {
-  ScanStats scan;
-  uint64_t queries_issued = 0;
-  uint64_t pairs_returned = 0;
-  double seconds = 0.0;
-  /// Observation count frozen with the search's snapshot: the search
-  /// sees exactly the features derived from the first
-  /// `snapshot_observations` observations, no matter how much ingest
-  /// runs concurrently (differential tests key on this).
-  uint64_t snapshot_observations = 0;
-  /// The result set was cut short by SearchOptions::max_result_bytes;
-  /// pairs_returned counts only what was kept.
-  bool truncated = false;
-  /// The store has quarantined (checksum-failed) pages in the searched
-  /// range: the scan routed around them, so pairs whose feature rows
-  /// lived there are missing. scan.pages_quarantined/rows_quarantined
-  /// size the hole. Only possible when the caller passed a SearchStats
-  /// out-param — without one there is nowhere to surface the flag, and
-  /// the search fails with a quarantined-range Corruption error instead.
-  /// Never set together with a clean bill: partial == false means the
-  /// result is complete over the snapshot.
-  bool partial = false;
-  /// High-water mark of result-set bytes across all of the search's
-  /// threads (tracked even without a budget).
-  uint64_t result_bytes_peak = 0;
-  /// Time spent queued in admission control before executing.
-  double admission_wait_ms = 0.0;
 };
 
 /// Space usage (paper Section 6 metrics).
@@ -152,30 +54,19 @@ struct SegDiffSizes {
   uint64_t file_bytes = 0;      ///< whole database file
 };
 
-/// Rewrites a Corruption status coming out of a table scan into a
-/// "quarantined range" error naming the store object (`what`), keeping
-/// the underlying page diagnosis and adding remediation advice. Every
-/// other status passes through unchanged. Used by the search paths so a
-/// checksum-failed page surfaces as a clear, actionable error — never as
-/// a partial result set.
-Status QuarantineScanError(Status status, const std::string& what);
-
 class SegDiffIndex : public FeatureSink {
  public:
   /// Creates (or opens) the store backing file at `path`. Reopened
   /// stores resume appending exactly where ingest left off: the open
   /// segment, the extractor's pair window, and the build parameters
-  /// (eps, window, collected kinds) are persisted in the store and
-  /// restored here — persisted build parameters take precedence over
-  /// the corresponding fields of `options`. Stores written before state
-  /// persistence existed are reconstructed from their segment directory
-  /// (resuming at the last flushed segment boundary).
+  /// (eps, window, collected kinds) are persisted in the store's
+  /// ingest-state blob and restored here — persisted build parameters
+  /// take precedence over the corresponding fields of `options`. A store
+  /// holding rows but no blob fails with Corruption (see FeatureStore),
+  /// leaving its files untouched. Closing saves the blob before the
+  /// database checkpoints.
   static Result<std::unique_ptr<SegDiffIndex>> Open(
       const std::string& path, const SegDiffOptions& options);
-
-  /// Saves ingest state into the database before the database handle
-  /// checkpoints itself on destruction.
-  ~SegDiffIndex() override;
 
   /// Feeds one observation through the streaming pipeline (segmenter ->
   /// segment directory + extractor -> feature tables). Features of the
@@ -234,102 +125,75 @@ class SegDiffIndex : public FeatureSink {
 
   SegDiffSizes GetSizes() const;
   const ExtractorStats& extractor_stats() const;
-  uint64_t num_observations() const override { return observations_; }
+  uint64_t num_observations() const override {
+    return store_.num_observations();
+  }
   uint64_t num_segments() const;
   const SegDiffOptions& options() const { return options_; }
-  Database* db() { return db_.get(); }
+  Database* db() { return store_.db(); }
 
   /// The store's admission gate: governance counters for --stats, plus
   /// direct access for tests and front-ends (e.g. to hold slots or
   /// inspect queue depth). Searches are admitted through it implicitly.
-  AdmissionController* admission_controller() { return &admission_; }
+  AdmissionController* admission_controller() { return store_.admission(); }
 
  private:
   SegDiffIndex(SegDiffOptions options);
 
-  /// Everything fallible in Open: database, tables, restored state, and
-  /// the streaming pipeline. On failure the instance may be partially
-  /// built; Open marks the database handle to not checkpoint on close.
-  Status OpenImpl(const std::string& path);
+  /// The engine side of Open: tables, then the streaming pipeline with
+  /// any restored state applied.
+  Status LayOut();
   Status InitTables();
   Status WriteFeatureRow(const PairFeatures& row);
   /// One completed segment from the segmenter: segment directory row +
   /// in-memory directory + extractor.
   Status OnSegment(const DataSegment& segment);
-  /// Serializes segmenter + extractor + counters into the database's
-  /// catalog meta blob (persisted at the next checkpoint).
-  void SaveIngestState();
-  /// Restores ingest state on reopen: from the meta blob when present,
-  /// otherwise reconstructed from the segment directory (legacy stores).
-  Status RestoreIngestState();
-  /// Lazily creates (or resizes) the worker pool backing parallel
-  /// searches: `num_threads - 1` workers, since the calling thread
-  /// participates in every ParallelFor. Thread-safe; while any search is
-  /// using the pool a size mismatch reuses the existing pool instead of
-  /// resizing under it.
-  ThreadPool* EnsurePool(size_t num_threads);
-  void ReleasePool();
-  /// Governance shell: validates, admits, builds the QueryContext and
-  /// budget, delegates to SearchImpl, then applies the truncation
-  /// contract and folds the outcome into the governance counters.
+  /// Ingest-state payload: build parameters, observation count,
+  /// segmenter and extractor state.
+  void SaveState(uint64_t observations, ByteWriter* w) const;
+  /// Adopts the persisted build parameters and parks the pipeline state
+  /// until LayOut builds the pipeline.
+  Status RestoreState(ByteReader* r, uint64_t* observations);
   Result<std::vector<PairId>> Search(SearchKind kind, double T, double V,
                                      const SearchOptions& options,
                                      SearchStats* stats);
-  /// Plans and runs the range-query tasks against `snapshot`, appending
-  /// raw (un-deduped) matches to `results`. On a memory-budget breach,
-  /// whatever the tasks collected stays in `results` for the shell's
-  /// truncation path. With `allow_partial` the scans route around
-  /// quarantined pages (counting them in `local->scan`) instead of
-  /// failing; the shell sets SearchStats::partial from those counters.
+  /// Plans and runs the range-query tasks against the scope's snapshot,
+  /// appending raw (un-deduped) matches to `results`. On a memory-budget
+  /// breach, whatever the tasks collected stays in `results` for the
+  /// shell's truncation path.
   Status SearchImpl(SearchKind kind, double T, double V,
-                    const SearchOptions& options, size_t num_threads,
-                    ThreadPool* pool, const QueryContext& ctx,
-                    const DatabaseSnapshot& snapshot, bool allow_partial,
-                    std::vector<PairId>* results, SearchStats* local);
-  /// Replays the WAL's recovered observation backlog through the ingest
-  /// pipeline (under Wal::Suspend): every acknowledged observation a
-  /// crash interrupted lands back in the feature tables.
-  Status DrainRecoveredOps();
+                    const SearchOptions& options, const SearchScope& scope,
+                    std::vector<PairId>* results);
+  /// Dedupes `results` on (t_d, t_c, t_b) and materializes t_a from the
+  /// segment directory.
+  Status FinishPairs(std::vector<PairId>* results);
   Status EnsureSegmentDirectory();
-  /// Builds any missing zone maps for the kind's feature tables (legacy
-  /// stores); fresh tables maintain theirs incrementally on insert.
-  /// Must run before a search fans out to worker threads.
-  Status EnsureZoneMaps(SearchKind kind);
 
   SegDiffOptions options_;
-  std::unique_ptr<Database> db_;
   Table* segments_table_ = nullptr;
   Table* feature_tables_[2][3] = {{nullptr, nullptr, nullptr},
                                   {nullptr, nullptr, nullptr}};
 
   std::unique_ptr<FeatureExtractor> extractor_;
   std::unique_ptr<SlidingWindowSegmenter> segmenter_;
-  /// Restored state parked between RestoreIngestState and pipeline
-  /// construction in Open (the pipeline needs the adopted options).
+  /// Restored state parked between RestoreState and pipeline
+  /// construction in LayOut (the pipeline needs the adopted options).
   std::unique_ptr<ExtractorState> restored_extractor_;
   std::unique_ptr<SegmenterState> restored_segmenter_;
-  std::unique_ptr<ThreadPool> pool_;  ///< parallel-search workers
-  std::mutex pool_mu_;                ///< guards pool_ + pool_users_
-  size_t pool_users_ = 0;             ///< searches currently on the pool
-  AdmissionController admission_;
-  /// Serializes writers (appends, flushes, checkpoints) against each
-  /// other and against snapshot creation, so searches can run fully
-  /// concurrently with ingest. Lock order: ingest_mu_ before lazy_mu_.
-  std::mutex ingest_mu_;
-  /// Serializes the lazy first-search initialisation (zone-map builds,
-  /// segment-directory load) and guards segment_dir_, which ingest
-  /// keeps appending to while searches resolve t_a from it.
+  /// Serializes the lazy segment-directory load and guards segment_dir_,
+  /// which ingest keeps appending to while searches resolve t_a from it.
+  /// Lock order: the store's ingest lock before lazy_mu_.
   std::mutex lazy_mu_;
-  uint64_t observations_ = 0;
-  /// Set only when Open fully succeeded; the destructor saves ingest
-  /// state (which dereferences the pipeline) only for opened instances.
-  bool opened_ = false;
 
   /// t_start -> t_end of every segment, for materializing t_a.
   std::unordered_map<double, double> segment_dir_;
   bool segment_dir_fresh_ = false;
 
   std::vector<double> row_buf_;
+
+  /// Declared last so it is destroyed first: closing saves the ingest
+  /// state through the pipeline above.
+  FeatureStore store_;
 };
 
 }  // namespace segdiff

@@ -428,11 +428,10 @@ Status TransectIndex::FlushAllPending() {
       status = flush_one(i);
     }
   } else {
-    ThreadPool* pool = EnsurePool(threads);
     // ParallelFor keeps the first error (FirstErrorCollector) and skips
     // remaining sensors; still-dirty sensors stay tracked for the retry.
-    status = pool->ParallelFor(dirty.size(), flush_one);
-    ReleasePool();
+    status = SharedThreadPool(threads)->ParallelFor(dirty.size(), threads,
+                                                    nullptr, flush_one);
   }
   if (!status.ok()) {
     return status;
@@ -456,13 +455,12 @@ Status TransectIndex::IngestAllSensors(const std::vector<Series>& all_series,
   // share mutable state; the pool only parallelizes across sensors.
   // Each worker pins one store at a time, so even a tiny LRU throttles
   // rather than deadlocks.
-  ThreadPool* pool = EnsurePool(num_threads);
-  Status status =
-      pool->ParallelFor(all_series.size(), [&](size_t s) -> Status {
-        return IngestSensorSeries(static_cast<int>(s), all_series[s]);
-      });
-  ReleasePool();
-  return status;
+  return SharedThreadPool(num_threads)
+      ->ParallelFor(all_series.size(), num_threads, nullptr,
+                    [&](size_t s) -> Status {
+                      return IngestSensorSeries(static_cast<int>(s),
+                                                all_series[s]);
+                    });
 }
 
 template <typename SearchFn>
@@ -507,10 +505,10 @@ Result<std::vector<TransectHit>> TransectIndex::SearchAll(
     std::vector<TransectHit> hits;
     TransectSearchStats stats;
   };
-  ThreadPool* pool = fan_out >= 2 ? EnsurePool(fan_out) : nullptr;
+  ThreadPool* pool = fan_out >= 2 ? SharedThreadPool(fan_out) : nullptr;
   std::vector<ShardPartial> partials;
   Status status = ParallelMap(
-      pool, shard_count, &ctx, &partials,
+      pool, fan_out, shard_count, &ctx, &partials,
       [&](size_t shard, ShardPartial* out) -> Status {
         const ShardInfo& info = catalog_.shard(shard);
         const int last = info.first_sensor + info.sensor_count;
@@ -552,9 +550,6 @@ Result<std::vector<TransectHit>> TransectIndex::SearchAll(
         }
         return Status::OK();
       });
-  if (pool != nullptr) {
-    ReleasePool();
-  }
   if (!status.ok()) {
     return status;
   }
@@ -695,9 +690,8 @@ Status TransectIndex::Rebalance(int new_sensors_per_shard) {
       copied = copy_one(static_cast<size_t>(s));
     }
   } else {
-    ThreadPool* pool = EnsurePool(threads);
-    copied = pool->ParallelFor(static_cast<size_t>(sensors), copy_one);
-    ReleasePool();
+    copied = SharedThreadPool(threads)->ParallelFor(
+        static_cast<size_t>(sensors), threads, nullptr, copy_one);
   }
   if (!copied.ok()) {
     return abort(copied);
@@ -993,10 +987,8 @@ Status TransectIndex::Checkpoint() {
     }
     return Status::OK();
   }
-  ThreadPool* pool = EnsurePool(threads);
-  Status status = pool->ParallelFor(open.size(), checkpoint_one);
-  ReleasePool();
-  return status;
+  return SharedThreadPool(threads)->ParallelFor(open.size(), threads, nullptr,
+                                                checkpoint_one);
 }
 
 Status TransectIndex::DropCaches() {
@@ -1015,10 +1007,10 @@ Result<TransectSizes> TransectIndex::GetSizes() {
   // parallel sweep equals the serial one exactly.
   const size_t shard_count = catalog_.shard_count();
   const size_t threads = MaintenanceThreads(shard_count);
-  ThreadPool* pool = threads >= 2 ? EnsurePool(threads) : nullptr;
+  ThreadPool* pool = threads >= 2 ? SharedThreadPool(threads) : nullptr;
   std::vector<TransectSizes> partials;
   Status status = ParallelMap(
-      pool, shard_count, nullptr, &partials,
+      pool, threads, shard_count, nullptr, &partials,
       [&](size_t shard, TransectSizes* out) -> Status {
         const ShardInfo& info = catalog_.shard(shard);
         const int last = info.first_sensor + info.sensor_count;
@@ -1033,9 +1025,6 @@ Result<TransectSizes> TransectIndex::GetSizes() {
         }
         return Status::OK();
       });
-  if (pool != nullptr) {
-    ReleasePool();
-  }
   if (!status.ok()) {
     return status;
   }
@@ -1047,26 +1036,6 @@ Result<TransectSizes> TransectIndex::GetSizes() {
     sizes.file_bytes += one.file_bytes;
   }
   return sizes;
-}
-
-ThreadPool* TransectIndex::EnsurePool(size_t num_threads) {
-  const size_t workers = num_threads - 1;
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  // Resizing destroys the pool (joining its workers), so it is only safe
-  // when no other fan-out holds it; concurrent users with a different
-  // width simply share the existing pool — ParallelFor spreads over
-  // whatever workers exist plus the calling thread, so only the
-  // parallelism degree differs, never the results.
-  if (pool_ == nullptr || (pool_->size() != workers && pool_users_ == 0)) {
-    pool_ = std::make_unique<ThreadPool>(workers);
-  }
-  ++pool_users_;
-  return pool_.get();
-}
-
-void TransectIndex::ReleasePool() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  --pool_users_;
 }
 
 size_t TransectIndex::MaintenanceThreads(size_t items) const {

@@ -311,12 +311,6 @@ class TransectIndex {
                                          : Vfs::Default();
   }
 
-  /// Lazily creates (or resizes) the shared fan-out pool; same
-  /// discipline as SegDiffIndex::EnsurePool (`num_threads - 1` workers,
-  /// the caller participates; concurrent users share whatever exists).
-  ThreadPool* EnsurePool(size_t num_threads);
-  void ReleasePool();
-
   /// Fan-out width for maintenance sweeps (flush, checkpoint, sizes):
   /// enough workers to overlap store IO, bounded by the cache capacity
   /// and the number of items.
@@ -325,9 +319,8 @@ class TransectIndex {
   std::string directory_;
   SegDiffOptions store_options_;
   ShardCatalog catalog_;
-  /// Declared after the fields the open-factory captures, before the
-  /// pool: destroyed first, while directory_/options_/catalog_ are
-  /// still alive.
+  /// Declared after the fields the open-factory captures: destroyed
+  /// first, while directory_/options_/catalog_ are still alive.
   std::unique_ptr<StoreLru> stores_;
 
   /// Guards the (catalog_, stores_) pair as a unit. Shared: everything
@@ -341,10 +334,6 @@ class TransectIndex {
   std::atomic<bool> rebalancing_{false};
   /// Serializes Verify/RepairAll/Rebalance against each other.
   std::mutex maintenance_mu_;
-
-  std::unique_ptr<ThreadPool> pool_;  ///< shared fan-out workers
-  std::mutex pool_mu_;                ///< guards pool_ + pool_users_
-  size_t pool_users_ = 0;
 
   /// Sensors with appends since their last flush; survives LRU
   /// eviction of the store (close persists segmenter state, not the

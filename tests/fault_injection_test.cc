@@ -1406,5 +1406,41 @@ TEST_F(WalCrashTest, ExhSnapshotSearchesAreConsistentUnderIngest) {
   EXPECT_EQ(final_result->size(), allowed.size());
 }
 
+// WAL-before-data, on both engines: while the log cannot sync, an
+// append fails with the log's error and applies nothing. Rows inserted
+// anyway would be searchable although a crash loses them, and a later
+// group commit (after a retried sync) could acknowledge them.
+TEST_F(WalCrashTest, FailedWalAppendAppliesNothing) {
+  FaultInjectionVfs vfs;
+  auto check = [&](FeatureSink* store, auto feature_rows) {
+    for (size_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE(store->AppendObservation(series_[i].t, series_[i].v).ok());
+    }
+    const uint64_t observations = store->num_observations();
+    const uint64_t rows = feature_rows();
+    vfs.FailAfterSyncs(0);
+    Status status = store->AppendObservation(series_[5].t, series_[5].v);
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_EQ(store->num_observations(), observations);
+    EXPECT_EQ(feature_rows(), rows);
+    ASSERT_TRUE(vfs.Crash().ok());
+  };
+  {
+    auto segdiff = SegDiffIndex::Open(path_, Options(&vfs));
+    ASSERT_TRUE(segdiff.ok()) << segdiff.status().ToString();
+    SCOPED_TRACE("segdiff");
+    check(segdiff->get(), [&] { return (*segdiff)->GetSizes().feature_rows; });
+  }
+  RemoveStores();
+  vfs.Reset();
+  ExhOptions options;
+  options.vfs = &vfs;
+  options.wal_group_commit_ms = 0;
+  auto exh = ExhIndex::Open(path_, options);
+  ASSERT_TRUE(exh.ok()) << exh.status().ToString();
+  SCOPED_TRACE("exh");
+  check(exh->get(), [&] { return (*exh)->GetSizes().feature_rows; });
+}
+
 }  // namespace
 }  // namespace segdiff

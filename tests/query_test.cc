@@ -180,46 +180,6 @@ TEST_F(QueryTest, IndexScanRequiresIndex) {
                   .IsInvalidArgument());
 }
 
-TEST(PlannerTest, PicksIndexForSelectiveQueries) {
-  PlanChoice choice =
-      ChooseAccessPath(100000, 0.0, 100.0, 2.0, /*index_available=*/true);
-  EXPECT_EQ(choice.path, AccessPath::kIndexScan);
-  EXPECT_NEAR(choice.estimated_selectivity, 0.02, 1e-9);
-}
-
-TEST(PlannerTest, PicksSeqScanForDenseQueries) {
-  PlanChoice choice = ChooseAccessPath(100000, 0.0, 100.0, 60.0, true);
-  EXPECT_EQ(choice.path, AccessPath::kSeqScan);
-  EXPECT_NEAR(choice.estimated_selectivity, 0.6, 1e-9);
-}
-
-TEST(PlannerTest, NoIndexMeansSeqScan) {
-  PlanChoice choice = ChooseAccessPath(100000, 0.0, 100.0, 0.5, false);
-  EXPECT_EQ(choice.path, AccessPath::kSeqScan);
-}
-
-TEST(PlannerTest, ClampsAndDegenerates) {
-  // Query beyond the data range: selectivity clamps to 1.
-  EXPECT_DOUBLE_EQ(
-      ChooseAccessPath(10, 0.0, 1.0, 5.0, true).estimated_selectivity, 1.0);
-  // Below the range: clamps to 0 -> index.
-  EXPECT_EQ(ChooseAccessPath(10, 5.0, 9.0, 4.0, true).path,
-            AccessPath::kIndexScan);
-  // Single-value column.
-  EXPECT_DOUBLE_EQ(
-      ChooseAccessPath(10, 3.0, 3.0, 5.0, true).estimated_selectivity, 1.0);
-  EXPECT_DOUBLE_EQ(
-      ChooseAccessPath(10, 3.0, 3.0, 2.0, true).estimated_selectivity, 0.0);
-  // Empty table.
-  EXPECT_EQ(ChooseAccessPath(0, 0.0, 1.0, 0.1, true).path,
-            AccessPath::kSeqScan);
-  // Custom threshold.
-  PlannerOptions options;
-  options.index_selectivity_threshold = 0.9;
-  EXPECT_EQ(ChooseAccessPath(10, 0.0, 100.0, 60.0, true, options).path,
-            AccessPath::kIndexScan);
-}
-
 TEST(PlannerTest, CostModelPrefersIndexForSparseQueries) {
   TableStatsView stats;
   stats.row_count = 1000000;
@@ -268,28 +228,6 @@ TEST(PlannerTest, CostModelRejectsMalformedStats) {
   bad = stats;
   bad.row_count = 0;
   EXPECT_EQ(ChooseAccessPath(bad, true).path, AccessPath::kSeqScan);
-}
-
-TEST(PlannerTest, MalformedStatsFallBackToSeqScan) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  // Inverted range: the stats are inconsistent, so no selectivity
-  // estimate is trustworthy; the safe path is the sequential scan.
-  PlanChoice inverted = ChooseAccessPath(10, 9.0, 5.0, 7.0, true);
-  EXPECT_EQ(inverted.path, AccessPath::kSeqScan);
-  EXPECT_DOUBLE_EQ(inverted.estimated_selectivity, 1.0);
-  // NaN bounds must not reach the degenerate branch, where a failed
-  // comparison would report selectivity 0 and wrongly pick the index.
-  EXPECT_EQ(ChooseAccessPath(10, nan, 100.0, 7.0, true).path,
-            AccessPath::kSeqScan);
-  EXPECT_EQ(ChooseAccessPath(10, 0.0, nan, 7.0, true).path,
-            AccessPath::kSeqScan);
-  EXPECT_EQ(ChooseAccessPath(10, 0.0, 100.0, nan, true).path,
-            AccessPath::kSeqScan);
-  EXPECT_EQ(ChooseAccessPath(10, nan, nan, nan, true).path,
-            AccessPath::kSeqScan);
-  // Zero-width is NOT malformed: still all-or-nothing.
-  EXPECT_EQ(ChooseAccessPath(10, 3.0, 3.0, 2.0, true).path,
-            AccessPath::kIndexScan);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Streaming-ingest contract tests: observation-at-a-time ingest is
 // byte-identical to one-shot batch ingest (any chunking, one final
 // flush), and ingest state survives close/reopen so appending resumes
-// exactly where it left off — including on legacy stores that predate
-// state persistence.
+// exactly where it left off. A store resumes from its ingest-state blob,
+// or as fresh when it has neither a blob nor rows; rows without a blob
+// are refused.
 
 #include <cstdio>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,10 +56,7 @@ const char* const kSegDiffTables[] = {"segments", "drop1", "drop2", "drop3",
                                       "jump1",    "jump2", "jump3"};
 
 /// Every SegDiff table of `actual` byte-identical to `expected`.
-/// `check_counters` is off for legacy-store resume, whose lifetime
-/// observation counter legitimately restarts at zero.
-void ExpectSameTables(SegDiffIndex* actual, SegDiffIndex* expected,
-                      bool check_counters = true) {
+void ExpectSameTables(SegDiffIndex* actual, SegDiffIndex* expected) {
   for (const char* name : kSegDiffTables) {
     const std::vector<std::string> a = TableRecords(actual->db(), name);
     const std::vector<std::string> e = TableRecords(expected->db(), name);
@@ -64,9 +65,7 @@ void ExpectSameTables(SegDiffIndex* actual, SegDiffIndex* expected,
       ASSERT_EQ(a[i], e[i]) << "record " << i << " differs in " << name;
     }
   }
-  if (check_counters) {
-    EXPECT_EQ(actual->num_observations(), expected->num_observations());
-  }
+  EXPECT_EQ(actual->num_observations(), expected->num_observations());
   EXPECT_EQ(actual->num_segments(), expected->num_segments());
   const SegDiffSizes sa = actual->GetSizes();
   const SegDiffSizes se = expected->GetSizes();
@@ -271,18 +270,11 @@ TEST_F(StreamingIngestTest, ReopenAdoptsPersistedBuildParameters) {
 
 TEST_F(StreamingIngestTest, LegacyStoreResumesFromSegmentDirectory) {
   SegDiffOptions options;
-  const size_t half = series_.size() / 2;
   {
+    // Creates the tables; closing saves an ingest-state blob, stripped
+    // below through a raw database handle — simulating a store written
+    // before ingest-state persistence existed (tables + catalog only).
     auto stream = OpenStore(stream_path_, options);
-    Series first;
-    for (size_t i = 0; i < half; ++i) {
-      ASSERT_TRUE(first.Append(series_[i]).ok());
-    }
-    ASSERT_TRUE(stream->IngestSeries(first).ok());
-    // The store handle persists its state on destruction, so strip the
-    // blob afterwards through a raw database handle — simulating a store
-    // written before ingest-state persistence existed (tables + catalog
-    // only).
   }
   {
     DatabaseOptions raw_options;
@@ -290,37 +282,25 @@ TEST_F(StreamingIngestTest, LegacyStoreResumesFromSegmentDirectory) {
     auto raw = Database::Open(stream_path_, raw_options);
     ASSERT_TRUE(raw.ok()) << raw.status().ToString();
     EXPECT_TRUE((*raw)->EraseMeta("segdiff.ingest").value_or(false));
+    auto segments = (*raw)->GetTable("segments");
+    ASSERT_TRUE(segments.ok()) << segments.status().ToString();
+    EXPECT_EQ((*segments)->row_count(), 0u);
     ASSERT_TRUE((*raw)->Checkpoint().ok());
   }
+  // An empty segment directory is a complete resume point: the store
+  // opens as fresh, and appending the whole series reproduces the batch
+  // tables, counters included. A non-empty directory without a blob is
+  // refused (OutOfOrderSegmentDirectoryRejected and
+  // RowsWithoutIngestStateRefuseToOpen below).
   SegDiffOptions reopen;
   reopen.create_if_missing = false;
   auto stream = OpenStore(stream_path_, reopen);
-  // Lifetime observation counters are unknowable for legacy stores...
   EXPECT_EQ(stream->num_observations(), 0u);
-  // ...but the pair window and segment anchor are reconstructed, so
-  // appending the rest produces the exact batch feature tables. (The
-  // first-half IngestSeries already flushed at `half`, matching the
-  // flush the batch oracle only performs at the end — so give the oracle
-  // the same mid-point flush for a fair byte-level comparison.)
-  const std::string oracle_path = UniqueTestPath("streaming", "_oracle.db");
-  std::remove(oracle_path.c_str());
-  auto oracle = OpenStore(oracle_path, options);
-  Series first, second;
-  for (size_t i = 0; i < series_.size(); ++i) {
-    ASSERT_TRUE((i < half ? first : second).Append(series_[i]).ok());
-  }
-  Status st = oracle->IngestSeries(first);
+  Status st = stream->IngestSeries(series_);
   ASSERT_TRUE(st.ok()) << st.ToString();
-  st = oracle->IngestSeries(second);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  st = stream->IngestSeries(second);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  std::remove(oracle_path.c_str());
-  ExpectSameTables(stream.get(), oracle.get(), /*check_counters=*/false);
-  // Searches compare against the equally-chunked oracle, not the batch
-  // store: the extra flush at `half` is a real (legitimate) segment
-  // boundary, so one-shot segmentation can differ slightly.
-  ExpectSameSearches(stream.get(), oracle.get());
+  auto batch = BuildBatch(options);
+  ExpectSameTables(stream.get(), batch.get());
+  ExpectSameSearches(stream.get(), batch.get());
 }
 
 TEST_F(StreamingIngestTest, StaleTimestampRejected) {
@@ -418,6 +398,68 @@ TEST_F(StreamingIngestTest, OutOfOrderSegmentDirectoryRejected) {
   auto failed = SegDiffIndex::Open(stream_path_, reopen);
   ASSERT_FALSE(failed.ok());
   EXPECT_TRUE(failed.status().IsCorruption()) << failed.status().ToString();
+  // Refused for the missing blob, before the directory is ever read.
+  EXPECT_NE(failed.status().ToString().find("segdiff.ingest"),
+            std::string::npos)
+      << failed.status().ToString();
+}
+
+// Every checkpoint that makes rows durable saves the ingest-state blob
+// first, so a store holding rows without one has no resume point: both
+// engines refuse to open it, naming the missing blob, and leave its
+// files exactly as found.
+TEST_F(StreamingIngestTest, RowsWithoutIngestStateRefuseToOpen) {
+  const std::string exh_path = UniqueTestPath("streaming", "_exh.db");
+  std::remove(exh_path.c_str());
+  {
+    auto stream = OpenStore(stream_path_, SegDiffOptions{});
+    Series first;
+    for (size_t i = 0; i < series_.size() / 2; ++i) {
+      ASSERT_TRUE(first.Append(series_[i]).ok());
+    }
+    ASSERT_TRUE(stream->IngestSeries(first).ok());
+    ExhOptions exh_options;
+    exh_options.window_s = 3600.0;
+    auto exh = ExhIndex::Open(exh_path, exh_options);
+    ASSERT_TRUE(exh.ok()) << exh.status().ToString();
+    for (size_t i = 0; i < 50; ++i) {
+      ASSERT_TRUE((*exh)->AppendObservation(series_[i].t, series_[i].v).ok());
+    }
+  }
+  auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  for (const auto& [path, key] :
+       {std::pair<std::string, std::string>{stream_path_, "segdiff.ingest"},
+        {exh_path, "exh.ingest"}}) {
+    // The index handles save their blobs on close, so strip them
+    // afterwards through a raw database handle.
+    {
+      DatabaseOptions raw_options;
+      raw_options.create_if_missing = false;
+      auto raw = Database::Open(path, raw_options);
+      ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+      EXPECT_TRUE((*raw)->EraseMeta(key).value_or(false));
+      ASSERT_TRUE((*raw)->Checkpoint().ok());
+    }
+    const std::string before = file_bytes(path);
+    Status refused;
+    if (path == stream_path_) {
+      SegDiffOptions reopen;
+      reopen.create_if_missing = false;
+      refused = SegDiffIndex::Open(path, reopen).status();
+    } else {
+      refused = ExhIndex::Open(path, ExhOptions{}).status();
+    }
+    EXPECT_TRUE(refused.IsCorruption()) << refused.ToString();
+    EXPECT_NE(refused.ToString().find(key), std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ(file_bytes(path), before) << "failed open modified " << path;
+  }
+  std::remove(exh_path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the worker pool behind parallel query execution: every
 // index visited exactly once, error short-circuiting, Submit/Wait
-// accounting, deterministic shutdown, and nesting.
+// accounting, deterministic shutdown, nesting, and the shared pool's
+// growth under load with per-call fan-out widths.
 
 #include <atomic>
 #include <chrono>
@@ -122,6 +123,36 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
     }
   }  // destructor joins after draining
   EXPECT_EQ(count->load(), 100);
+}
+
+// The process-wide pool only grows, so a wide caller may grow it while a
+// narrow fan-out runs on it; every ParallelFor stays within its own
+// width however many workers the pool has by then.
+TEST(ThreadPoolTest, SharedPoolGrowsUnderLoadAndCapsEachFanOut) {
+  ThreadPool* pool = SharedThreadPool(2);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  auto body = [&](size_t) {
+    const int now = ++in_flight;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    --in_flight;
+    return Status::OK();
+  };
+  std::thread grower([] { SharedThreadPool(8); });
+  Status status = pool->ParallelFor(200, 2, nullptr, body);
+  grower.join();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(SharedThreadPool(2), pool);
+  EXPECT_GE(pool->size(), 7u);
+  EXPECT_LE(peak.load(), 2);
+
+  peak = 0;
+  status = pool->ParallelFor(200, 2, nullptr, body);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_LE(peak.load(), 2);
 }
 
 }  // namespace
