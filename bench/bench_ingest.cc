@@ -117,8 +117,8 @@ int RunBench() {
   for (const size_t threads : kTransectThreads) {
     const std::string dir =
         BenchDbPath("ingest_transect_" + std::to_string(threads));
-    auto transect =
-        TransectIndex::Open(dir, kTransectSensors, StoreOptions());
+    auto transect = TransectIndex::Open(dir, kTransectSensors,
+                                        TransectOptions{StoreOptions()});
     SEGDIFF_CHECK(transect.ok()) << transect.status().ToString();
     Stopwatch watch;
     SEGDIFF_CHECK_OK((*transect)->IngestAllSensors(all_series, threads));

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification in one command:
 #   1. configure + build + full ctest suite (the CI gate from ROADMAP.md),
-#      then a --quick smoke of the scan/parallel/micro benches (proves
-#      the bench binaries still run end to end; no perf assertions)
+#      a compile-only build of the perfbench package (the repo benchmark
+#      builds apart from the main tree), then a --quick smoke of the
+#      scan/parallel/micro benches (proves the bench binaries still run
+#      end to end; no perf assertions)
 #   2. a governance smoke: N concurrent pathological corner queries with
 #      a 50 ms deadline through segdiff_cli — every one must reach a
 #      terminal status (deadline-exceeded or success), proving a slow
@@ -52,6 +54,13 @@ cmake --build build -j "${JOBS}"
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
+echo "== tier-1: perfbench build (compile only, no run) =="
+# perfbench/ is a CMake package of its own, so the build above never
+# compiles it. Building it here makes an API change that breaks the repo
+# benchmark fail tier-1 instead of the benchmark run.
+cmake -S perfbench -B build/perfbench >/dev/null
+cmake --build build/perfbench -j "${JOBS}"
+
 echo "== tier-1: bench smoke (--quick) =="
 (cd build && ./bench/bench_scan --quick && \
  ./bench/bench_parallel --quick && \
@@ -78,6 +87,11 @@ echo "== tier-1: transect chaos smoke (crash-mid-rebalance + bitrot) =="
 # rides in ctest above): every crashed rebalance must recover to exactly
 # one authoritative layout with all acknowledged data searchable, and
 # bit-flipped sensor stores must be isolated, reported, and repaired.
+# The bitrot sweep asserts that some cycle lands in the per-sensor
+# failure ledger. Random flips rarely do (a flipped feature page is
+# quarantined, not a failed sensor), so its cycle 0 always flips page 1,
+# the catalog root, whose store then fails to open: 10 cycles at this
+# seed exercise the ledger, and later cycles keep their schedule.
 (cd build && \
  SEGDIFF_FAULT_SEED=20080325 SEGDIFF_CHAOS_CYCLES=10 \
    ./tests/transect_chaos_test)

@@ -46,7 +46,6 @@ Status FeatureStore::Open(const std::string& path, const StoreOptions& options,
     db_options.sim_seq_read_ns = options.sim_seq_read_ns;
     db_options.sim_random_read_ns = options.sim_random_read_ns;
     db_options.vfs = options.vfs;
-    db_options.verify_checksums = options.verify_checksums;
     db_options.wal = options.wal;
     db_options.wal_group_commit_ms = options.wal_group_commit_ms;
     // Engine stores log the observation stream, not the rows it fans out
@@ -233,16 +232,11 @@ Status FeatureStore::Search(
   MemoryBudget budget(options.max_result_bytes);
   QueryContext ctx;
   ctx.cancel = options.cancel;
-  ctx.deadline = options.deadline_ms > 0
-                     ? Deadline::Earlier(options.deadline,
-                                         Deadline::AfterMillis(
-                                             options.deadline_ms))
-                     : options.deadline;
+  ctx.deadline = options.deadline;
   ctx.budget = &budget;
 
   Stopwatch admission_watch;
-  Result<AdmissionController::Ticket> ticket =
-      admission_.Admit(ctx, options.priority);
+  Result<AdmissionController::Ticket> ticket = admission_.Admit(ctx);
   if (!ticket.ok()) {
     admission_.RecordOutcome(ticket.status(), 0, false);
     return ticket.status();

@@ -50,16 +50,13 @@ struct StoreOptions {
   /// File system the store's IO goes through (nullptr = default POSIX
   /// Vfs; non-owning). Fault-injection tests substitute their own.
   Vfs* vfs = nullptr;
-  /// Verify page checksums on read (see DatabaseOptions).
-  bool verify_checksums = true;
   /// Write-ahead logging: every appended observation is redo-logged and
   /// group-committed, so a crash loses at most the tail after the last
   /// group commit. false reverts to checkpoint-only durability (an
   /// unclean shutdown loses everything since the last Checkpoint).
   bool wal = true;
-  /// Group-commit window in milliseconds; 0 = fsync every append; -1 =
-  /// the SEGDIFF_WAL_GROUP_COMMIT_MS environment variable (default 1).
-  int64_t wal_group_commit_ms = -1;
+  /// Group-commit window in milliseconds; 0 = fsync every append.
+  int64_t wal_group_commit_ms = 1;
   /// Admission-control limits for this store's query entry points
   /// (defaults auto-size to the machine; see AdmissionOptions).
   AdmissionOptions admission;
@@ -91,12 +88,10 @@ struct SearchOptions {
 
   // Governance (see DESIGN.md §11). All default to "ungoverned".
 
-  /// Relative deadline: the search fails with DeadlineExceeded within
-  /// one page of work once `deadline_ms` ms have elapsed. 0 = none.
-  uint64_t deadline_ms = 0;
-  /// Absolute deadline, combined (earlier wins) with `deadline_ms`.
-  /// Lets a driver spread one budget across several searches
-  /// (TransectIndex::SearchAll).
+  /// The search fails with DeadlineExceeded within one page of work
+  /// once this deadline passes; a budget relative to now is
+  /// Deadline::AfterMillis(ms). Absolute, so a caller can spread one
+  /// budget across several searches (TransectIndex::SearchAll).
   Deadline deadline;
   /// Cooperative cancel: obtain from a CancellationSource and Cancel()
   /// from any thread; the search fails with Status::Cancelled within one
@@ -107,8 +102,6 @@ struct SearchOptions {
   /// passed no SearchStats out-param (nowhere to surface the flag),
   /// fails with ResourceExhausted instead. Never silent. 0 = unlimited.
   uint64_t max_result_bytes = 0;
-  /// Admission scheduling class (see QueryPriority).
-  QueryPriority priority = QueryPriority::kNormal;
 };
 
 /// Execution report for one search.

@@ -91,7 +91,6 @@ constexpr const char* ShardCatalog::kManifestName;
 constexpr const char* MigrationManifest::kFileName;
 
 ShardCatalog ShardCatalog::Place(int sensor_count, int sensors_per_shard,
-                                 bool flat,
                                  const std::string& dir_prefix) {
   ShardCatalog catalog;
   catalog.sensor_count_ = sensor_count;
@@ -106,11 +105,9 @@ ShardCatalog ShardCatalog::Place(int sensor_count, int sensors_per_shard,
     info.first_sensor = first;
     info.sensor_count =
         std::min(catalog.sensors_per_shard_, sensor_count - first);
-    if (!flat) {
-      char seq[8];
-      std::snprintf(seq, sizeof(seq), "%05zu", catalog.shards_.size());
-      info.dir = dir_prefix + seq;
-    }
+    char seq[8];
+    std::snprintf(seq, sizeof(seq), "%05zu", catalog.shards_.size());
+    info.dir = dir_prefix + seq;
     catalog.shards_.push_back(std::move(info));
   }
   return catalog;
@@ -156,11 +153,14 @@ Result<ShardCatalog> ShardCatalog::Decode(const char* data, size_t size,
     }
     info.dir.assign(data + pos, dir_len);
     pos += dir_len;
-    // The shard ranges must partition [0, sensor_count) in order —
-    // anything else would silently drop or double-search sensors.
-    if (info.first_sensor != next_sensor || info.sensor_count <= 0) {
+    // The shard ranges must partition [0, sensor_count) in order, each
+    // in a directory of its own — anything else would silently drop or
+    // double-search sensors, or route stores into the root.
+    if (info.first_sensor != next_sensor || info.sensor_count <= 0 ||
+        info.dir.empty()) {
       return CorruptManifest(
-          what, "shard ranges do not partition the sensor space");
+          what, "shard entries do not partition the sensor space into "
+                "shard directories");
     }
     next_sensor += info.sensor_count;
     catalog.shards_.push_back(std::move(info));
@@ -210,11 +210,7 @@ Status ShardCatalog::Save(Vfs* vfs, const std::string& root) const {
 
 std::string ShardCatalog::ShardDirPath(const std::string& root,
                                        size_t index) const {
-  const ShardInfo& info = shards_[index];
-  if (info.dir.empty()) {
-    return root;
-  }
-  return root + "/" + info.dir;
+  return root + "/" + shards_[index].dir;
 }
 
 std::string ShardCatalog::StorePath(const std::string& root,

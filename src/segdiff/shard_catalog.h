@@ -8,13 +8,8 @@
 // routing a query needs no lookup table beyond the manifest. The
 // manifest is versioned and CRC32C-framed — a torn or bit-rotted
 // catalog surfaces as a loud Corruption naming the file, never as a
-// silently mis-routed search.
-//
-// Legacy flat layouts (pre-sharding: sensor<k>.db directly under the
-// root) are adopted on first open by writing a manifest whose shard
-// directories are all "" — the ranges still partition the sensor space
-// for scatter-gather fan-out, but every store path resolves into the
-// root, so existing data keeps working unchanged.
+// silently mis-routed search. Every shard has a directory of its own;
+// a manifest that names an empty one is Corruption too.
 
 #ifndef SEGDIFF_SEGDIFF_SHARD_CATALOG_H_
 #define SEGDIFF_SEGDIFF_SHARD_CATALOG_H_
@@ -29,7 +24,7 @@
 namespace segdiff {
 
 /// One contiguous sensor-id range and the directory (relative to the
-/// transect root; "" = the root itself) holding its stores.
+/// transect root, never empty) holding its stores.
 struct ShardInfo {
   int first_sensor = 0;
   int sensor_count = 0;
@@ -46,17 +41,16 @@ class ShardCatalog {
 
   /// Consistent placement: `sensor_count` sensors split into
   /// ceil(n / sensors_per_shard) contiguous ranges named
-  /// <dir_prefix>00000, <dir_prefix>00001, ... With `flat` every
-  /// range's dir is "" (legacy adoption of a pre-sharding directory).
-  /// Rebalance targets pass a generation-tagged prefix ("g<sps>-shard")
-  /// so a half-built new layout can never collide with the live one.
+  /// <dir_prefix>00000, <dir_prefix>00001, ... Rebalance targets pass a
+  /// generation-tagged prefix ("g<sps>-shard") so a half-built new
+  /// layout can never collide with the live one.
   static ShardCatalog Place(int sensor_count, int sensors_per_shard,
-                            bool flat = false,
                             const std::string& dir_prefix = "shard");
 
   /// Reads and verifies the manifest at `<root>/CATALOG`. NotFound when
   /// no manifest exists; Corruption (loud, naming the file) on a bad
-  /// magic, version, CRC, or an inconsistent range partition.
+  /// magic, version, CRC, an inconsistent range partition, or an empty
+  /// shard directory name.
   static Result<ShardCatalog> Load(Vfs* vfs, const std::string& root);
 
   /// Writes the manifest atomically: the framed bytes go to
@@ -84,7 +78,7 @@ class ShardCatalog {
     return static_cast<size_t>(sensor / sensors_per_shard_);
   }
 
-  /// Absolute directory of one shard ("" entries resolve to the root).
+  /// Absolute directory of one shard.
   std::string ShardDirPath(const std::string& root, size_t index) const;
 
   /// Absolute path of one sensor's store file.

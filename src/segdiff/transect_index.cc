@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/env.h"
 #include "common/thread_pool.h"
 #include "storage/db.h"
 #include "storage/pager.h"
@@ -118,16 +117,6 @@ bool LooksLikeShardDir(const std::string& name) {
   return true;
 }
 
-/// Resolves the sweep rate limit: the explicit option wins, then the
-/// SEGDIFF_SCRUB_RATE_BYTES_PER_SEC environment knob; 0 = unlimited.
-uint64_t ResolveScrubRate(const TransectVerifyOptions& options) {
-  if (options.rate_limit_bytes_per_sec > 0) {
-    return options.rate_limit_bytes_per_sec;
-  }
-  const int64_t from_env = GetEnvInt64("SEGDIFF_SCRUB_RATE_BYTES_PER_SEC", 0);
-  return from_env > 0 ? static_cast<uint64_t>(from_env) : 0;
-}
-
 /// Sleeps just long enough that `bytes` read since `start` stay under
 /// `rate` bytes/sec. Coarse (per-sensor granularity) by design: the
 /// point is to keep a background sweep from saturating the disk, not to
@@ -149,14 +138,6 @@ void ThrottleSweep(uint64_t rate, uint64_t bytes,
 }
 
 }  // namespace
-
-Result<std::unique_ptr<TransectIndex>> TransectIndex::Open(
-    const std::string& directory, int sensor_count,
-    const SegDiffOptions& options) {
-  TransectOptions transect_options;
-  transect_options.store = options;
-  return Open(directory, sensor_count, transect_options);
-}
 
 Result<std::unique_ptr<TransectIndex>> TransectIndex::Open(
     const std::string& directory, int sensor_count,
@@ -194,38 +175,22 @@ Result<std::unique_ptr<TransectIndex>> TransectIndex::Open(
     if (sensor_count <= 0) {
       return Status::InvalidArgument("sensor_count must be positive");
     }
-    int sensors_per_shard = options.sensors_per_shard;
-    if (sensors_per_shard <= 0) {
-      sensors_per_shard = static_cast<int>(
-          GetEnvInt64("SEGDIFF_SENSORS_PER_SHARD", 256));
-    }
-    if (sensors_per_shard <= 0) {
-      sensors_per_shard = 256;
-    }
-    // A pre-sharding flat directory is adopted in place: same ranges
-    // for fan-out, but every store path stays in the root.
-    const bool flat = vfs->FileExists(directory + "/sensor0.db");
-    transect->catalog_ =
-        ShardCatalog::Place(sensor_count, sensors_per_shard, flat);
+    transect->catalog_ = ShardCatalog::Place(
+        sensor_count,
+        options.sensors_per_shard > 0 ? options.sensors_per_shard : 256);
     for (size_t i = 0; i < transect->catalog_.shard_count(); ++i) {
-      if (!transect->catalog_.shard(i).dir.empty()) {
-        SEGDIFF_RETURN_IF_ERROR(
-            vfs->MakeDir(transect->catalog_.ShardDirPath(directory, i)));
-      }
+      SEGDIFF_RETURN_IF_ERROR(
+          vfs->MakeDir(transect->catalog_.ShardDirPath(directory, i)));
     }
     SEGDIFF_RETURN_IF_ERROR(transect->catalog_.Save(vfs, directory));
   } else {
     return loaded.status();  // Corruption stays loud
   }
 
-  size_t max_open = options.max_open_stores;
-  if (max_open == 0) {
-    const int64_t from_env = GetEnvInt64("SEGDIFF_MAX_OPEN_STORES", 0);
-    max_open = from_env > 0 ? static_cast<size_t>(from_env) : 0;
-  }
   TransectIndex* raw = transect.get();
   transect->stores_ = std::make_unique<StoreLru>(
-      max_open, [raw](int s) -> Result<std::unique_ptr<SegDiffIndex>> {
+      options.max_open_stores,
+      [raw](int s) -> Result<std::unique_ptr<SegDiffIndex>> {
         return SegDiffIndex::Open(
             raw->catalog_.StorePath(raw->directory_, s), raw->store_options_);
       });
@@ -290,7 +255,7 @@ Status TransectIndex::GcLayout(Vfs* vfs, const std::string& directory,
   for (int s = 0; s < doomed.sensor_count(); ++s) {
     const std::string path = doomed.StorePath(directory, s);
     if (keep_paths.count(path) != 0) {
-      continue;  // flat layouts can share paths with their successor
+      continue;  // never delete a store the surviving layout uses
     }
     SEGDIFF_RETURN_IF_ERROR(RemoveStoreFiles(vfs, path));
   }
@@ -301,8 +266,7 @@ Status TransectIndex::GcLayout(Vfs* vfs, const std::string& directory,
   std::unordered_set<std::string> visited;
   for (size_t i = 0; i < doomed.shard_count(); ++i) {
     const std::string& dir = doomed.shard(i).dir;
-    if (dir.empty() || keep_dirs.count(dir) != 0 ||
-        !visited.insert(dir).second) {
+    if (keep_dirs.count(dir) != 0 || !visited.insert(dir).second) {
       continue;
     }
     const std::string full = directory + "/" + dir;
@@ -468,15 +432,8 @@ Result<std::vector<TransectHit>> TransectIndex::SearchAll(
     const SearchOptions& options, const SearchFn& search,
     TransectSearchStats* stats) {
   std::shared_lock<std::shared_mutex> layout_lock(layout_mu_);
-  // One deadline for the whole transect: the relative budget converts to
-  // an absolute deadline once, so N sensors share it instead of each
-  // starting a fresh deadline_ms clock.
+  // One absolute deadline for the whole transect: N sensors share it.
   SearchOptions per_sensor = options;
-  if (options.deadline_ms > 0) {
-    per_sensor.deadline = Deadline::Earlier(
-        options.deadline, Deadline::AfterMillis(options.deadline_ms));
-    per_sensor.deadline_ms = 0;
-  }
   // At transect level num_threads is the scatter-gather width; the
   // per-store searches run single-threaded so the fan-out, not nested
   // pools, uses the machine.
@@ -633,7 +590,7 @@ Status TransectIndex::Rebalance(int new_sensors_per_shard) {
     // Generation-tagged directories ("g<sps>-shard00000", ...) so a
     // half-built target can never collide with the live layout.
     target = ShardCatalog::Place(
-        catalog_.sensor_count(), new_sensors_per_shard, /*flat=*/false,
+        catalog_.sensor_count(), new_sensors_per_shard,
         "g" + std::to_string(new_sensors_per_shard) + "-shard");
   }
 
@@ -733,7 +690,6 @@ Status TransectIndex::Rebalance(int new_sensors_per_shard) {
 Result<TransectHealthReport> TransectIndex::Verify(
     const TransectVerifyOptions& options) {
   std::lock_guard<std::mutex> maintenance(maintenance_mu_);
-  const uint64_t rate = ResolveScrubRate(options);
   TransectHealthReport report;
   {
     std::shared_lock<std::shared_mutex> layout_lock(layout_mu_);
@@ -776,37 +732,35 @@ Result<TransectHealthReport> TransectIndex::Verify(
       }
       report.quarantined_pages += health.quarantined_pages;
       report.bytes_scanned += store->GetSizes().file_bytes;
-      if (options.scrub) {
-        Result<ScrubReport> scrubbed = store->db()->Scrub();
-        if (!scrubbed.ok()) {
-          const Status& status = scrubbed.status();
-          const bool transient = status.IsTransient();
-          if (transient) {
-            ++report.sensors_unavailable;
-          } else {
-            ++report.sensors_corrupt;
-          }
-          add_issue(s, !transient, transient,
-                    "scrub failed: " + std::string(status.message()));
-          scanned = false;
+      Result<ScrubReport> scrubbed = store->db()->Scrub();
+      if (!scrubbed.ok()) {
+        const Status& status = scrubbed.status();
+        const bool transient = status.IsTransient();
+        if (transient) {
+          ++report.sensors_unavailable;
         } else {
-          report.pages_checked += scrubbed->pages_checked;
-          report.pages_unverifiable += scrubbed->pages_unverifiable;
-          if (!scrubbed->clean()) {
-            ++report.sensors_corrupt;
-            report.pages_corrupt += scrubbed->corrupt.size();
-            add_issue(s, true, false,
-                      std::to_string(scrubbed->corrupt.size()) +
-                          " corrupt page(s), first: " +
-                          scrubbed->corrupt.front().message);
-          }
+          ++report.sensors_corrupt;
+        }
+        add_issue(s, !transient, transient,
+                  "scrub failed: " + std::string(status.message()));
+        scanned = false;
+      } else {
+        report.pages_checked += scrubbed->pages_checked;
+        if (!scrubbed->clean()) {
+          ++report.sensors_corrupt;
+          report.pages_corrupt += scrubbed->corrupt.size();
+          add_issue(s, true, false,
+                    std::to_string(scrubbed->corrupt.size()) +
+                        " corrupt page(s), first: " +
+                        scrubbed->corrupt.front().message);
         }
       }
     }
     if (scanned) {
       ++report.sensors_scanned;
     }
-    ThrottleSweep(rate, report.bytes_scanned, start);
+    ThrottleSweep(options.rate_limit_bytes_per_sec, report.bytes_scanned,
+                  start);
   }
   return report;
 }
@@ -814,7 +768,6 @@ Result<TransectHealthReport> TransectIndex::Verify(
 Result<TransectRepairReport> TransectIndex::RepairAll(
     const TransectVerifyOptions& options) {
   std::lock_guard<std::mutex> maintenance(maintenance_mu_);
-  const uint64_t rate = ResolveScrubRate(options);
   TransectRepairReport report;
   int sensors = 0;
   {
@@ -824,7 +777,8 @@ Result<TransectRepairReport> TransectIndex::RepairAll(
   const auto start = std::chrono::steady_clock::now();
   for (int s = 0; s < sensors; ++s) {
     SEGDIFF_RETURN_IF_ERROR(RepairSensor(s, &report));
-    ThrottleSweep(rate, report.bytes_scanned, start);
+    ThrottleSweep(options.rate_limit_bytes_per_sec, report.bytes_scanned,
+                  start);
   }
   return report;
 }
@@ -912,7 +866,6 @@ Status TransectIndex::RepairSensor(int sensor,
         raw.create_if_missing = false;
         raw.buffer_pool_pages = store_options_.buffer_pool_pages;
         raw.vfs = store_options_.vfs;
-        raw.verify_checksums = store_options_.verify_checksums;
         Result<std::unique_ptr<Database>> database =
             Database::Open(path, raw);
         if (!database.ok()) {

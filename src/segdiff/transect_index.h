@@ -89,12 +89,8 @@ struct TransectSearchStats : SearchStats {
 
 /// Knobs for the Verify/RepairAll sweeps.
 struct TransectVerifyOptions {
-  /// Walk every page checksum (and count quarantined/corrupt pages).
-  /// Off: only open each store and collect its health flags.
-  bool scrub = true;
   /// Soft ceiling on sweep read throughput, so a background scrub does
-  /// not starve serving searches. 0 reads SEGDIFF_SCRUB_RATE_BYTES_PER_SEC
-  /// from the environment; 0 there too means unlimited.
+  /// not starve serving searches. 0 = unlimited.
   uint64_t rate_limit_bytes_per_sec = 0;
 };
 
@@ -118,7 +114,6 @@ struct TransectHealthReport {
   int sensors_unavailable = 0;  ///< transient IO; retry the sweep
   uint64_t pages_checked = 0;
   uint64_t pages_corrupt = 0;
-  uint64_t pages_unverifiable = 0;  ///< legacy v1 pages, no checksums
   uint64_t quarantined_pages = 0;   ///< poisoned by earlier reads
   uint64_t bytes_scanned = 0;
   std::vector<TransectSensorIssue> issues;
@@ -146,13 +141,13 @@ struct TransectOptions {
   /// pool) — the 4096-page per-store default is tuned for a handful of
   /// stores, not 100k.
   SegDiffOptions store;
-  /// Sensors per shard directory (consistent placement). <= 0 reads
-  /// SEGDIFF_SENSORS_PER_SHARD, default 256. Fixed at catalog creation;
-  /// reopens adopt the persisted value.
+  /// Sensors per shard directory (consistent placement). <= 0 = the
+  /// default, 256. Fixed at catalog creation; reopens adopt the
+  /// persisted value.
   int sensors_per_shard = 0;
   /// Max per-sensor stores open at once; the StoreLru evicts
-  /// (checkpoint + close) the coldest unpinned store beyond this. 0
-  /// reads SEGDIFF_MAX_OPEN_STORES, default unbounded.
+  /// (checkpoint + close) the coldest unpinned store beyond this. 0 =
+  /// unbounded.
   size_t max_open_stores = 0;
 };
 
@@ -162,18 +157,11 @@ class TransectIndex {
   /// First open writes the shard catalog and creates the shard
   /// directories; reopens load the catalog (Corruption if it fails
   /// verification) and require `sensor_count` to match it (<= 0 adopts
-  /// the persisted count). A pre-sharding flat directory (sensor<k>.db
-  /// directly under the root) is adopted in place. Stores themselves
-  /// open lazily, on first touch.
+  /// the persisted count). Stores themselves open lazily, on first
+  /// touch.
   static Result<std::unique_ptr<TransectIndex>> Open(
       const std::string& directory, int sensor_count,
       const TransectOptions& options);
-
-  /// Back-compat convenience: per-store options only, deployment knobs
-  /// from the environment / defaults.
-  static Result<std::unique_ptr<TransectIndex>> Open(
-      const std::string& directory, int sensor_count,
-      const SegDiffOptions& options);
 
   ~TransectIndex();
 
@@ -203,10 +191,9 @@ class TransectIndex {
   /// width: shards are searched concurrently on the shared pool (each
   /// store's own search runs single-threaded), clamped to the shard
   /// count and to max_open_stores so a worker never blocks on a pin it
-  /// cannot get. A relative deadline_ms converts to one absolute
-  /// deadline shared by the whole fan-out, and cancel/deadline are
-  /// checked at every sensor boundary in every shard, so a governed
-  /// search stops promptly everywhere. Hits and the deterministic
+  /// cannot get. The one absolute deadline is shared by the whole
+  /// fan-out, and cancel/deadline are checked at every sensor boundary
+  /// in every shard, so a governed search stops promptly everywhere. Hits and the deterministic
   /// stats fields are byte-identical to the serial (num_threads
   /// <= 1) path; only seconds/admission_wait_ms vary.
   ///

@@ -11,7 +11,7 @@ namespace {
 
 constexpr PageId kCatalogRootPage = 1;
 constexpr uint32_t kCatalogMagic = 0x43544C47;  // "CTLG"
-constexpr uint32_t kCatalogVersion = 3;  ///< v2: meta blobs; v3: columnar
+constexpr uint32_t kCatalogVersion = 3;
 constexpr size_t kChainHeaderBytes = 16;
 constexpr size_t kChainPayloadBytes = kPageCapacity - kChainHeaderBytes;
 
@@ -208,8 +208,9 @@ Result<CatalogData> ReadCatalog(BufferPool* pool) {
     return Status::Corruption("bad catalog magic");
   }
   SEGDIFF_ASSIGN_OR_RETURN(uint32_t version, reader.U32());
-  if (version < 1 || version > kCatalogVersion) {
-    return Status::Corruption("unsupported catalog version");
+  if (version != kCatalogVersion) {
+    return Status::Corruption("unsupported catalog version " +
+                              std::to_string(version));
   }
   SEGDIFF_ASSIGN_OR_RETURN(uint32_t table_count, reader.U32());
   for (uint32_t t = 0; t < table_count; ++t) {
@@ -245,38 +246,34 @@ Result<CatalogData> ReadCatalog(BufferPool* pool) {
       SEGDIFF_ASSIGN_OR_RETURN(index.meta_page, reader.U64());
       meta.indexes.push_back(std::move(index));
     }
-    if (version >= 3) {
-      SEGDIFF_ASSIGN_OR_RETURN(uint32_t nsegments, reader.U32());
-      const size_t seg_cols = meta.schema.num_columns();
-      for (uint32_t s = 0; s < nsegments; ++s) {
-        ColumnSegmentInfo segment;
-        SEGDIFF_ASSIGN_OR_RETURN(segment.first_page, reader.U64());
-        SEGDIFF_ASSIGN_OR_RETURN(segment.rows, reader.U32());
-        SEGDIFF_ASSIGN_OR_RETURN(segment.pages, reader.U32());
-        SEGDIFF_ASSIGN_OR_RETURN(segment.encoded_bytes, reader.U64());
-        SEGDIFF_ASSIGN_OR_RETURN(segment.nan_mask, reader.U32());
-        segment.min.resize(seg_cols);
-        segment.max.resize(seg_cols);
-        for (size_t c = 0; c < seg_cols; ++c) {
-          SEGDIFF_ASSIGN_OR_RETURN(segment.min[c], reader.F64());
-          SEGDIFF_ASSIGN_OR_RETURN(segment.max[c], reader.F64());
-        }
-        meta.columnar.row_count += segment.rows;
-        meta.columnar.page_count += segment.pages;
-        meta.columnar.encoded_bytes += segment.encoded_bytes;
-        meta.columnar.segments.push_back(std::move(segment));
+    SEGDIFF_ASSIGN_OR_RETURN(uint32_t nsegments, reader.U32());
+    const size_t seg_cols = meta.schema.num_columns();
+    for (uint32_t s = 0; s < nsegments; ++s) {
+      ColumnSegmentInfo segment;
+      SEGDIFF_ASSIGN_OR_RETURN(segment.first_page, reader.U64());
+      SEGDIFF_ASSIGN_OR_RETURN(segment.rows, reader.U32());
+      SEGDIFF_ASSIGN_OR_RETURN(segment.pages, reader.U32());
+      SEGDIFF_ASSIGN_OR_RETURN(segment.encoded_bytes, reader.U64());
+      SEGDIFF_ASSIGN_OR_RETURN(segment.nan_mask, reader.U32());
+      segment.min.resize(seg_cols);
+      segment.max.resize(seg_cols);
+      for (size_t c = 0; c < seg_cols; ++c) {
+        SEGDIFF_ASSIGN_OR_RETURN(segment.min[c], reader.F64());
+        SEGDIFF_ASSIGN_OR_RETURN(segment.max[c], reader.F64());
       }
+      meta.columnar.row_count += segment.rows;
+      meta.columnar.page_count += segment.pages;
+      meta.columnar.encoded_bytes += segment.encoded_bytes;
+      meta.columnar.segments.push_back(std::move(segment));
     }
     tables.push_back(std::move(meta));
   }
-  if (version >= 2) {
-    SEGDIFF_ASSIGN_OR_RETURN(uint32_t blob_count, reader.U32());
-    for (uint32_t b = 0; b < blob_count; ++b) {
-      SEGDIFF_ASSIGN_OR_RETURN(std::string name, reader.Str());
-      SEGDIFF_ASSIGN_OR_RETURN(uint32_t length, reader.U32());
-      SEGDIFF_ASSIGN_OR_RETURN(std::string blob, reader.Bytes(length));
-      catalog.blobs[std::move(name)] = std::move(blob);
-    }
+  SEGDIFF_ASSIGN_OR_RETURN(uint32_t blob_count, reader.U32());
+  for (uint32_t b = 0; b < blob_count; ++b) {
+    SEGDIFF_ASSIGN_OR_RETURN(std::string name, reader.Str());
+    SEGDIFF_ASSIGN_OR_RETURN(uint32_t length, reader.U32());
+    SEGDIFF_ASSIGN_OR_RETURN(std::string blob, reader.Bytes(length));
+    catalog.blobs[std::move(name)] = std::move(blob);
   }
   return catalog;
 }

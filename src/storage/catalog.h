@@ -1,24 +1,26 @@
 // Catalog: persistent table/index metadata plus named meta blobs.
 //
 // Serialized into a page chain rooted at page 1 on Checkpoint(); read at
-// Open(). Format (little endian, packed into the chain payload):
+// Open(). Format version 3 (little endian, packed into the chain
+// payload):
 //   u32 magic | u32 version
 //   u32 table_count
 //   per table: str name | u16 ncols | per col: (str name, u8 type)
 //              | heap meta (first, last, records, pages: u64 x 4)
 //              | u16 nindexes
 //              | per index: str name | u8 ncols | u16 col_idx... | u64 meta
-//              | u32 nsegments                             (version >= 3)
+//              | u32 nsegments
 //              | per segment: u64 first_page | u32 rows | u32 pages
 //                             | u64 encoded_bytes | u32 nan_mask
 //                             | f64 min, f64 max per column
-//   u32 blob_count                                        (version >= 2)
+//   u32 blob_count
 //   per blob:  str name | u32 length | bytes
 // where str = u16 length + bytes. Meta blobs are opaque named payloads
 // for engine state that rides along with the catalog — e.g. the ingest
-// pipeline's resumable segmenter/extractor/pair-window state. Version 3
-// added the per-table columnar segment directory (the persistent form
-// of ColumnStoreMeta); v1/v2 catalogs read as segment-free.
+// pipeline's resumable segmenter/extractor/pair-window state. The
+// per-table segment directory is the persistent form of
+// ColumnStoreMeta. A catalog of any other version fails to read with
+// Corruption naming the version.
 
 #ifndef SEGDIFF_STORAGE_CATALOG_H_
 #define SEGDIFF_STORAGE_CATALOG_H_
@@ -63,7 +65,7 @@ struct CatalogData {
 Status WriteCatalog(BufferPool* pool, const CatalogData& catalog);
 
 /// Reads the catalog; an all-zero page 1 yields an empty catalog (fresh
-/// db). Version-1 catalogs (pre meta blobs) read as blob-free.
+/// db).
 Result<CatalogData> ReadCatalog(BufferPool* pool);
 
 }  // namespace segdiff

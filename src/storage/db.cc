@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "common/env.h"
 #include "common/logging.h"
 
 namespace segdiff {
@@ -23,10 +22,8 @@ Result<std::unique_ptr<Database>> Database::Open(
       db->pager_, Pager::Open(path, options.create_if_missing, options.vfs));
   db->pager_->SetSimulatedReadLatency(options.sim_seq_read_ns,
                                       options.sim_random_read_ns);
-  db->pager_->set_verify_checksums(options.verify_checksums);
   db->pool_ =
       std::make_unique<BufferPool>(db->pager_.get(), options.buffer_pool_pages);
-  db->wal_auto_checkpoint_bytes_ = options.wal_auto_checkpoint_bytes;
 
   // Fresh file: materialize the catalog root page (page 1).
   const bool fresh = db->pager_->page_count() == 1;
@@ -38,17 +35,14 @@ Result<std::unique_ptr<Database>> Database::Open(
   }
 
   // WAL is forced off where it cannot work: anonymous stores vanish
-  // with the process, and legacy v1 files cannot be written at all.
-  // replay_wal=false (read-only inspection) skips the log entirely.
-  const bool wal_enabled = options.wal && options.replay_wal &&
-                           path != ":memory:" && !db->pager_->read_only();
+  // with the process. replay_wal=false (read-only inspection) skips the
+  // log entirely.
+  const bool wal_enabled =
+      options.wal && options.replay_wal && path != ":memory:";
   std::vector<WalRecord> recovered;
   if (wal_enabled) {
     WalOptions wal_options;
-    wal_options.group_commit_ms =
-        options.wal_group_commit_ms >= 0
-            ? options.wal_group_commit_ms
-            : GetEnvInt64("SEGDIFF_WAL_GROUP_COMMIT_MS", 1);
+    wal_options.group_commit_ms = options.wal_group_commit_ms;
     SEGDIFF_ASSIGN_OR_RETURN(
         db->wal_, Wal::Open(db->pager_->vfs(), path, wal_options,
                             db->pager_->applied_lsn() + 1));
@@ -240,10 +234,7 @@ Status Database::Close() {
     }
     return Status::OK();
   }
-  Status status = Status::OK();
-  if (!pager_->read_only()) {
-    status = Checkpoint();
-  }
+  Status status = Checkpoint();
   if (wal_ != nullptr) {
     Status wal_status = wal_->Close();
     if (status.ok()) {
@@ -407,7 +398,7 @@ Status Database::MaybeAutoCheckpoint() {
     // and must not see the (already-reported) failure again here.
     return Status::OK();
   }
-  if (wal_ == nullptr || wal_->SizeBytes() < wal_auto_checkpoint_bytes_) {
+  if (wal_ == nullptr || wal_->SizeBytes() < kWalAutoCheckpointBytes) {
     return Status::OK();
   }
   return Checkpoint();
@@ -463,10 +454,8 @@ DatabaseSnapshot Database::CreateSnapshot() {
   return snapshot;
 }
 
-Status Database::CompactInto(const std::string& destination_path,
-                             const CompactOptions& compact_options) {
-  return CopyInto(destination_path, compact_options, /*salvage=*/false,
-                  nullptr);
+Status Database::CompactInto(const std::string& destination_path) {
+  return CopyInto(destination_path, /*salvage=*/false, nullptr);
 }
 
 Status Database::Repair(const std::string& destination_path,
@@ -475,24 +464,20 @@ Status Database::Repair(const std::string& destination_path,
     return Status::InvalidArgument("Repair requires a report");
   }
   *report = RepairReport{};
-  return CopyInto(destination_path, CompactOptions(), /*salvage=*/true,
-                  report);
+  return CopyInto(destination_path, /*salvage=*/true, report);
 }
 
-Status Database::CopyInto(const std::string& destination_path,
-                          const CompactOptions& compact_options, bool salvage,
+Status Database::CopyInto(const std::string& destination_path, bool salvage,
                           RepairReport* report) {
   DatabaseOptions options;
   options.buffer_pool_pages = pool_->capacity();
   options.create_if_missing = true;
   // The fresh store inherits this database's Vfs (fault-injection tests
-  // compact through the injected file system too) and is always written
-  // in the current checksummed format — compacting is the upgrade path
-  // for legacy v1 stores. It runs checkpoint-only: the bulk rewrite is
-  // made durable by the single Checkpoint at the end, and logging every
-  // copied row would only double the IO.
+  // compact through the injected file system too). It runs
+  // checkpoint-only: the bulk rewrite is made durable by the single
+  // Checkpoint at the end, and logging every copied row would only
+  // double the IO.
   options.vfs = pager_->vfs();
-  options.verify_checksums = pager_->verify_checksums();
   options.wal = false;
   SEGDIFF_ASSIGN_OR_RETURN(std::unique_ptr<Database> fresh,
                            Database::Open(destination_path, options));
@@ -512,8 +497,7 @@ Status Database::CopyInto(const std::string& destination_path,
       return salvage ? table->ScanSalvage(fn, &salvage_stats)
                      : table->Scan(fn);
     };
-    if (compact_options.columnar &&
-        ZoneMap::SupportsSchema(table->schema())) {
+    if (ZoneMap::SupportsSchema(table->schema())) {
       // Row→columnar conversion: buffer encoded records segment by
       // segment and re-encode each chunk compressed. The final partial
       // chunk is columnar too — the copy's heap starts empty, ready for
@@ -585,10 +569,7 @@ WalInfo Database::GetWalInfo() const {
 Result<ScrubReport> Database::Scrub() {
   // Flush so the on-disk image matches the logical state being scrubbed
   // (dirty cached pages would otherwise mask or fake on-disk damage).
-  // Legacy stores cannot be written, but they have nothing dirty either.
-  if (!pager_->read_only()) {
-    SEGDIFF_RETURN_IF_ERROR(pool_->FlushAll());
-  }
+  SEGDIFF_RETURN_IF_ERROR(pool_->FlushAll());
   return pager_->Scrub();
 }
 

@@ -56,37 +56,23 @@ struct DatabaseOptions {
   /// POSIX Vfs. Non-owning: must outlive the database. Tests inject a
   /// FaultInjectionVfs here to exercise crash recovery.
   Vfs* vfs = nullptr;
-  /// Verify page checksums on read (bench_checksum measures the cost of
-  /// flipping this; leave on outside benchmarks).
-  bool verify_checksums = true;
 
   /// Write-ahead logging. Off, the store falls back to checkpoint-only
   /// durability (everything since the last Checkpoint is lost on a
-  /// crash). Forced off for ":memory:" stores and read-only legacy v1
-  /// files.
+  /// crash). Forced off for ":memory:" stores.
   bool wal = true;
   /// Group-commit window in milliseconds: 0 fsyncs inside every append,
   /// > 0 batches appends and makes them durable at most this much
-  /// later. The default -1 reads SEGDIFF_WAL_GROUP_COMMIT_MS (itself
-  /// defaulting to 1 ms).
-  int64_t wal_group_commit_ms = -1;
+  /// later.
+  int64_t wal_group_commit_ms = 1;
   /// Engine stores set this: the WAL logs kObservation/kFlush records
   /// (the redo unit is the observation; the rows it deterministically
   /// fans out into are not logged) instead of per-row kRowAppend.
   bool wal_observation_log = false;
-  /// Suggested log size that MaybeAutoCheckpoint() checkpoints at.
-  uint64_t wal_auto_checkpoint_bytes = 16ull << 20;
   /// Replay the WAL tail at Open. Off, the log is neither replayed nor
   /// opened for writing — strictly for read-only inspection (the CLI's
   /// verify path); pair it with Abandon() so close writes nothing.
   bool replay_wal = true;
-};
-
-struct CompactOptions {
-  /// Convert eligible tables (all-double, at most ZoneMap::kMaxColumns
-  /// columns) to compressed columnar segments while compacting. Tables
-  /// with unsupported schemas stay on the row path regardless.
-  bool columnar = true;
 };
 
 /// Aggregate size statistics (paper Section 6 metrics).
@@ -193,10 +179,13 @@ class Database {
   /// are never discarded.
   Status Checkpoint();
 
-  /// Checkpoint() iff the WAL has grown past
-  /// options.wal_auto_checkpoint_bytes; called by the engines after
-  /// segment flushes to bound recovery time.
+  /// Checkpoint() iff the WAL has grown past kWalAutoCheckpointBytes;
+  /// called by the engines after segment flushes to bound recovery
+  /// time.
   Status MaybeAutoCheckpoint();
+
+  /// Log size at which MaybeAutoCheckpoint() checkpoints.
+  static constexpr uint64_t kWalAutoCheckpointBytes = 16ull << 20;
 
   /// Checkpoint, then evict the whole buffer pool: emulates the paper's
   /// "flush OS cache before every query" protocol.
@@ -218,16 +207,16 @@ class Database {
   /// Rewrites every table and index into a fresh database file at
   /// `destination_path` (which must not exist), reclaiming the garbage
   /// pages left behind by DeleteWhere rewrites and abandoned extents.
-  /// With options.columnar (the default), eligible tables are converted
-  /// to compressed columnar segments on the way — the row→columnar
-  /// lifecycle step. This database is not modified. Catalog blobs are
+  /// Eligible tables (all-double, at most ZoneMap::kMaxColumns columns)
+  /// are converted to compressed columnar segments on the way — the
+  /// row→columnar lifecycle step; tables with other schemas stay in
+  /// row format. This database is not modified. Catalog blobs are
   /// copied from the in-memory map, which owning engines only refresh
   /// when they persist their state — callers holding a
   /// SegDiffIndex/ExhIndex must compact through the index's Compact()
   /// (or Checkpoint first) so the copied ingest blob is consistent with
   /// the copied tables.
-  Status CompactInto(const std::string& destination_path,
-                     const CompactOptions& options = CompactOptions());
+  Status CompactInto(const std::string& destination_path);
 
   /// Best-effort rebuild into a fresh store at `destination_path` (which
   /// must not exist): every row still readable — skipping quarantined
@@ -284,8 +273,7 @@ class Database {
   /// Shared rewrite behind CompactInto (salvage=false: any read error
   /// fails the copy) and Repair (salvage=true: corrupt pages/segments
   /// are skipped and accounted in `report`).
-  Status CopyInto(const std::string& destination_path,
-                  const CompactOptions& options, bool salvage,
+  Status CopyInto(const std::string& destination_path, bool salvage,
                   RepairReport* report);
 
   /// The error every mutation returns while degraded.
@@ -298,8 +286,6 @@ class Database {
   std::map<std::string, std::string> meta_;  ///< named catalog blobs
   std::vector<WalRecord> recovered_ops_;  ///< engine records to drain
   uint64_t recovered_count_ = 0;          ///< records replayed at Open
-  /// MaybeAutoCheckpoint threshold (DatabaseOptions value).
-  uint64_t wal_auto_checkpoint_bytes_ = 16ull << 20;
   bool opened_ = false;     ///< Open() completed successfully
   bool closed_ = false;     ///< Close() already ran
   bool abandoned_ = false;  ///< Abandon() called

@@ -17,8 +17,8 @@ constexpr size_t kPageSize = 8192;
 ///                              trailer" from "payload corrupted")
 /// Page users (heap files, B+-tree nodes, the catalog chain) may only
 /// touch the first kPageCapacity bytes; the pager stamps the trailer on
-/// every write and verifies it on every read. Legacy v1 files have no
-/// trailers and open read-only (see storage/pager.h).
+/// every write and verifies it on every read. Files of any other format
+/// version fail to open (see storage/pager.h).
 constexpr size_t kPageTrailerBytes = 8;
 constexpr size_t kPageCapacity = kPageSize - kPageTrailerBytes;
 

@@ -21,12 +21,6 @@ void StampTrailer(char* page) {
   EncodeFixed32(page + kPageCapacity + 4, kTrailerMagic);
 }
 
-Status ReadOnlyError(const std::string& path) {
-  return Status::NotSupported(
-      "legacy v1 store is read-only (no page checksums): " + path +
-      "; compact it to upgrade to the checksummed v2 format");
-}
-
 }  // namespace
 
 Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
@@ -43,10 +37,9 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
   file = WithRetry(std::move(file));
   SEGDIFF_ASSIGN_OR_RETURN(uint64_t size, file->Size());
   if (size == 0) {
-    // Fresh file: write the (checksummed, v2) header page.
-    std::unique_ptr<Pager> pager(new Pager(path, std::move(file), 1,
-                                           kFormatChecksummed, vfs,
-                                           /*created=*/!existed));
+    // Fresh file: write the header page.
+    std::unique_ptr<Pager> pager(
+        new Pager(path, std::move(file), 1, vfs, /*created=*/!existed));
     Status status = pager->WriteHeader();
     if (!status.ok()) {
       return status;
@@ -66,7 +59,7 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
     return Status::Corruption("bad magic: " + path);
   }
   const uint32_t version = DecodeFixed32(header + 4);
-  if (version != kFormatLegacy && version != kFormatChecksummed) {
+  if (version != kFormatChecksummed) {
     return Status::Corruption("unsupported version " +
                               std::to_string(version) + ": " + path);
   }
@@ -75,11 +68,8 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
     return Status::Corruption("header page count exceeds file: " + path);
   }
   std::unique_ptr<Pager> pager(
-      new Pager(path, std::move(file), page_count, version, vfs,
-                /*created=*/false));
-  if (version == kFormatChecksummed) {
-    SEGDIFF_RETURN_IF_ERROR(pager->VerifyPageBuffer(0, header));
-  }
+      new Pager(path, std::move(file), page_count, vfs, /*created=*/false));
+  SEGDIFF_RETURN_IF_ERROR(pager->VerifyPageBuffer(0, header));
   // Pre-WAL v2 files carry zeros here, which reads back as "nothing
   // applied" — exactly right.
   pager->applied_lsn_.store(DecodeFixed64(header + 16));
@@ -87,7 +77,7 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
 }
 
 Pager::~Pager() {
-  if (file_ != nullptr && !read_only()) {
+  if (file_ != nullptr) {
     // Best-effort header persistence on close.
     WriteHeader();
   }
@@ -141,7 +131,7 @@ Status Pager::ReadPage(PageId id, char* buf) {
   }
   last_read_page_.store(id, std::memory_order_relaxed);
   SEGDIFF_RETURN_IF_ERROR(file_->Read(id * kPageSize, kPageSize, buf));
-  if (format_version_ == kFormatChecksummed && verify_checksums_) {
+  if (verify_checksums_) {
     Status status = VerifyPageBuffer(id, buf);
     if (status.IsCorruption()) {
       // Remember the bad page: scans that opt into partial results route
@@ -182,9 +172,6 @@ Status Pager::ReadPageRaw(PageId id, char* buf) {
 }
 
 Status Pager::WritePage(PageId id, const char* buf) {
-  if (read_only()) {
-    return ReadOnlyError(path_);
-  }
   if (id >= page_count_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("write past end of file: page " +
                                    std::to_string(id));
@@ -203,9 +190,6 @@ Result<PageId> Pager::AllocatePage() { return AllocateExtent(1); }
 Result<PageId> Pager::AllocateExtent(size_t n) {
   if (n == 0) {
     return Status::InvalidArgument("empty extent");
-  }
-  if (read_only()) {
-    return ReadOnlyError(path_);
   }
   std::lock_guard<std::mutex> lock(alloc_mu_);
   const PageId id = page_count_.load(std::memory_order_relaxed);
@@ -232,13 +216,10 @@ Result<PageId> Pager::AllocateExtent(size_t n) {
 }
 
 Status Pager::WriteHeader() {
-  if (read_only()) {
-    return ReadOnlyError(path_);
-  }
   char header[kPageSize];
   std::memset(header, 0, sizeof(header));
   EncodeFixed32(header, kFileMagic);
-  EncodeFixed32(header + 4, format_version_);
+  EncodeFixed32(header + 4, kFormatChecksummed);
   EncodeFixed64(header + 8, page_count_.load());
   EncodeFixed64(header + 16, applied_lsn_.load());
   StampTrailer(header);
@@ -265,10 +246,8 @@ Result<ScrubReport> Pager::Scrub() {
   for (PageId id = 0; id < count; ++id) {
     ++report.pages_checked;
     Status status = file_->Read(id * kPageSize, kPageSize, buf.data());
-    if (status.ok() && format_version_ == kFormatChecksummed) {
+    if (status.ok()) {
       status = VerifyPageBuffer(id, buf.data());
-    } else if (status.ok()) {
-      ++report.pages_unverifiable;  // legacy v1: nothing to verify against
     }
     if (!status.ok()) {
       report.corrupt.push_back(ScrubIssue{id, status.ToString()});

@@ -14,9 +14,9 @@
 //   - Sync() persists the header and fsyncs; after creating a file it
 //     also fsyncs the parent directory once, so a crash right after
 //     Create cannot lose the store's directory entry.
-// Legacy v1 files (no trailers) open read-only: reads work without
-// checksum verification, any write returns NotSupported telling the user
-// to compact (compaction rewrites into a fresh v2 file).
+// A header naming any other version (such as the trailer-less v1)
+// fails Open with Corruption("unsupported version N") and the file is
+// left untouched.
 
 #ifndef SEGDIFF_STORAGE_PAGER_H_
 #define SEGDIFF_STORAGE_PAGER_H_
@@ -43,8 +43,6 @@ struct ScrubIssue {
 /// Checksum health of a whole file (segdiff_cli verify --scrub).
 struct ScrubReport {
   uint64_t pages_checked = 0;
-  /// Pages whose checksums cannot be verified (legacy v1 file).
-  uint64_t pages_unverifiable = 0;
   std::vector<ScrubIssue> corrupt;
 
   bool clean() const { return corrupt.empty(); }
@@ -56,7 +54,7 @@ struct ScrubReport {
 /// mutex.
 class Pager {
  public:
-  static constexpr uint32_t kFormatLegacy = 1;  ///< no page trailers
+  /// The one on-disk format version (header and page trailers).
   static constexpr uint32_t kFormatChecksummed = 2;
 
   /// Opens (or creates, when `create` is true and the file is missing) a
@@ -73,7 +71,7 @@ class Pager {
   Pager& operator=(const Pager&) = delete;
 
   /// Reads page `id` into `buf` (kPageSize bytes), verifying its
-  /// checksum (v2 files; see set_verify_checksums).
+  /// checksum (see set_verify_checksums).
   Status ReadPage(PageId id, char* buf);
 
   /// Reads page `id` without checksum verification or simulated latency:
@@ -109,7 +107,7 @@ class Pager {
   /// every redo record with lsn <= applied_lsn() is reflected in the
   /// pages, so recovery replays only what lies beyond it. Stored in
   /// the header page; updated by fuzzy checkpoints (set, then Sync).
-  /// 0 on legacy/pre-WAL files — their whole WAL (if any) replays.
+  /// 0 on pre-WAL files — their whole WAL (if any) replays.
   uint64_t applied_lsn() const { return applied_lsn_.load(); }
   void set_applied_lsn(uint64_t lsn) { applied_lsn_.store(lsn); }
 
@@ -142,27 +140,19 @@ class Pager {
   /// The Vfs this pager's IO goes through (never null).
   Vfs* vfs() const { return vfs_; }
 
-  /// On-disk format version (kFormatLegacy or kFormatChecksummed).
-  uint32_t format_version() const { return format_version_; }
-
-  /// Legacy v1 files are read-only: any write returns NotSupported.
-  bool read_only() const { return format_version_ == kFormatLegacy; }
-
   /// Disables checksum verification on ReadPage (benchmarks measuring
   /// verification overhead; scrubbing still verifies). Writes always
-  /// stamp trailers — a v2 file is never left with stale checksums.
+  /// stamp trailers — a file is never left with stale checksums.
   void set_verify_checksums(bool verify) { verify_checksums_ = verify; }
   bool verify_checksums() const { return verify_checksums_; }
 
  private:
   Pager(std::string path, std::unique_ptr<RandomAccessFile> file,
-        uint64_t page_count, uint32_t format_version, Vfs* vfs,
-        bool created)
+        uint64_t page_count, Vfs* vfs, bool created)
       : path_(std::move(path)),
         file_(std::move(file)),
         vfs_(vfs),
         page_count_(page_count),
-        format_version_(format_version),
         needs_dir_sync_(created) {}
 
   Status WriteHeader();
@@ -174,7 +164,6 @@ class Pager {
   Vfs* vfs_;  ///< non-owning; outlives the pager
   std::atomic<uint64_t> page_count_{0};
   std::atomic<uint64_t> applied_lsn_{0};
-  uint32_t format_version_ = kFormatChecksummed;
   bool verify_checksums_ = true;
   /// The file was created by this pager and its directory entry has not
   /// been fsynced yet; cleared by the first successful Sync.

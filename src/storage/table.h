@@ -165,8 +165,9 @@ class Table {
   /// until the store is rebuilt). Returns the number of rows removed.
   Result<uint64_t> DeleteWhere(const Predicate& predicate);
 
-  /// The table's zone map, or nullptr (unsupported schema, or a legacy
-  /// store whose map has not been rebuilt yet — call EnsureZoneMap).
+  /// The table's zone map, or nullptr (unsupported schema, or a map
+  /// rejected at open that has not been rebuilt yet — call
+  /// EnsureZoneMap).
   const ZoneMap* zone_map() const { return zone_map_.get(); }
 
   /// Adopts a zone map restored from the catalog. Rejects (drops) maps
@@ -176,12 +177,12 @@ class Table {
   bool AttachZoneMap(ZoneMap map);
 
   /// Builds the zone map from a full heap scan when the schema supports
-  /// one and it is missing (legacy stores / rejected blobs). No-op when
+  /// one and it is missing (a rejected or unparsable blob). No-op when
   /// already present or unsupported.
   Status EnsureZoneMap();
 
   /// Discards the zone map (scans stop pruning until EnsureZoneMap).
-  /// Tests use this to exercise the legacy-store path; losing a map is
+  /// Tests use this to exercise the rebuild path; losing a map is
   /// always safe — it is derived data.
   void DetachZoneMap() { zone_map_.reset(); }
 

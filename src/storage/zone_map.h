@@ -10,8 +10,8 @@
 // Zone maps are derived data: they are maintained incrementally on
 // append, serialized into the catalog as a `zonemap.<table>` meta blob
 // at checkpoint, and rebuilt from a heap scan when absent or
-// inconsistent (legacy stores, crash recovery). Losing one never loses
-// rows — only pruning.
+// inconsistent (a blob that fails to parse or disagrees with the heap
+// after crash recovery). Losing one never loses rows — only pruning.
 
 #ifndef SEGDIFF_STORAGE_ZONE_MAP_H_
 #define SEGDIFF_STORAGE_ZONE_MAP_H_

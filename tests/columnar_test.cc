@@ -183,8 +183,8 @@ class ColumnarDifferentialTest : public ::testing::Test {
   }
 
   /// Builds the row store from `rows`, compacts it into the columnar
-  /// twin, and opens both. The row store keeps its original row format
-  /// (CompactOptions{.columnar = false}) so it stays the oracle.
+  /// twin, and opens both. Compaction never modifies its source, so the
+  /// row store keeps its original row format and stays the oracle.
   void Build(const std::vector<std::vector<double>>& rows,
              const std::vector<std::string>& columns = {"dt", "dv"}) {
     auto db = Database::Open(row_path_, DatabaseOptions{});

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <set>
 #include <string>
@@ -170,7 +171,6 @@ TEST_F(FaultInjectionTest, SingleByteFlipIsDetectedAndLocated) {
   auto report = (*pager)->Scrub();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->pages_checked, (*pager)->page_count());
-  EXPECT_EQ(report->pages_unverifiable, 0u);
   ASSERT_EQ(report->corrupt.size(), 1u);
   EXPECT_EQ(report->corrupt[0].page, 2u);
   EXPECT_FALSE(report->clean());
@@ -811,11 +811,9 @@ TEST_F(FaultInjectionTest, PrunedCorruptPageStillDetected) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy v1 stores: readable, write-protected, upgraded by compaction.
+// Older on-disk formats: refused loudly, never half-read, never touched.
 
-TEST_F(FaultInjectionTest, LegacyV1OpensReadOnlyAndCompactUpgrades) {
-  const std::string dest = path_ + ".compacted";
-  std::remove(dest.c_str());
+TEST_F(FaultInjectionTest, OlderFormatVersionsAreRefusedUntouched) {
   {
     DatabaseOptions options;
     auto db = Database::Open(path_, options);
@@ -830,58 +828,52 @@ TEST_F(FaultInjectionTest, LegacyV1OpensReadOnlyAndCompactUpgrades) {
     }
     ASSERT_TRUE((*db)->Checkpoint().ok());
   }
-  // Rewrite the header's version field: the file now claims to be a v1
-  // store written before page trailers existed.
-  {
-    auto file = Vfs::Default()->OpenFile(path_, /*create=*/false);
-    ASSERT_TRUE(file.ok());
-    const char v1[4] = {1, 0, 0, 0};
-    ASSERT_TRUE((*file)->Write(4, v1, 4).ok());
-    ASSERT_TRUE((*file)->Sync().ok());
-  }
-
-  // Pager level: reads fine, writes refused with actionable advice.
-  {
-    auto pager = Pager::Open(path_, /*create=*/false);
-    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
-    EXPECT_EQ((*pager)->format_version(), Pager::kFormatLegacy);
-    EXPECT_TRUE((*pager)->read_only());
-    char buf[kPageSize];
-    EXPECT_TRUE((*pager)->ReadPage(1, buf).ok());
-    Status refused = (*pager)->WritePage(1, buf);
-    ASSERT_TRUE(refused.IsNotSupported()) << refused.ToString();
-    EXPECT_NE(std::string(refused.message()).find("compact"),
-              std::string::npos);
-    auto report = (*pager)->Scrub();
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->clean());
-    EXPECT_EQ(report->pages_unverifiable, report->pages_checked);
-  }
-
-  // Database level: data readable, compaction writes a fresh v2 store.
-  {
+  auto file_bytes = [this] {
+    std::ifstream in(path_, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  auto expect_refused = [&](const std::string& what) {
+    const std::string before = file_bytes();
     DatabaseOptions options;
     options.create_if_missing = false;
     auto db = Database::Open(path_, options);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_TRUE((*db)->pager()->read_only());
-    EXPECT_EQ(TableRecords(db->get(), "t").size(), 100u);
-    ASSERT_TRUE((*db)->CompactInto(dest).ok());
-  }
+    ASSERT_FALSE(db.ok()) << "opened a store claiming " << what;
+    EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+    EXPECT_NE(std::string(db.status().message()).find(what),
+              std::string::npos)
+        << db.status().ToString();
+    EXPECT_EQ(file_bytes(), before) << "the refused open modified the file";
+  };
+  auto write_header_version = [this](uint32_t version) {
+    auto file = Vfs::Default()->OpenFile(path_, /*create=*/false);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    char raw[4];
+    EncodeFixed32(raw, version);
+    ASSERT_TRUE((*file)->Write(4, raw, 4).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  };
+
+  // A header claiming v1, the format without page trailers.
+  write_header_version(1);
+  expect_refused("unsupported version 1");
+  write_header_version(Pager::kFormatChecksummed);
+
+  // A catalog claiming version 2 (no columnar segment directory),
+  // patched through the pager so page 1 keeps a valid trailer: only the
+  // version check stands between it and a misparse.
   {
-    DatabaseOptions options;
-    options.create_if_missing = false;
-    auto db = Database::Open(dest, options);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_EQ((*db)->pager()->format_version(), Pager::kFormatChecksummed);
-    EXPECT_FALSE((*db)->pager()->read_only());
-    EXPECT_EQ(TableRecords(db->get(), "t").size(), 100u);
-    auto report = (*db)->Scrub();
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->clean());
-    EXPECT_EQ(report->pages_unverifiable, 0u);
+    auto pager = Pager::Open(path_, /*create=*/false);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    char buf[kPageSize];
+    ASSERT_TRUE((*pager)->ReadPage(1, buf).ok());
+    // 16-byte chain header, then the payload: u32 magic, u32 version.
+    ASSERT_EQ(DecodeFixed32(buf + 20), 3u);
+    EncodeFixed32(buf + 20, 2);
+    ASSERT_TRUE((*pager)->WritePage(1, buf).ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
   }
-  std::remove(dest.c_str());
+  expect_refused("unsupported catalog version 2");
+  std::remove(Wal::PathFor(path_).c_str());
 }
 
 // ---------------------------------------------------------------------------

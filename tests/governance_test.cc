@@ -533,7 +533,7 @@ TEST_F(SegDiffGovernanceTest, GovernedSearchMatchesUngovernedResults) {
   ASSERT_TRUE(baseline.ok());
 
   SearchOptions governed;
-  governed.deadline_ms = 60000;
+  governed.deadline = Deadline::AfterMillis(60000);
   governed.max_result_bytes = 64u << 20;
   SearchStats stats;
   auto result = (*store)->SearchDrops(3600.0, -1.0, governed, &stats);
@@ -621,7 +621,7 @@ TEST_F(SegDiffGovernanceTest, ConcurrentGovernedSearchesAgree) {
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&store, &baseline, &ok_count, i] {
       SearchOptions governed;
-      governed.deadline_ms = 60000;
+      governed.deadline = Deadline::AfterMillis(60000);
       governed.num_threads = (i % 2 == 0) ? 2 : 0;
       auto result = (*store)->SearchDrops(3600.0, -1.0, governed);
       if (result.ok() && *result == *baseline) {
@@ -641,7 +641,7 @@ TEST_F(SegDiffGovernanceTest, TransectSharesOneDeadlineAcrossSensors) {
   std::filesystem::remove_all(dir, ec);
   SegDiffOptions options;
   options.window_s = 4 * 3600.0;
-  auto transect = TransectIndex::Open(dir, 3, options);
+  auto transect = TransectIndex::Open(dir, 3, TransectOptions{options});
   ASSERT_TRUE(transect.ok()) << transect.status().ToString();
   for (int s = 0; s < 3; ++s) {
     ASSERT_TRUE((*transect)->IngestSensorSeries(s, series_).ok());
@@ -809,7 +809,7 @@ TEST_F(CancelFaultMatrixTest, GovernedSearchSurvivesInjectedReadFailures) {
       }
       SearchOptions governed;
       governed.cancel = source.token();
-      governed.deadline_ms = 30000;
+      governed.deadline = Deadline::AfterMillis(30000);
       auto result = (*store)->SearchDrops(3600.0, -1.0, governed);
       if (pre_cancel) {
         // Cancellation is checked before any scan touches storage.

@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include "test_paths.h"
+
 #include "segdiff/naive.h"
 #include "segdiff/segdiff_index.h"
 #include "segdiff/verify.h"
+#include "storage/wal.h"
 #include "ts/generator.h"
 
 namespace segdiff {
@@ -32,10 +35,10 @@ struct GuaranteeCase {
 class GuaranteesTest : public ::testing::TestWithParam<GuaranteeCase> {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/segdiff_guarantees_" +
-            std::to_string(GetParam().seed) + "_" +
-            std::to_string(GetParam().eps) + ".db";
-    std::remove(path_.c_str());
+    // Per test, not per (seed, eps): the TEST_P cases of one parameter
+    // run concurrently under ctest -j and must not share a store or WAL.
+    path_ = UniqueTestPath("segdiff_guarantees");
+    RemoveStore();
     CadGeneratorOptions gen;
     gen.seed = GetParam().seed;
     gen.num_days = 3;
@@ -55,7 +58,11 @@ class GuaranteesTest : public ::testing::TestWithParam<GuaranteeCase> {
   }
   void TearDown() override {
     index_.reset();
+    RemoveStore();
+  }
+  void RemoveStore() {
     std::remove(path_.c_str());
+    std::remove(Wal::PathFor(path_).c_str());
   }
 
   std::string path_;
@@ -125,7 +132,17 @@ TEST_P(GuaranteesTest, IndexScanUpholdsTheSameGuarantees) {
 
 // The guarantees are distribution-free: re-verify on pure random walks
 // (no diurnal structure, different sampling rate) across seeds.
-class RandomWalkGuaranteesTest : public ::testing::TestWithParam<uint64_t> {};
+class RandomWalkGuaranteesTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // The test body removes its store file; its WAL sidecar goes here.
+  void SetUp() override { RemoveWal(); }
+  void TearDown() override { RemoveWal(); }
+  void RemoveWal() {
+    std::remove(Wal::PathFor(testing::TempDir() + "/segdiff_walk_" +
+                             std::to_string(GetParam()) + ".db")
+                    .c_str());
+  }
+};
 
 TEST_P(RandomWalkGuaranteesTest, NoMissAndToleranceBothKinds) {
   auto walk = GenerateRandomWalk(GetParam(), 600, 60.0, 0.5);

@@ -177,10 +177,12 @@ TEST(TransectConcurrentIngestTest, MatchesSerialIngest) {
 
   SegDiffOptions options;
   options.window_s = 4 * 3600.0;
-  auto serial = TransectIndex::Open(serial_dir, kSensors, options);
+  auto serial = TransectIndex::Open(serial_dir, kSensors,
+                                    TransectOptions{options});
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE((*serial)->IngestAllSensors(all_series, /*num_threads=*/0).ok());
-  auto parallel = TransectIndex::Open(parallel_dir, kSensors, options);
+  auto parallel = TransectIndex::Open(parallel_dir, kSensors,
+                                      TransectOptions{options});
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   ASSERT_TRUE(
       (*parallel)->IngestAllSensors(all_series, /*num_threads=*/4).ok());

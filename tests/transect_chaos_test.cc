@@ -289,7 +289,14 @@ TEST_F(TransectChaosTest, BitrotIsIsolatedAndRepaired) {
       ASSERT_TRUE(size.ok());
       const uint64_t pages = *size / kPageSize;
       ASSERT_GT(pages, 2u);
-      const uint64_t first = 1 + rng() % (pages - 1);
+      uint64_t first = 1 + rng() % (pages - 1);
+      if (cycle == 0) {
+        // Cycle 0 always hits page 1, the catalog root: the victim's
+        // store then fails to open, so even a short slice of the sweep
+        // exercises the failure ledger. The draw above still happens,
+        // keeping every later cycle's schedule unchanged.
+        first = 1;
+      }
       uint64_t second = 1 + rng() % (pages - 1);
       if (second == first) second = 1 + (first % (pages - 1));
       FlipByte(victim_path, first * kPageSize + 64 + rng() % 1024);

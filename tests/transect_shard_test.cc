@@ -21,6 +21,8 @@
 
 #include "test_paths.h"
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/stopwatch.h"
 #include "segdiff/transect_index.h"
 #include "storage/fault_vfs.h"
@@ -276,6 +278,29 @@ TEST_F(TransectShardTest, CorruptCatalogFailsLoudly) {
   auto torn = TransectIndex::Open(dir_, kSensors, SmallStores());
   ASSERT_FALSE(torn.ok());
   EXPECT_TRUE(torn.status().IsCorruption()) << torn.status().ToString();
+
+  // A CRC-valid one-shard manifest whose shard has no directory name
+  // (dir_len 0): its stores would resolve into the root.
+  {
+    std::string raw = "SDSHRD01";
+    char field[4];
+    for (const uint32_t v : {uint32_t{kSensors}, uint32_t{kSensors}, 1u,
+                             0u, uint32_t{kSensors}}) {
+      EncodeFixed32(field, v);
+      raw.append(field, sizeof(field));
+    }
+    raw.append(2, '\0');  // u16 dir_len = 0, no name bytes
+    EncodeFixed32(field, Crc32c(raw.data(), raw.size()));
+    raw.append(field, sizeof(field));
+    FILE* f = std::fopen(manifest.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), f), raw.size());
+    std::fclose(f);
+  }
+  auto unnamed = TransectIndex::Open(dir_, kSensors, SmallStores());
+  ASSERT_FALSE(unnamed.ok());
+  EXPECT_TRUE(unnamed.status().IsCorruption())
+      << unnamed.status().ToString();
 }
 
 TEST_F(TransectShardTest, ReopenValidatesSensorCountAgainstCatalog) {
@@ -292,29 +317,6 @@ TEST_F(TransectShardTest, ReopenValidatesSensorCountAgainstCatalog) {
   auto adopted = TransectIndex::Open(dir_, 0, SmallStores());
   ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
   EXPECT_EQ((*adopted)->sensor_count(), kSensors);
-}
-
-TEST_F(TransectShardTest, LegacyFlatLayoutIsAdoptedInPlace) {
-  // A pre-sharding transect: sensor<k>.db directly under the root, no
-  // catalog.
-  TransectOptions options = SmallStores();
-  ASSERT_TRUE(Vfs::Default()->MakeDir(dir_).ok());
-  for (int s = 0; s < kSensors; ++s) {
-    auto store = SegDiffIndex::Open(
-        dir_ + "/sensor" + std::to_string(s) + ".db", options.store);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE(
-        (*store)->IngestSeries(all_series_[static_cast<size_t>(s)]).ok());
-  }
-
-  auto transect = TransectIndex::Open(dir_, kSensors, options);
-  ASSERT_TRUE(transect.ok()) << transect.status().ToString();
-  for (size_t i = 0; i < (*transect)->catalog().shard_count(); ++i) {
-    EXPECT_EQ((*transect)->catalog().shard(i).dir, "");  // adopted flat
-  }
-  auto hits = (*transect)->SearchDrops(3600.0, -3.0);
-  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-  EXPECT_FALSE(hits->empty());  // found the pre-existing data
 }
 
 TEST_F(TransectShardTest, SharedDeadlineStopsTheWholeFanOutPromptly) {

@@ -41,7 +41,7 @@ TEST_F(TransectTest, BuildsAndSearchesAllSensors) {
 
   SegDiffOptions options;
   options.window_s = 4 * 3600.0;
-  auto transect = TransectIndex::Open(dir_, 3, options);
+  auto transect = TransectIndex::Open(dir_, 3, TransectOptions{options});
   ASSERT_TRUE(transect.ok()) << transect.status().ToString();
   for (int s = 0; s < 3; ++s) {
     ASSERT_TRUE((*transect)
@@ -97,7 +97,7 @@ TEST_F(TransectTest, JumpSearchFansOut) {
   ASSERT_TRUE(transect_data.ok());
   SegDiffOptions options;
   options.window_s = 4 * 3600.0;
-  auto transect = TransectIndex::Open(dir_, 2, options);
+  auto transect = TransectIndex::Open(dir_, 2, TransectOptions{options});
   ASSERT_TRUE(transect.ok());
   for (int s = 0; s < 2; ++s) {
     ASSERT_TRUE((*transect)
@@ -112,9 +112,9 @@ TEST_F(TransectTest, JumpSearchFansOut) {
 
 TEST_F(TransectTest, Validation) {
   EXPECT_TRUE(
-      TransectIndex::Open(dir_, 0, SegDiffOptions{}).status()
+      TransectIndex::Open(dir_, 0, TransectOptions{}).status()
           .IsInvalidArgument());
-  auto transect = TransectIndex::Open(dir_, 2, SegDiffOptions{});
+  auto transect = TransectIndex::Open(dir_, 2, TransectOptions{});
   ASSERT_TRUE(transect.ok());
   Series empty;
   EXPECT_TRUE((*transect)->IngestSensorSeries(-1, empty).IsInvalidArgument());

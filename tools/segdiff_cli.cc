@@ -12,7 +12,7 @@
 //                        (--no-wal reverts to checkpoint-only
 //                         durability; --wal-window-ms sets the
 //                         group-commit window — 0 fsyncs every append,
-//                         default 1 ms or SEGDIFF_WAL_GROUP_COMMIT_MS)
+//                         default 1 ms)
 //   segdiff_cli append   --csv more.csv --db store.db [--smooth]
 //                        [--no-wal] [--wal-window-ms N]
 //                        (resume ingest into an existing store; picks up
@@ -54,10 +54,8 @@
 //                        (generates one CAD series per sensor and ingests
 //                         them concurrently into a sharded transect:
 //                         sensor-id ranges of K sensors per shard
-//                         directory (default 256 or
-//                         SEGDIFF_SENSORS_PER_SHARD), at most M stores
-//                         open at once (default unbounded or
-//                         SEGDIFF_MAX_OPEN_STORES))
+//                         directory (default 256), at most M stores open
+//                         at once (default unbounded))
 //   segdiff_cli transect search --dir transect/ [--t-hours 1] [--v -3]
 //                        [--jump] [--threads N] [--timeout-ms N]
 //                        [--max-open M] [--limit 20] [--stats]
@@ -75,11 +73,11 @@
 //                        [--rate-mbps N]
 //                        (walks every sensor store under the LRU cap —
 //                         open, health flags, full page scrub — and
-//                         prints the aggregate report; --rate-mbps (or
-//                         SEGDIFF_SCRUB_RATE_BYTES_PER_SEC) throttles
-//                         the sweep so it does not starve serving
-//                         searches. Exit: 0 clean, 2 corrupt sensors,
-//                         3 sensors unavailable on transient I/O)
+//                         prints the aggregate report; --rate-mbps
+//                         throttles the sweep so it does not starve
+//                         serving searches. Exit: 0 clean, 2 corrupt
+//                         sensors, 3 sensors unavailable on transient
+//                         I/O)
 //   segdiff_cli transect repair --dir transect/ [--max-open M]
 //                        [--rate-mbps N]
 //                        (verify + in-place salvage: each damaged store
@@ -250,7 +248,7 @@ int CmdBuild(const Flags& flags) {
   options.build_indexes = !flags.Has("--no-index");
   options.wal = !flags.Has("--no-wal");
   options.wal_group_commit_ms =
-      static_cast<int64_t>(flags.GetInt("--wal-window-ms", -1));
+      static_cast<int64_t>(flags.GetInt("--wal-window-ms", 1));
   auto store = SegDiffIndex::Open(db, options);
   if (!store.ok()) return Fail(store.status());
   if (Status status = (*store)->IngestSeries(input); !status.ok()) {
@@ -290,7 +288,7 @@ int CmdAppend(const Flags& flags) {
   options.create_if_missing = false;
   options.wal = !flags.Has("--no-wal");
   options.wal_group_commit_ms =
-      static_cast<int64_t>(flags.GetInt("--wal-window-ms", -1));
+      static_cast<int64_t>(flags.GetInt("--wal-window-ms", 1));
   auto store = SegDiffIndex::Open(db, options);
   if (!store.ok()) return Fail(store.status());
   const uint64_t before = (*store)->num_observations();
@@ -340,7 +338,9 @@ int CmdSearch(const Flags& flags) {
   } else {
     search.mode = QueryMode::kSeqScan;
   }
-  search.deadline_ms = flags.GetUint64("--timeout-ms", 0);
+  if (const uint64_t ms = flags.GetUint64("--timeout-ms", 0); ms > 0) {
+    search.deadline = Deadline::AfterMillis(ms);
+  }
   search.max_result_bytes = flags.GetUint64("--max-mem", 0);
   search.num_threads = static_cast<size_t>(flags.GetInt("--threads", 0));
   SearchStats stats;
@@ -767,7 +767,9 @@ int CmdTransectSearch(const Flags& flags) {
   const bool jump = flags.Has("--jump");
   const double V = flags.GetDouble("--v", jump ? 3.0 : -3.0);
   SearchOptions search;
-  search.deadline_ms = flags.GetUint64("--timeout-ms", 0);
+  if (const uint64_t ms = flags.GetUint64("--timeout-ms", 0); ms > 0) {
+    search.deadline = Deadline::AfterMillis(ms);
+  }
   search.num_threads = static_cast<size_t>(flags.GetInt("--threads", 4));
   TransectSearchStats stats;
   auto hits = jump ? (*transect)->SearchJumps(T, V, search, &stats)
@@ -894,8 +896,7 @@ int CmdTransectStats(const Flags& flags) {
   return 0;
 }
 
-/// Bytes/sec sweep throttle from --rate-mbps (0 = the
-/// SEGDIFF_SCRUB_RATE_BYTES_PER_SEC environment knob, then unlimited).
+/// Bytes/sec sweep throttle from --rate-mbps (0 = unlimited).
 TransectVerifyOptions SweepFlags(const Flags& flags) {
   TransectVerifyOptions options;
   options.rate_limit_bytes_per_sec = static_cast<uint64_t>(
@@ -1048,10 +1049,8 @@ int CmdVerify(const Flags& flags) {
   // the header of a store we just diagnosed as damaged (WAL replay at
   // open touched only in-memory state; Abandon discards it).
   (*database)->Abandon();
-  const Pager* pager = (*database)->pager();
-  std::printf("store: %s (format v%u%s)\n", db.c_str(),
-              pager->format_version(),
-              pager->read_only() ? ", legacy read-only" : "");
+  std::printf("store: %s (format v%u)\n", db.c_str(),
+              Pager::kFormatChecksummed);
 
   // Logical check: each table's heap metadata agrees with what a full
   // scan actually returns (a torn append would break this).
@@ -1092,20 +1091,14 @@ int CmdVerify(const Flags& flags) {
       Fail(report.status());
       return VerifyExitCode(report.status());
     }
-    std::printf("scrub: %llu pages checked, %llu unverifiable (legacy), "
-                "%zu corrupt\n",
+    std::printf("scrub: %llu pages checked, %zu corrupt\n",
                 static_cast<unsigned long long>(report->pages_checked),
-                static_cast<unsigned long long>(report->pages_unverifiable),
                 report->corrupt.size());
     for (const ScrubIssue& issue : report->corrupt) {
       std::printf("  page %llu: %s\n",
                   static_cast<unsigned long long>(issue.page),
                   issue.message.c_str());
       ++failures;
-    }
-    if (report->pages_unverifiable > 0) {
-      std::printf("  note: legacy v1 pages have no checksums; compact the "
-                  "store to upgrade\n");
     }
     // The write-ahead log is part of the store: walk every frame. A torn
     // tail is healthy (an interrupted group commit; recovery trims it),
