@@ -96,7 +96,7 @@ echo "== tier-1: transect chaos smoke (crash-mid-rebalance + bitrot) =="
  SEGDIFF_FAULT_SEED=20080325 SEGDIFF_CHAOS_CYCLES=10 \
    ./tests/transect_chaos_test)
 
-echo "== tier-1: compression smoke (compact to columnar, ratio + scrub) =="
+echo "== tier-1: compression smoke (compact: ratio, scrub, no indexes) =="
 CMP_WORK="build/compression_smoke"
 rm -rf "${CMP_WORK}"; mkdir -p "${CMP_WORK}"
 ./build/tools/segdiff_cli generate --out "${CMP_WORK}/data.csv" --days 20
@@ -122,7 +122,28 @@ fi
 # The compacted store must also pass a full checksum scrub: compressed
 # payloads ride the same per-page CRC32C trailers as row pages.
 ./build/tools/segdiff_cli verify --db "${CMP_WORK}/col.db" --scrub
-echo "compression smoke: columnar ratio ${BEST_RATIO}x, scrub clean"
+# Converted tables carry no B+-tree index: no index bytes, a refused
+# index-mode search (exit 1, InvalidArgument), and SQL scans.
+if ! grep -q '^  index bytes:   0$' <<< "${CMP_STATS}"; then
+  echo "compression smoke: compacted store still carries index bytes"
+  exit 1
+fi
+IDX_RC=0
+IDX_OUT="$(./build/tools/segdiff_cli search --db "${CMP_WORK}/col.db" \
+  --t-hours 1 --v -3 --mode index 2>&1)" || IDX_RC=$?
+if [[ "${IDX_RC}" != 1 ]] || ! grep -q InvalidArgument <<< "${IDX_OUT}"; then
+  echo "compression smoke: index search on the compacted store exited" \
+       "${IDX_RC}, not 1 with InvalidArgument: ${IDX_OUT}"
+  exit 1
+fi
+SQL_OUT="$(./build/tools/segdiff_cli sql --db "${CMP_WORK}/col.db" --query \
+  "SELECT COUNT(*) FROM drop2 WHERE dt1 <= 3600 AND dv1 <= -3")"
+if ! grep -q seq_scan <<< "${SQL_OUT}"; then
+  echo "compression smoke: SQL point query did not scan: ${SQL_OUT}"
+  exit 1
+fi
+echo "compression smoke: columnar ratio ${BEST_RATIO}x, scrub clean," \
+     "no indexes"
 rm -rf "${CMP_WORK}"
 
 echo "== tier-1: governance smoke (concurrent 50ms-deadline searches) =="

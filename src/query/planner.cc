@@ -47,9 +47,7 @@ PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
   }
   const bool fractions_valid =
       stats.index_entry_fraction >= 0.0 && stats.index_entry_fraction <= 1.0 &&
-      stats.heap_fetch_fraction >= 0.0 && stats.heap_fetch_fraction <= 1.0 &&
-      stats.random_fetch_cost_scale >= 1.0 &&
-      stats.random_fetch_cost_scale <= kColumnarFetchCostScale;
+      stats.heap_fetch_fraction >= 0.0 && stats.heap_fetch_fraction <= 1.0;
   if (!fractions_valid || stats.pages_after_pruning > stats.pages_total) {
     return choice;  // untrustworthy stats (incl. NaN): sequential scan
   }
@@ -59,8 +57,7 @@ PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
       static_cast<double>(stats.pages_after_pruning) * options.seq_page_cost;
   const double index_cost =
       stats.index_entry_fraction * rows * options.index_entry_cost +
-      stats.heap_fetch_fraction * rows * options.random_fetch_cost *
-          stats.random_fetch_cost_scale;
+      stats.heap_fetch_fraction * rows * options.random_fetch_cost;
   if (index_cost < seq_cost) {
     choice.path = AccessPath::kIndexScan;
   }
@@ -68,70 +65,28 @@ PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
 }
 
 PlanChoice PlanRangeQuery(const TableSnapshotView& view,
-                          const ColumnStore* columnar,
                           const std::vector<ColumnCondition>& conditions,
                           bool index_available,
                           const PlannerOptions& options) {
   const ZoneMap* zone_map = view.zone_map.get();
-  if (!index_available || conditions.empty() ||
-      (zone_map == nullptr && columnar == nullptr)) {
+  if (!index_available || conditions.empty() || zone_map == nullptr) {
     return PlanChoice{};  // no evidence to plan on: always-correct default
   }
   TableStatsView stats;
-  stats.row_count = view.heap_meta.record_count +
-                    (columnar != nullptr ? columnar->row_count() : 0);
+  stats.row_count = view.heap_meta.record_count;
   stats.pages_total = view.heap_meta.page_count;
-  stats.pages_after_pruning = stats.pages_total;
-  if (zone_map != nullptr) {
-    const ZoneSurvey survey = SurveyZones(*zone_map, conditions);
-    // Pages without a zone (e.g. crash-recovered tails) cannot be
-    // pruned; keep them on the sequential side's bill.
-    stats.pages_after_pruning =
-        survey.zones_surviving + (stats.pages_total > survey.zones_total
-                                      ? stats.pages_total - survey.zones_total
-                                      : 0);
-  }
-  if (columnar != nullptr) {
-    const ColumnarSurvey survey = SurveyColumnarSegments(*columnar, conditions);
-    stats.pages_total += survey.pages_total;
-    stats.pages_after_pruning += survey.pages_surviving;
-    const uint64_t col_rows = columnar->row_count();
-    if (stats.row_count > 0) {
-      stats.random_fetch_cost_scale =
-          (static_cast<double>(stats.row_count - col_rows) +
-           kColumnarFetchCostScale * static_cast<double>(col_rows)) /
-          static_cast<double>(stats.row_count);
-    }
-  }
-  // Per-column global ranges merged across formats: compacted tables
-  // hold most rows in columnar segments, whose statistics live in the
-  // segment directory rather than the heap zone map.
-  auto global_range = [&](size_t column) {
-    ZoneMap::ColumnRange range{1.0, -1.0, false};
-    if (zone_map != nullptr) {
-      range = zone_map->GlobalRange(column);
-    }
-    if (columnar != nullptr) {
-      const ZoneMap::ColumnRange cr = ColumnarGlobalRange(*columnar, column);
-      if (cr.lo <= cr.hi) {
-        if (range.lo <= range.hi) {
-          range.lo = std::min(range.lo, cr.lo);
-          range.hi = std::max(range.hi, cr.hi);
-        } else {
-          range.lo = cr.lo;
-          range.hi = cr.hi;
-        }
-      }
-      range.has_nan = range.has_nan || cr.has_nan;
-    }
-    return range;
-  };
+  const ZoneSurvey survey = SurveyZones(*zone_map, conditions);
+  // Pages without a zone (e.g. crash-recovered tails) cannot be pruned;
+  // keep them on the sequential side's bill.
+  stats.pages_after_pruning =
+      survey.zones_surviving + (stats.pages_total > survey.zones_total
+                                    ? stats.pages_total - survey.zones_total
+                                    : 0);
   // The index walk visits the entries the leading condition admits; each
   // entry surviving every condition costs a random heap fetch.
-  stats.heap_fetch_fraction = 1.0;
   for (size_t i = 0; i < conditions.size(); ++i) {
-    const double fraction =
-        ConditionFraction(global_range(conditions[i].column), conditions[i]);
+    const double fraction = ConditionFraction(
+        zone_map->GlobalRange(conditions[i].column), conditions[i]);
     if (i == 0) {
       stats.index_entry_fraction = fraction;
     }

@@ -3,8 +3,9 @@
 // The paper evaluates sequential scan and index access separately and
 // observes the crossover: index access loses once a query matches a
 // large fraction of rows (random heap fetches dominate). The planner
-// prices both sides from zone-map and columnar-segment statistics and
-// picks the cheaper one.
+// prices both sides from heap zone-map statistics and picks the cheaper
+// one. Only row-format tables have indexes (a table with columnar
+// segments carries none), so there is no columnar side to price.
 
 #ifndef SEGDIFF_QUERY_PLANNER_H_
 #define SEGDIFF_QUERY_PLANNER_H_
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "query/predicate.h"
-#include "storage/column_page.h"
 #include "storage/snapshot.h"
 
 namespace segdiff {
@@ -51,17 +51,7 @@ struct TableStatsView {
   /// Estimated fraction of rows surviving every key-column bound — each
   /// one costs a random heap fetch on the index path.
   double heap_fetch_fraction = 1.0;
-  /// Multiplier on random_fetch_cost for this table's row mix. A random
-  /// fetch into a compressed columnar segment decodes a whole segment
-  /// (amortized by the store's one-segment cache, but still far pricier
-  /// than a heap page read); callers set this to the row-weighted mean
-  /// of 1.0 (heap rows) and kColumnarFetchCostScale (columnar rows).
-  double random_fetch_cost_scale = 1.0;
 };
-
-/// Relative cost of one random fetch that lands in a columnar segment
-/// versus one that lands in a row-format heap page.
-inline constexpr double kColumnarFetchCostScale = 4.0;
 
 /// Cost-based choice: pruned-sequential page cost vs index entry walk +
 /// random heap fetches. Malformed statistics (NaN or out-of-range
@@ -71,16 +61,12 @@ PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
                             const PlannerOptions& options = {});
 
 /// Plans one conjunctive range query whose leading condition bounds the
-/// index's leading key column, over a table as a search's snapshot sees
-/// it: heap pages (`view`, whose zone map may be null) plus immutable
-/// columnar segments (`columnar`, may be null). The sequential side is
-/// priced at what the pruned scan will read — heap pages surviving the
-/// zone map plus columnar pages surviving the segment directory — and
-/// the index side from per-column value ranges merged across both
-/// formats, with random fetches weighted by the table's row mix. No
-/// statistics at all, or no index, means the sequential scan.
+/// index's leading key column, over a table's heap as a search's
+/// snapshot sees it (`view`, whose zone map may be null). The
+/// sequential side is priced at the heap pages surviving the zone map,
+/// the index side from the map's per-column value ranges. No zone map,
+/// or no index, means the sequential scan.
 PlanChoice PlanRangeQuery(const TableSnapshotView& view,
-                          const ColumnStore* columnar,
                           const std::vector<ColumnCondition>& conditions,
                           bool index_available,
                           const PlannerOptions& options = {});

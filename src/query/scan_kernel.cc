@@ -396,32 +396,6 @@ ColumnarSurvey SurveyColumnarSegments(
   return survey;
 }
 
-ZoneMap::ColumnRange ColumnarGlobalRange(const ColumnStore& store,
-                                         size_t column) {
-  ZoneMap::ColumnRange range{1.0, -1.0, false};  // inverted: nothing seen
-  bool first = true;
-  for (const ColumnSegmentInfo& info : store.meta().segments) {
-    if (column >= info.min.size()) {
-      continue;
-    }
-    range.has_nan = range.has_nan || ((info.nan_mask >> column) & 1u) != 0;
-    const double lo = info.min[column];
-    const double hi = info.max[column];
-    if (!(lo <= hi)) {
-      continue;  // all-NaN (or polluted) segment contributes no bounds
-    }
-    if (first) {
-      range.lo = lo;
-      range.hi = hi;
-      first = false;
-    } else {
-      range.lo = std::min(range.lo, lo);
-      range.hi = std::max(range.hi, hi);
-    }
-  }
-  return range;
-}
-
 Result<ColumnDecoder> ColumnDecoder::Create(
     ColumnSegmentHandle* handle, const std::vector<size_t>& columns) {
   ColumnDecoder decoder;

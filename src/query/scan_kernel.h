@@ -119,8 +119,8 @@ bool SegmentCanMatch(const ColumnSegmentInfo& info,
                      const std::vector<ColumnCondition>& conditions);
 
 /// Selectivity survey over a table's columnar segments, from catalog
-/// statistics alone (no IO). zones = segments; rows/pages feed the same
-/// cost model as SurveyZones.
+/// statistics alone (no IO) — the segment counterpart of SurveyZones,
+/// reported by SQL EXPLAIN.
 struct ColumnarSurvey {
   uint64_t segments_total = 0;
   uint64_t segments_surviving = 0;
@@ -131,13 +131,6 @@ struct ColumnarSurvey {
 };
 ColumnarSurvey SurveyColumnarSegments(
     const ColumnStore& store, const std::vector<ColumnCondition>& conditions);
-
-/// Global [min, max] (plus NaN flag) of column `column` over a columnar
-/// store's segment statistics — the segment-directory counterpart of
-/// ZoneMap::GlobalRange, for planner selectivity estimates on
-/// dual-format tables. lo > hi when no non-NaN value was recorded.
-ZoneMap::ColumnRange ColumnarGlobalRange(const ColumnStore& store,
-                                         size_t column);
 
 /// Streams one columnar segment in kColumnBatchRows batches, decoding
 /// only the requested columns into 64-byte-aligned buffers that feed

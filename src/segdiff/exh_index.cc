@@ -170,9 +170,8 @@ Status ExhIndex::SearchScan(SearchKind kind, double T, double V,
   if (mode == QueryMode::kAuto) {
     // Plan from the snapshot's statistics, not the live table's — the
     // scan below reads the snapshot, so the cost model must describe it.
-    const PlanChoice choice =
-        PlanRangeQuery(*snap_view, table_->columnar(), predicate.conditions(),
-                       options_.build_index);
+    const PlanChoice choice = PlanRangeQuery(
+        *snap_view, predicate.conditions(), options_.build_index);
     mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
                                                  : QueryMode::kSeqScan;
   }
@@ -194,7 +193,7 @@ Status ExhIndex::SearchScan(SearchKind kind, double T, double V,
   }
   if (!options_.build_index) {
     return Status::InvalidArgument(
-        "index scan requested but the index was not built");
+        "index scan requested but the store has no index");
   }
   SEGDIFF_ASSIGN_OR_RETURN(BPlusTree * tree, table_->GetIndex("ptdv"));
   IndexScanSpec spec = scope.index_spec();

@@ -90,7 +90,8 @@ class ExhIndex : public FeatureSink {
   /// `destination_path` (Database::CompactInto). Prefer this over
   /// db()->CompactInto(): it guarantees the compacted store's ingest
   /// blob is consistent with its table, so it reopens as a valid
-  /// resume point.
+  /// resume point. The copy's table is columnar and carries no index
+  /// (see SegDiffIndex::Compact).
   Status Compact(const std::string& destination_path);
 
   /// Salvages everything still readable into a fresh store at

@@ -505,11 +505,11 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
       QueryMode mode = options.mode;
       if (mode == QueryMode::kIndexScan && !options_.build_indexes) {
         return Status::InvalidArgument(
-            "index scan requested but indexes were not built");
+            "index scan requested but the store has no indexes");
       }
       if (mode == QueryMode::kAuto) {
         const PlanChoice choice =
-            PlanRangeQuery(*view, columnar, make_predicate(query).conditions(),
+            PlanRangeQuery(*view, make_predicate(query).conditions(),
                            options_.build_indexes);
         mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
                                                      : QueryMode::kSeqScan;

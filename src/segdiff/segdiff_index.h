@@ -112,15 +112,18 @@ class SegDiffIndex : public FeatureSink {
   /// `destination_path` (Database::CompactInto). Prefer this over
   /// db()->CompactInto(): it guarantees the compacted store's ingest
   /// blob is consistent with its tables, so it reopens as a valid
-  /// resume point.
+  /// resume point. The copy's tables are columnar and carry no
+  /// indexes, so it reopens with build_indexes = false and refuses
+  /// kIndexScan.
   Status Compact(const std::string& destination_path);
 
   /// Salvages everything still readable into a fresh store at
   /// `destination_path` (Database::Repair): corrupt pages and segments
   /// are skipped and accounted in `report`, surviving rows are copied
-  /// and indexes rebuilt. The source store is not modified. The copied
-  /// ingest blob reflects the current pipeline state, so the repaired
-  /// store reopens as a valid resume point.
+  /// into columnar segments, without indexes, as Compact does. The
+  /// source store is not modified. The copied ingest blob reflects the
+  /// current pipeline state, so the repaired store reopens as a valid
+  /// resume point.
   Status Repair(const std::string& destination_path, RepairReport* report);
 
   SegDiffSizes GetSizes() const;

@@ -30,17 +30,16 @@
 //
 // The write path stays on the row format: segments are only produced by
 // CompactInto-style conversion of sealed row pages, and appends after
-// conversion land in the table's row-format heap tail.
+// conversion land in the table's row-format heap tail. A table with
+// segments carries no B+-tree index (see Table), so segments are only
+// ever read by scans: there is no point read by record id.
 
 #ifndef SEGDIFF_STORAGE_COLUMN_PAGE_H_
 #define SEGDIFF_STORAGE_COLUMN_PAGE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -98,8 +97,8 @@ struct ColumnDirEntry {
 std::string EncodeColumnSegment(const char* records, size_t num_columns,
                                 size_t rows);
 
-/// Sequential decoder over one encoded column. Decode/Skip advance the
-/// cursor; total Decode+Skip counts must not exceed the segment's rows.
+/// Sequential decoder over one encoded column. Decode advances the
+/// cursor; the total decoded must not exceed the segment's rows.
 class ColumnCursor {
  public:
   ColumnCursor() = default;
@@ -107,13 +106,6 @@ class ColumnCursor {
 
   /// Decodes the next `n` values into `out`.
   void Decode(size_t n, double* out);
-
-  /// Advances past `n` values without materializing them. O(1) for
-  /// kForPacked and kRaw; O(n) walk for kDeltaPacked and kXor (both
-  /// carry running state).
-  void Skip(size_t n);
-
-  size_t position() const { return pos_; }
 
  private:
   void DecodePacked(size_t n, double* out);
@@ -151,10 +143,6 @@ class ColumnSegmentHandle {
   /// Decodes all rows of column `c` into `out` (rows() doubles).
   Status DecodeColumn(size_t c, double* out);
 
-  /// Materializes one row into `record` (num_columns() doubles). Point
-  /// reads; scans should use cursors instead.
-  Status ReadRow(size_t row, char* record);
-
  private:
   ColumnSegmentHandle() = default;
 
@@ -175,15 +163,13 @@ class ColumnSegmentHandle {
 };
 
 /// A table's columnar portion: an ordered list of immutable segments.
-/// Row addressing: RecordId{segment.first_page, row index within the
-/// segment} — stable across reopen because the directory is persisted.
+/// Scans report each row as RecordId{segment.first_page, row index
+/// within the segment}; nothing resolves such an id back to a row.
 class ColumnStore {
  public:
   /// Upper bound on rows per segment. Large enough to amortize headers
   /// and give the bit-packed encodings long runs; small enough that one
-  /// decoded segment (all columns) stays cache-friendly and a point
-  /// read's sequential decode stays cheap. Must stay below 2^20 so the
-  /// row index fits RecordId::Pack's slot field.
+  /// decoded segment (all columns) stays cache-friendly.
   static constexpr size_t kMaxSegmentRows = 4096;
 
   /// Fresh, empty columnar portion.
@@ -209,28 +195,10 @@ class ColumnStore {
   /// Opens segment `idx` for scanning (fetches + verifies its pages).
   Result<ColumnSegmentHandle> OpenSegment(size_t idx) const;
 
-  /// Segment index owning `first_page`, or npos.
-  static constexpr size_t npos = static_cast<size_t>(-1);
-  size_t FindSegment(PageId first_page) const;
-
-  /// Point read of the row addressed by `id` into `record`
-  /// (num_columns() doubles). Caches the last decoded segment, so index
-  /// scans that fetch several rows of one segment pay one decode.
-  Status ReadRow(RecordId id, char* record) const;
-
  private:
-  struct DecodedSegment {
-    PageId first_page = kInvalidPageId;
-    size_t rows = 0;
-    std::vector<double> values;  ///< columns x rows, column-major
-  };
-
   BufferPool* pool_;
   size_t num_columns_;
   ColumnStoreMeta meta_;
-  std::unordered_map<PageId, size_t> by_first_page_;
-  mutable std::mutex cache_mu_;
-  mutable std::shared_ptr<DecodedSegment> cache_;
 };
 
 }  // namespace segdiff

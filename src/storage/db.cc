@@ -105,6 +105,9 @@ Result<std::unique_ptr<Database>> Database::Open(
         std::unique_ptr<Table> table,
         Table::Attach(db->pool_.get(), meta.name, std::move(meta.schema),
                       meta.heap, std::move(meta.columnar)));
+    // An index recorded on a table with columnar segments (the shape
+    // compaction wrote before converted tables dropped their indexes)
+    // fails the open here with Corruption.
     for (IndexMeta& index : meta.indexes) {
       SEGDIFF_RETURN_IF_ERROR(table->AttachIndex(
           index.name, std::move(index.key_columns), index.meta_page));
@@ -529,6 +532,16 @@ Status Database::CopyInto(const std::string& destination_path, bool salvage,
             Row row = DecodeRow(table->schema(), record);
             return copy->Insert(row).status();
           }));
+      // Only tables that stay in row format keep their indexes; a
+      // converted table carries none, even when it holds no rows.
+      for (const TableIndex& index : table->indexes()) {
+        std::vector<std::string> columns;
+        for (size_t column : index.key_columns) {
+          columns.push_back(table->schema().column(column).name);
+        }
+        SEGDIFF_RETURN_IF_ERROR(
+            copy->CreateIndex(index.name, columns).status());
+      }
     }
     if (report != nullptr) {
       ++report->tables;
@@ -536,13 +549,6 @@ Status Database::CopyInto(const std::string& destination_path, bool salvage,
       report->pages_skipped += salvage_stats.pages_skipped;
       report->segments_skipped += salvage_stats.segments_skipped;
       report->rows_lost += salvage_stats.rows_lost;
-    }
-    for (const TableIndex& index : table->indexes()) {
-      std::vector<std::string> columns;
-      for (size_t column : index.key_columns) {
-        columns.push_back(table->schema().column(column).name);
-      }
-      SEGDIFF_RETURN_IF_ERROR(copy->CreateIndex(index.name, columns).status());
     }
   }
   fresh->meta_ = meta_;  // ingest state etc. survives compaction

@@ -204,13 +204,14 @@ class Database {
   std::vector<WalRecord> TakeRecoveredOps();
   bool HasRecoveredOps() const { return !recovered_ops_.empty(); }
 
-  /// Rewrites every table and index into a fresh database file at
+  /// Rewrites every table into a fresh database file at
   /// `destination_path` (which must not exist), reclaiming the garbage
   /// pages left behind by DeleteWhere rewrites and abandoned extents.
   /// Eligible tables (all-double, at most ZoneMap::kMaxColumns columns)
   /// are converted to compressed columnar segments on the way — the
-  /// row→columnar lifecycle step; tables with other schemas stay in
-  /// row format. This database is not modified. Catalog blobs are
+  /// row→columnar lifecycle step — and lose their indexes (see Table's
+  /// invariant); tables with other schemas stay in row format and keep
+  /// theirs. This database is not modified. Catalog blobs are
   /// copied from the in-memory map, which owning engines only refresh
   /// when they persist their state — callers holding a
   /// SegDiffIndex/ExhIndex must compact through the index's Compact()
@@ -220,13 +221,14 @@ class Database {
 
   /// Best-effort rebuild into a fresh store at `destination_path` (which
   /// must not exist): every row still readable — skipping quarantined
-  /// heap pages and corrupt columnar segments — is copied and indexes
-  /// are rebuilt from the survivors; `report` (required) records what
-  /// was salvaged and what was lost. WAL recovery happened at Open, so
-  /// acknowledged rows the data file lost are already back before the
-  /// copy starts. This database is not modified; after a successful
-  /// repair the caller switches to the fresh store and discards this
-  /// one.
+  /// heap pages and corrupt columnar segments — is copied the way
+  /// CompactInto copies (converted tables carry no index, row-format
+  /// ones get theirs rebuilt from the survivors); `report` (required)
+  /// records what was salvaged and what was lost. WAL recovery happened
+  /// at Open, so acknowledged rows the data file lost are already back
+  /// before the copy starts. This database is not modified; after a
+  /// successful repair the caller switches to the fresh store and
+  /// discards this one.
   Status Repair(const std::string& destination_path, RepairReport* report);
 
   /// True once a storage failure flipped the store read-only.

@@ -67,9 +67,11 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
   if (page_count * kPageSize > size) {
     return Status::Corruption("header page count exceeds file: " + path);
   }
+  // Checked before any Pager exists: ~Pager rewrites the header, which
+  // would stamp a fresh trailer over the damage this check reports.
+  SEGDIFF_RETURN_IF_ERROR(VerifyPageBuffer(path, 0, header));
   std::unique_ptr<Pager> pager(
       new Pager(path, std::move(file), page_count, vfs, /*created=*/false));
-  SEGDIFF_RETURN_IF_ERROR(pager->VerifyPageBuffer(0, header));
   // Pre-WAL v2 files carry zeros here, which reads back as "nothing
   // applied" — exactly right.
   pager->applied_lsn_.store(DecodeFixed64(header + 16));
@@ -88,10 +90,11 @@ void Pager::SetSimulatedReadLatency(uint64_t seq_ns, uint64_t random_ns) {
   sim_random_read_ns_ = random_ns;
 }
 
-Status Pager::VerifyPageBuffer(PageId id, const char* buf) const {
+Status Pager::VerifyPageBuffer(const std::string& path, PageId id,
+                               const char* buf) {
   const uint32_t magic = DecodeFixed32(buf + kPageCapacity + 4);
   if (magic != kTrailerMagic) {
-    return Status::Corruption("page " + std::to_string(id) + " of " + path_ +
+    return Status::Corruption("page " + std::to_string(id) + " of " + path +
                               " has no valid trailer (torn or zeroed page)");
   }
   const uint32_t stored = DecodeFixed32(buf + kPageCapacity);
@@ -101,7 +104,7 @@ Status Pager::VerifyPageBuffer(PageId id, const char* buf) const {
     std::snprintf(detail, sizeof(detail), " (stored 0x%08x, computed 0x%08x)",
                   stored, computed);
     return Status::Corruption("checksum mismatch on page " +
-                              std::to_string(id) + " of " + path_ + detail);
+                              std::to_string(id) + " of " + path + detail);
   }
   return Status::OK();
 }
@@ -132,7 +135,7 @@ Status Pager::ReadPage(PageId id, char* buf) {
   last_read_page_.store(id, std::memory_order_relaxed);
   SEGDIFF_RETURN_IF_ERROR(file_->Read(id * kPageSize, kPageSize, buf));
   if (verify_checksums_) {
-    Status status = VerifyPageBuffer(id, buf);
+    Status status = VerifyPageBuffer(path_, id, buf);
     if (status.IsCorruption()) {
       // Remember the bad page: scans that opt into partial results route
       // around quarantined ranges instead of failing the whole query.
@@ -247,7 +250,7 @@ Result<ScrubReport> Pager::Scrub() {
     ++report.pages_checked;
     Status status = file_->Read(id * kPageSize, kPageSize, buf.data());
     if (status.ok()) {
-      status = VerifyPageBuffer(id, buf.data());
+      status = VerifyPageBuffer(path_, id, buf.data());
     }
     if (!status.ok()) {
       report.corrupt.push_back(ScrubIssue{id, status.ToString()});

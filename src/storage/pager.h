@@ -15,8 +15,9 @@
 //     also fsyncs the parent directory once, so a crash right after
 //     Create cannot lose the store's directory entry.
 // A header naming any other version (such as the trailer-less v1)
-// fails Open with Corruption("unsupported version N") and the file is
-// left untouched.
+// fails Open with Corruption("unsupported version N"), and a header
+// whose own checksum fails fails it with Corruption naming page 0; in
+// both cases the file is left untouched.
 
 #ifndef SEGDIFF_STORAGE_PAGER_H_
 #define SEGDIFF_STORAGE_PAGER_H_
@@ -156,8 +157,10 @@ class Pager {
         needs_dir_sync_(created) {}
 
   Status WriteHeader();
-  /// Checksum check for one page already read into `buf`.
-  Status VerifyPageBuffer(PageId id, const char* buf) const;
+  /// Checksum check for one page of the file at `path`, already read
+  /// into `buf`.
+  static Status VerifyPageBuffer(const std::string& path, PageId id,
+                                 const char* buf);
 
   std::string path_;
   std::unique_ptr<RandomAccessFile> file_;

@@ -308,18 +308,8 @@ Status Table::EnsureZoneMap() {
   return Status::OK();
 }
 
-Result<Row> Table::ReadRow(RecordId id) const {
-  std::vector<char> buf(schema_.RowBytes());
-  SEGDIFF_RETURN_IF_ERROR(ReadRecord(id, buf.data()));
-  return DecodeRow(schema_, buf.data());
-}
-
 Status Table::ReadRecord(RecordId id, char* buf,
                          const DatabaseSnapshot* snapshot) const {
-  if (columnar_ != nullptr && columnar_->FindSegment(id.page) !=
-                                  ColumnStore::npos) {
-    return columnar_->ReadRow(id, buf);
-  }
   return heap_->ReadRecord(
       id, buf, snapshot == nullptr ? nullptr : snapshot->pool_snapshot());
 }
@@ -327,6 +317,11 @@ Status Table::ReadRecord(RecordId id, char* buf,
 Result<BPlusTree*> Table::CreateIndex(
     const std::string& index_name,
     const std::vector<std::string>& columns) {
+  if (columnar_ != nullptr) {
+    return Status::InvalidArgument("table '" + name_ +
+                                   "' has columnar segments and takes no "
+                                   "index; scans prune its segments instead");
+  }
   if (columns.empty() ||
       columns.size() > static_cast<size_t>(kMaxIndexArity)) {
     return Status::InvalidArgument("index needs 1..4 key columns");
@@ -350,15 +345,13 @@ Result<BPlusTree*> Table::CreateIndex(
       BPlusTree::Create(pool_, static_cast<int>(columns.size())));
   index.tree = std::make_unique<BPlusTree>(std::move(tree));
 
-  // Back-fill from existing rows — the full table scan, so columnar
-  // rows (with their {segment, row} record ids) are indexed too.
-  Status backfill = Scan(
+  // Back-fill from the heap's existing rows.
+  SEGDIFF_RETURN_IF_ERROR(heap_->Scan(
       [&](const char* record, RecordId rid, bool* keep_going) -> Status {
         *keep_going = true;
         SEGDIFF_ASSIGN_OR_RETURN(IndexKey key, MakeKey(index, record, rid));
         return index.tree->Insert(key);
-      });
-  SEGDIFF_RETURN_IF_ERROR(backfill);
+      }));
   indexes_.push_back(std::move(index));
   return indexes_.back().tree.get();
 }
@@ -366,6 +359,11 @@ Result<BPlusTree*> Table::CreateIndex(
 Status Table::AttachIndex(const std::string& index_name,
                           std::vector<size_t> key_columns,
                           PageId meta_page) {
+  if (columnar_ != nullptr) {
+    return Status::Corruption("catalog records index '" + index_name +
+                              "' on table '" + name_ +
+                              "', which has columnar segments");
+  }
   SEGDIFF_ASSIGN_OR_RETURN(BPlusTree tree,
                            BPlusTree::Attach(pool_, meta_page));
   TableIndex index;

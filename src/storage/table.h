@@ -33,6 +33,12 @@ struct TableIndex {
 /// maintains every index and always lands in the heap; scans stream the
 /// columnar segments first, then the heap, so visit order is insertion
 /// order regardless of format.
+///
+/// Invariant: a table with columnar segments carries no index. Indexes
+/// are the paper's row-store access path; on a compacted table every
+/// read is a (segment-pruned) scan. CreateIndex refuses such a table,
+/// AppendColumnarSegment refuses a table that has an index, and
+/// AttachIndex reports a catalog recording both as Corruption.
 class Table {
  public:
   /// Creates a fresh table (allocates its heap file).
@@ -114,12 +120,9 @@ class Table {
   /// errors (I/O) still fail the scan.
   Status ScanSalvage(const HeapFile::ScanFn& fn, SalvageStats* stats) const;
 
-  /// Materializes the row at `id`.
-  Result<Row> ReadRow(RecordId id) const;
-
-  /// Copies the encoded record at `id` into `buf` (schema().RowBytes()).
-  /// Resolves both heap record ids and columnar ids ({segment first
-  /// page, row index}), so index scans work across both formats.
+  /// Copies the encoded heap record at `id` into `buf`
+  /// (schema().RowBytes()) — the index scan's fetch. Only heap ids
+  /// resolve: a table with an index has no columnar segments.
   Status ReadRecord(RecordId id, char* buf,
                     const DatabaseSnapshot* snapshot = nullptr) const;
 
@@ -128,9 +131,9 @@ class Table {
 
   /// Appends `rows` row-major encoded records as one compressed
   /// columnar segment — the compaction-time conversion path. Only legal
-  /// on an all-double schema of at most ZoneMap::kMaxColumns columns,
-  /// before any heap rows or indexes exist (so scan order stays
-  /// insertion order and indexes never miss rows).
+  /// on an all-double schema of at most ZoneMap::kMaxColumns columns
+  /// without an index, before any heap rows exist (so scan order stays
+  /// insertion order).
   Status AppendColumnarSegment(const char* records, size_t rows);
 
   /// Per-format storage accounting for stats/EXPLAIN surfaces.
@@ -148,10 +151,12 @@ class Table {
 
   /// Adds an empty index over the named columns (all kDouble, at most
   /// kMaxIndexArity) and back-fills it from existing rows.
+  /// InvalidArgument on a table with columnar segments.
   Result<BPlusTree*> CreateIndex(const std::string& index_name,
                                  const std::vector<std::string>& columns);
 
-  /// Attaches an existing index (catalog restart path).
+  /// Attaches an existing index (catalog restart path). Corruption on a
+  /// table with columnar segments.
   Status AttachIndex(const std::string& index_name,
                      std::vector<size_t> key_columns, PageId meta_page);
 

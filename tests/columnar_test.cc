@@ -9,13 +9,16 @@
 // the scan even when segment-level pruning would skip its rows.
 //
 // Layers under test, bottom-up: the encoders (bit-exact roundtrip over
-// adversarial doubles), ColumnStore append/reopen/point reads (catalog
-// v3), and the executor's columnar path (serial, parallel, count-only,
-// and SQL end-to-end) against the row format as the oracle.
+// adversarial doubles), ColumnStore append/reopen (catalog v3), the
+// "columnar tables carry no index" invariant, and the executor's
+// columnar path (serial, parallel, count-only, and SQL end-to-end)
+// against the row format as the oracle.
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -30,8 +33,11 @@
 #include "query/executor.h"
 #include "query/scan_kernel.h"
 #include "sql/engine.h"
+#include "storage/buffer_pool.h"
+#include "storage/catalog.h"
 #include "storage/column_page.h"
 #include "storage/db.h"
+#include "storage/pager.h"
 #include "storage/record.h"
 
 namespace segdiff {
@@ -89,19 +95,6 @@ void ExpectRoundTrip(const std::vector<std::vector<double>>& cols) {
           << "column " << c << " row " << r << " ("
           << ColumnEncodingName(dir.encoding) << "): " << cols[c][r]
           << " decoded as " << decoded[r];
-    }
-    // Skip/Decode interleaving must land on the same values.
-    if (rows >= 8) {
-      ColumnCursor skipper(&dir, blob.data() + offset, rows);
-      skipper.Skip(3);
-      double v[4];
-      skipper.Decode(4, v);
-      for (int i = 0; i < 4; ++i) {
-        uint64_t want = 0, got = 0;
-        std::memcpy(&want, &cols[c][3 + i], 8);
-        std::memcpy(&got, &v[i], 8);
-        EXPECT_EQ(got, want) << "skip-decode column " << c << " row " << 3 + i;
-      }
     }
   }
 }
@@ -416,30 +409,65 @@ TEST_F(ColumnarDifferentialTest, PrunedSegmentsAccountAllRows) {
   EXPECT_EQ(survey.rows_total, store->row_count());
 }
 
-TEST_F(ColumnarDifferentialTest, PointReadsMatchAcrossFormats) {
-  Build(SensorRows(9000, 23));
-  const size_t bytes = row_table_->schema().num_columns() * 8;
-  // Collect (record, id) pairs from both stores in scan order; the ids
-  // differ (heap slots vs segment offsets) but the payloads must not.
-  std::vector<std::pair<std::string, RecordId>> row_ids, col_ids;
-  auto collect = [bytes](std::vector<std::pair<std::string, RecordId>>* out) {
-    return [out, bytes](const char* record, RecordId id, bool* keep_going) {
-      *keep_going = true;
-      out->emplace_back(std::string(record, bytes), id);
-      return Status::OK();
-    };
-  };
-  ASSERT_TRUE(row_table_->Scan(collect(&row_ids)).ok());
-  ASSERT_TRUE(col_table_->Scan(collect(&col_ids)).ok());
-  ASSERT_EQ(row_ids.size(), col_ids.size());
-  std::vector<char> buf(bytes);
-  for (size_t i = 0; i < col_ids.size(); i += 97) {
-    ASSERT_EQ(row_ids[i].first, col_ids[i].first) << "scan order diverged";
-    // ReadRecord through the columnar RecordId returns the same bytes.
-    ASSERT_TRUE(col_table_->ReadRecord(col_ids[i].second, buf.data()).ok());
-    EXPECT_EQ(std::string(buf.data(), bytes), col_ids[i].first)
-        << "point read " << i;
+// A table with columnar segments carries no index: both ways to add one
+// are refused before anything is allocated, and the row twin still
+// takes one.
+TEST_F(ColumnarDifferentialTest, CompactedTablesRefuseIndexes) {
+  Build(SensorRows(5000, 31));
+  ASSERT_NE(col_table_->columnar(), nullptr);
+  EXPECT_TRUE(col_table_->indexes().empty());
+  const uint64_t pages = col_db_->pager()->page_count();
+
+  Result<BPlusTree*> created = col_table_->CreateIndex("ix", {"dt", "dv"});
+  EXPECT_TRUE(created.status().IsInvalidArgument())
+      << created.status().ToString();
+  sql::Engine engine(col_db_.get());
+  auto sql_created = engine.Execute("CREATE INDEX ix ON f (dt, dv)");
+  EXPECT_TRUE(sql_created.status().IsInvalidArgument())
+      << sql_created.status().ToString();
+  EXPECT_TRUE(col_table_->indexes().empty());
+  EXPECT_EQ(col_db_->pager()->page_count(), pages);
+
+  EXPECT_TRUE(row_table_->CreateIndex("ix", {"dt", "dv"}).ok());
+}
+
+// A catalog recording an index on a table with columnar segments — what
+// compaction wrote before converted tables dropped their indexes — fails
+// the open with Corruption naming the table, and leaves the file as it
+// was.
+TEST_F(ColumnarDifferentialTest, CatalogIndexOnColumnarTableIsRefused) {
+  Build(SensorRows(5000, 37));
+  col_db_.reset();
+  {
+    auto pager = Pager::Open(col_path_, /*create=*/false);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    BufferPool pool(pager->get(), 64);
+    auto catalog = ReadCatalog(&pool);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    ASSERT_EQ(catalog->tables.size(), 1u);
+    ASSERT_FALSE(catalog->tables[0].columnar.segments.empty());
+    auto tree = BPlusTree::Create(&pool, 2);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    catalog->tables[0].indexes.push_back(
+        IndexMeta{"ix", {0, 1}, tree->meta_page()});
+    ASSERT_TRUE(WriteCatalog(&pool, *catalog).ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
   }
+  auto file_bytes = [this] {
+    std::ifstream in(col_path_, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string before = file_bytes();
+  DatabaseOptions options;
+  options.create_if_missing = false;
+  auto db = Database::Open(col_path_, options);
+  ASSERT_FALSE(db.ok()) << "opened an index over columnar segments";
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  EXPECT_NE(std::string(db.status().message()).find("table 'f'"),
+            std::string::npos)
+      << db.status().ToString();
+  EXPECT_EQ(file_bytes(), before) << "the refused open modified the file";
 }
 
 TEST_F(ColumnarDifferentialTest, SqlEndToEndAgreesAcrossFormats) {

@@ -876,6 +876,49 @@ TEST_F(FaultInjectionTest, OlderFormatVersionsAreRefusedUntouched) {
   std::remove(Wal::PathFor(path_).c_str());
 }
 
+// A header that fails its own checksum fails every open, and no failed
+// open repairs it by rewriting the header.
+TEST_F(FaultInjectionTest, DamagedHeaderFailsEveryOpenUntouched) {
+  std::remove(Wal::PathFor(path_).c_str());
+  {
+    DatabaseOptions options;
+    options.wal = false;
+    auto db = Database::Open(path_, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto schema = DoubleSchema({"a", "b"});
+    ASSERT_TRUE(schema.ok());
+    auto table = (*db)->CreateTable("t", *schema);
+    ASSERT_TRUE(table.ok());
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE((*table)->InsertDoubles({double(i), double(-i)}).ok());
+    }
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  // Byte 100 lies past the header's fields, in bytes no reader parses:
+  // only page 0's checksum notices the flip.
+  FlipByte(path_, 100);
+  auto file_bytes = [this] {
+    std::ifstream in(path_, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string before = file_bytes();
+  for (int attempt = 1; attempt <= 2; ++attempt) {
+    DatabaseOptions options;
+    options.create_if_missing = false;
+    auto db = Database::Open(path_, options);
+    ASSERT_FALSE(db.ok()) << "open " << attempt << " accepted the header";
+    EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+    EXPECT_NE(std::string(db.status().message()).find("page 0"),
+              std::string::npos)
+        << db.status().ToString();
+    EXPECT_EQ(file_bytes(), before) << "open " << attempt
+                                    << " rewrote the file";
+    EXPECT_FALSE(Vfs::Default()->FileExists(Wal::PathFor(path_)))
+        << "open " << attempt << " created a WAL sidecar";
+  }
+  std::remove(Wal::PathFor(path_).c_str());
+}
+
 // ---------------------------------------------------------------------------
 // WAL crash recovery (DESIGN.md §13): acknowledged group commits survive
 // any crash, torn log tails are detected and trimmed, replay is

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +39,7 @@ class GuaranteesTest : public ::testing::TestWithParam<GuaranteeCase> {
     // Per test, not per (seed, eps): the TEST_P cases of one parameter
     // run concurrently under ctest -j and must not share a store or WAL.
     path_ = UniqueTestPath("segdiff_guarantees");
+    compact_path_ = UniqueTestPath("segdiff_guarantees", "_compact.db");
     RemoveStore();
     CadGeneratorOptions gen;
     gen.seed = GetParam().seed;
@@ -48,10 +50,9 @@ class GuaranteesTest : public ::testing::TestWithParam<GuaranteeCase> {
     ASSERT_TRUE(data.ok());
     series_ = std::move(data->series);
 
-    SegDiffOptions options;
-    options.eps = GetParam().eps;
-    options.window_s = 4 * 3600.0;
-    auto index = SegDiffIndex::Open(path_, options);
+    options_.eps = GetParam().eps;
+    options_.window_s = 4 * 3600.0;
+    auto index = SegDiffIndex::Open(path_, options_);
     ASSERT_TRUE(index.ok());
     index_ = std::move(index).value();
     ASSERT_TRUE(index_->IngestSeries(series_).ok());
@@ -61,11 +62,15 @@ class GuaranteesTest : public ::testing::TestWithParam<GuaranteeCase> {
     RemoveStore();
   }
   void RemoveStore() {
-    std::remove(path_.c_str());
-    std::remove(Wal::PathFor(path_).c_str());
+    for (const std::string& path : {path_, compact_path_}) {
+      std::remove(path.c_str());
+      std::remove(Wal::PathFor(path).c_str());
+    }
   }
 
   std::string path_;
+  std::string compact_path_;
+  SegDiffOptions options_;
   Series series_;
   std::unique_ptr<SegDiffIndex> index_;
 };
@@ -128,6 +133,60 @@ TEST_P(GuaranteesTest, IndexScanUpholdsTheSameGuarantees) {
   ASSERT_TRUE(results.ok());
   const auto events = naive.SearchDrops(T, V);
   EXPECT_TRUE(CheckCoverage(events, *results).AllCovered());
+}
+
+// Compaction converts every feature table to columnar segments and
+// drops its indexes: kAuto on the copy must return the row store's pairs
+// in the same order and uphold Theorem 1, and the index path is refused.
+TEST_P(GuaranteesTest, CompactedStoreUpholdsTheSameGuarantees) {
+  ASSERT_TRUE(index_->Compact(compact_path_).ok());
+  auto compacted = SegDiffIndex::Open(compact_path_, options_);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  NaiveSearcher naive(series_);
+  const double eps = GetParam().eps;
+  SearchOptions automatic;
+  automatic.mode = QueryMode::kAuto;
+  struct Query {
+    SearchKind kind;
+    double T;
+    double V;
+  };
+  std::vector<Query> queries;
+  for (double T : {1800.0, 3600.0}) {
+    for (double V : {-1.5, -3.0, -6.0}) {
+      queries.push_back({SearchKind::kDrop, T, V});
+    }
+  }
+  queries.push_back({SearchKind::kJump, 3600.0, 3.0});
+  for (const Query& q : queries) {
+    const bool drop = q.kind == SearchKind::kDrop;
+    auto search = [&](SegDiffIndex* store) {
+      return drop ? store->SearchDrops(q.T, q.V, automatic)
+                  : store->SearchJumps(q.T, q.V, automatic);
+    };
+    auto row = search(index_.get());
+    auto results = search(compacted->get());
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    ASSERT_EQ(results->size(), row->size()) << "T=" << q.T << " V=" << q.V;
+    for (size_t i = 0; i < row->size(); ++i) {
+      EXPECT_EQ((*results)[i], (*row)[i])
+          << "T=" << q.T << " V=" << q.V << " pair " << i;
+    }
+    const auto events =
+        drop ? naive.SearchDrops(q.T, q.V) : naive.SearchJumps(q.T, q.V);
+    EXPECT_TRUE(CheckCoverage(events, *results).AllCovered())
+        << "T=" << q.T << " V=" << q.V;
+    auto violations =
+        FindToleranceViolations(series_, *results, q.T, q.V, eps, q.kind);
+    ASSERT_TRUE(violations.ok());
+    EXPECT_TRUE(violations->empty()) << "T=" << q.T << " V=" << q.V;
+  }
+  SearchOptions idx;
+  idx.mode = QueryMode::kIndexScan;
+  EXPECT_TRUE((*compacted)->SearchDrops(3600.0, -3.0, idx)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 // The guarantees are distribution-free: re-verify on pure random walks

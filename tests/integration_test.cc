@@ -134,14 +134,25 @@ TEST_F(IntegrationTest, FullWorkflow) {
   }
 
   // 7. Compaction shrinks the file (extent slack) and preserves answers.
+  //    The compacted store is columnar and carries no indexes, so the
+  //    index path is refused there, as on a --no-index store.
   ASSERT_TRUE((*reopened)->Compact(compact_path_).ok());
   auto compacted = SegDiffIndex::Open(compact_path_, options);
   ASSERT_TRUE(compacted.ok());
   EXPECT_LE((*compacted)->GetSizes().file_bytes,
             (*reopened)->GetSizes().file_bytes);
-  auto drops_compacted = (*compacted)->SearchDrops(T, V, idx);
-  ASSERT_TRUE(drops_compacted.ok());
-  EXPECT_EQ(drops_compacted->size(), drops_seq->size());
+  SearchOptions automatic;
+  automatic.mode = QueryMode::kAuto;
+  for (const SearchOptions& mode : {seq, automatic}) {
+    auto drops_compacted = (*compacted)->SearchDrops(T, V, mode);
+    ASSERT_TRUE(drops_compacted.ok()) << drops_compacted.status().ToString();
+    ASSERT_EQ(drops_compacted->size(), drops_seq->size());
+    for (size_t i = 0; i < drops_seq->size(); ++i) {
+      EXPECT_EQ((*drops_compacted)[i], (*drops_seq)[i]);
+    }
+  }
+  EXPECT_TRUE(
+      (*compacted)->SearchDrops(T, V, idx).status().IsInvalidArgument());
 
   // 8. SQL introspection agrees with the library's own accounting.
   sql::Engine engine((*compacted)->db());
@@ -158,11 +169,18 @@ TEST_F(IntegrationTest, FullWorkflow) {
     feature_rows += static_cast<uint64_t>(one->rows[0][0].i);
   }
   EXPECT_EQ(feature_rows, (*compacted)->GetSizes().feature_rows);
-  // The paper's point query, written as SQL against the store.
-  auto sql_drops = engine.Execute(
-      "SELECT COUNT(*) FROM drop1 WHERE dt1 <= 3600 AND dv1 <= -3");
+  // The paper's point query, written as SQL: a sequential scan on the
+  // compacted store, an index scan on the row store, the same count.
+  const char* kPointQuery =
+      "SELECT COUNT(*) FROM drop1 WHERE dt1 <= 3600 AND dv1 <= -3";
+  auto sql_drops = engine.Execute(kPointQuery);
   ASSERT_TRUE(sql_drops.ok());
-  EXPECT_NE(sql_drops->access_path.find("index_scan"), std::string::npos);
+  EXPECT_NE(sql_drops->access_path.find("seq_scan"), std::string::npos);
+  sql::Engine row_engine((*reopened)->db());
+  auto row_drops = row_engine.Execute(kPointQuery);
+  ASSERT_TRUE(row_drops.ok());
+  EXPECT_NE(row_drops->access_path.find("index_scan"), std::string::npos);
+  EXPECT_EQ(row_drops->rows[0][0].i, sql_drops->rows[0][0].i);
 }
 
 TEST_F(IntegrationTest, JumpWorkflowAndWindowBounds) {

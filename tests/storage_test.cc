@@ -577,6 +577,19 @@ TEST_F(StorageTest, CompactReclaimsDeleteGarbage) {
                       ->InsertDoubles({static_cast<double>(i % 7), i * 1.0})
                       .ok());
     }
+    // A BIGINT column keeps this table in row format through compaction.
+    auto wide_schema = TableSchema::Create(
+        {Column{"k", ColumnType::kDouble}, Column{"n", ColumnType::kInt64}});
+    ASSERT_TRUE(wide_schema.ok());
+    auto wide = (*db)->CreateTable("w", *wide_schema);
+    ASSERT_TRUE(wide.ok());
+    ASSERT_TRUE((*wide)->CreateIndex("wk", {"k"}).ok());
+    for (int i = 0; i < 1500; ++i) {
+      ASSERT_TRUE((*wide)
+                      ->Insert({Value::Double(static_cast<double>(i % 11)),
+                                Value::Int64(i)})
+                      .ok());
+    }
     // Churn: two delete rewrites leave dead pages behind.
     Predicate p1;
     p1.And(0, CmpOp::kLt, 2.0);
@@ -595,9 +608,17 @@ TEST_F(StorageTest, CompactReclaimsDeleteGarbage) {
     auto copy = (*compacted)->GetTable("t");
     ASSERT_TRUE(copy.ok());
     EXPECT_EQ((*copy)->row_count(), live_rows);
-    auto index = (*copy)->GetIndex("k");
+    // The converted table carries no index; the row-format one keeps
+    // its index, rebuilt over the copied rows.
+    ASSERT_NE((*copy)->columnar(), nullptr);
+    EXPECT_TRUE((*copy)->GetIndex("k").status().IsNotFound());
+    auto wide_copy = (*compacted)->GetTable("w");
+    ASSERT_TRUE(wide_copy.ok());
+    EXPECT_EQ((*wide_copy)->columnar(), nullptr);
+    EXPECT_EQ((*wide_copy)->row_count(), (*wide)->row_count());
+    auto index = (*wide_copy)->GetIndex("wk");
     ASSERT_TRUE(index.ok());
-    EXPECT_EQ((*index)->entry_count(), live_rows);
+    EXPECT_EQ((*index)->entry_count(), (*wide)->row_count());
     EXPECT_TRUE((*index)->CheckInvariants().ok());
     // Source is untouched.
     auto original = (*db)->GetTable("t");

@@ -42,12 +42,18 @@
 //                        (export the piecewise linear approximation,
 //                         e.g. for plotting the paper's Figure 1 (b))
 //   segdiff_cli compact  --db store.db --out compacted.db
+//                        (rewrites the store into compressed columnar
+//                         segments. The copy carries no B+-tree
+//                         indexes: searches scan and prune segments,
+//                         and search --mode index fails there with
+//                         InvalidArgument, as on a --no-index store)
 //   segdiff_cli repair   --db store.db --out repaired.db
 //                        (salvages everything still readable into a
 //                         fresh store: corrupt pages and columnar
 //                         segments are skipped and counted, every
-//                         surviving row is copied. The damaged source
-//                         is never written to)
+//                         surviving row is copied into columnar
+//                         segments without indexes, as compact does.
+//                         The damaged source is never written to)
 //   segdiff_cli transect build  --dir transect/ --sensors N [--days 7]
 //                        [--seed 20080325] [--eps 0.2] [--window-hours 8]
 //                        [--shard-sensors K] [--max-open M] [--threads T]
