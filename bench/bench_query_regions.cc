@@ -3,8 +3,11 @@
 // measuring per-query time for Exh and SegDiff, sequential scan and
 // index access, with warm cache (Figs 17-22) and cold cache
 // (Figs 23-24), plus the coverage (result count) of each query region
-// (Fig 16) and the hard-query boundary.
+// (Fig 16) and the hard-query boundary. A last column compacts the
+// SegDiff store and compares warm kAuto searches on the columnar copy
+// against its row source, cell by cell.
 
+#include <algorithm>
 #include <functional>
 #include <iostream>
 #include <vector>
@@ -63,6 +66,15 @@ int RunBench() {
   SEGDIFF_CHECK(seg.ok());
   SEGDIFF_CHECK_OK((*seg)->IngestSeries(series));
 
+  // The compacted copy: columnar feature tables, no B+-trees, so kAuto
+  // runs every query as part of one pass per feature table.
+  const std::string col_path = BenchDbPath("regions_segdiff_compact");
+  SEGDIFF_CHECK_OK((*seg)->Compact(col_path));
+  SegDiffOptions col_options = options;
+  col_options.create_if_missing = false;
+  auto col = SegDiffIndex::Open(col_path, col_options);
+  SEGDIFF_CHECK(col.ok()) << col.status().ToString();
+
   const std::string exh_path = BenchDbPath("regions_exh");
   ExhOptions exh_options;
   exh_options.window_s = PaperDefaults::kWindowS;
@@ -76,11 +88,14 @@ int RunBench() {
   Grid coverage_exh;
   Grid seg_seq_warm, seg_idx_warm, exh_seq_warm, exh_idx_warm;
   Grid seg_seq_cold, seg_idx_cold, exh_seq_cold, exh_idx_cold;
+  Grid auto_row_warm, auto_col_warm;
 
   SearchOptions seq;
   seq.mode = QueryMode::kSeqScan;
   SearchOptions idx;
   idx.mode = QueryMode::kIndexScan;
+  SearchOptions automatic;
+  automatic.mode = QueryMode::kAuto;
 
   auto run = [&](bool cold, const SearchOptions& mode, auto& system,
                  double T, double V, double* count) {
@@ -111,6 +126,19 @@ int RunBench() {
           run(false, seq, *exh, T, V, &coverage_exh.cell[vi][ti]);
       run(false, idx, *exh, T, V, nullptr);
       exh_idx_warm.cell[vi][ti] = run(false, idx, *exh, T, V, nullptr);
+      // Compacted copy vs row source under kAuto, warm: best of three
+      // after a priming run, so one noisy sample cannot flip a cell.
+      run(false, automatic, *seg, T, V, nullptr);
+      run(false, automatic, *col, T, V, nullptr);
+      auto_row_warm.cell[vi][ti] = auto_col_warm.cell[vi][ti] = 1e300;
+      for (int rep = 0; rep < 3; ++rep) {
+        auto_row_warm.cell[vi][ti] = std::min(
+            auto_row_warm.cell[vi][ti], run(false, automatic, *seg, T, V,
+                                            nullptr));
+        auto_col_warm.cell[vi][ti] = std::min(
+            auto_col_warm.cell[vi][ti], run(false, automatic, *col, T, V,
+                                            nullptr));
+      }
       // Cold pass.
       seg_seq_cold.cell[vi][ti] = run(true, seq, *seg, T, V, nullptr);
       seg_idx_cold.cell[vi][ti] = run(true, idx, *seg, T, V, nullptr);
@@ -175,6 +203,32 @@ int RunBench() {
             << "x (paper ~10x), seq cold " << Fmt(mean_seq_cold, 1)
             << "x (paper ~9x), index cold " << Fmt(mean_idx_cold, 1)
             << "x (paper ~20x)\n";
+
+  Grid ratio_col_row;
+  std::vector<double> ratios;
+  int slower = 0;
+  for (int vi = 0; vi < 6; ++vi) {
+    for (int ti = 0; ti < 5; ++ti) {
+      const double ratio =
+          auto_col_warm.cell[vi][ti] / auto_row_warm.cell[vi][ti];
+      ratio_col_row.cell[vi][ti] = ratio;
+      ratios.push_back(ratio);
+      slower += ratio > 1.1 ? 1 : 0;
+    }
+  }
+  std::sort(ratios.begin(), ratios.end());
+  PrintGrid(std::cout, "SegDiff kAuto, warm: row store", auto_row_warm, 2,
+            "ms");
+  PrintGrid(std::cout, "SegDiff kAuto, warm: compacted copy", auto_col_warm,
+            2, "ms");
+  PrintGrid(std::cout,
+            "SegDiff kAuto, warm: ratio compacted/row (> 1 = copy slower)",
+            ratio_col_row, 2, "x");
+  std::cout << "compacted slower (>1.1x) in " << slower << " of 30 cells; "
+            << "median " << Fmt((ratios[14] + ratios[15]) / 2, 2)
+            << "x, max " << Fmt(ratios.back(), 2) << "x\n";
+  col->reset();
+  RemoveBenchDb(col_path);
   RemoveBenchDb(seg_path);
   RemoveBenchDb(exh_path);
   return 0;

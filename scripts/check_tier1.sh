@@ -17,13 +17,15 @@
 #      still served), and a fixed-seed transect chaos smoke (crash
 #      mid-rebalance, bitrot isolation + repair, eviction-error
 #      surfacing)
-#   4. an AddressSanitizer build running the streaming-ingest and storage
+#   4. an AddressSanitizer + UndefinedBehaviorSanitizer build (any UBSan
+#      finding aborts its test) running the streaming-ingest and storage
 #      suites (the subsystems that serialize/restore raw state blobs),
 #      both engines' store-shell paths (Exh and SegDiff open, ingest and
-#      serial/parallel search), plus the `faults` and `governance` ctest
-#      groups (crash-recovery, fault injection, and cancellation — the
-#      error paths that exercise partially-initialized and
-#      partially-released state)
+#      serial/parallel search), the scan evaluator's suites (columnar
+#      decode, selection-bitmap kernels, zone maps), plus the `faults`
+#      and `governance` ctest groups (crash-recovery, fault injection,
+#      and cancellation — the error paths that exercise
+#      partially-initialized and partially-released state)
 #   5. a ThreadSanitizer build running the `concurrency` ctest group
 #      (snapshot reads racing WAL-backed ingest, admission control,
 #      cooperative cancellation, sharded scatter-gather fan-out racing
@@ -215,15 +217,16 @@ echo "wal smoke: recovered (${BASE_SEGMENTS} -> ${AFTER_SEGMENTS} segments)," \
 rm -rf "${WAL_WORK}"
 
 if [[ "${RUN_ASAN}" == "1" ]]; then
-  echo "== asan: configure + build (streaming + storage + fault suites) =="
+  echo "== asan: configure + build (streaming + storage + scan + fault suites) =="
   cmake -B build-asan -S . -DSEGDIFF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
     streaming_ingest_test storage_test segdiff_index_test \
     exh_naive_test parallel_query_test \
+    columnar_test scan_kernel_test zone_map_test \
     fault_injection_test chaos_test transect_chaos_test governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

@@ -444,16 +444,19 @@ Status BPlusTree::Iterator::Next() {
 
 Result<BPlusTree::Iterator> BPlusTree::Seek(const IndexKey& lower,
                                             const PoolSnapshot* snap) const {
-  PageId node_id = root_;
+  PageId node_id;
   if (snap != nullptr) {
     // The in-memory root may already be ahead of the snapshot (inserts
     // grow the tree upward); the snapshot's version of the metadata
-    // page records the root as of the snapshot epoch.
+    // page records the root as of the snapshot epoch. root_ itself is
+    // never read here: a concurrent Insert may be rewriting it.
     SEGDIFF_ASSIGN_OR_RETURN(PageHandle meta, pool_->Fetch(meta_page_, snap));
     if (DecodeFixed32(meta.data()) != kTreeMagic) {
       return Status::Corruption("bad B+tree meta magic in snapshot");
     }
     node_id = DecodeFixed64(meta.data() + 8);
+  } else {
+    node_id = root_;
   }
   const size_t key_bytes = KeyBytes();
   const size_t entry_bytes = InternalEntryBytes();

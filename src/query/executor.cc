@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/coding.h"
@@ -24,7 +25,14 @@ const ZoneMap* ResolveZoneMap(const Table& table,
   return table.zone_map();
 }
 
-/// Per-scan (per-partition, under ParallelSeqScan) page evaluator.
+/// Per-scan (per-partition, under ParallelSeqScan) page evaluator for
+/// an any-of scan: a row is selected when at least one predicate
+/// matches it, and is emitted once, in scan order. Each page or decoded
+/// batch is read once for all predicates: every predicate's conditions
+/// are ANDed into a selection bitmap by the kernels, and a predicate's
+/// residual runs only on its surviving rows that no residual-free or
+/// earlier predicate already selected.
+///
 /// Both modes walk identical pages and count identically, so serial,
 /// parallel, batched, and row-at-a-time scans all agree on
 /// rows_scanned + rows_pruned and pages_scanned + pages_pruned —
@@ -32,20 +40,26 @@ const ZoneMap* ResolveZoneMap(const Table& table,
 /// same fields, so totals also agree across storage formats.
 class PageEvaluator {
  public:
-  PageEvaluator(const Table& table, const Predicate& predicate,
+  PageEvaluator(const Table& table, std::span<const Predicate> predicates,
                 const SeqScanOptions& options, const RowCallback& callback)
-      : predicate_(predicate),
+      : predicates_(predicates),
         callback_(callback),
         record_bytes_(table.schema().RowBytes()),
         batch_(options.batch),
         skip_quarantined_(options.skip_quarantined),
-        prune_(options.prune && !predicate.conditions().empty()),
+        prune_(options.prune &&
+               std::any_of(predicates.begin(), predicates.end(),
+                           [](const Predicate& p) {
+                             return !p.conditions().empty();
+                           })),
         kernel_(ActiveScanKernel()),
         column_compare_(ActiveColumnCompare()),
-        zone_map_(options.prune && !predicate.conditions().empty()
-                      ? ResolveZoneMap(table, options)
-                      : nullptr),
-        ctx_(options.context) {}
+        zone_map_(prune_ ? ResolveZoneMap(table, options) : nullptr),
+        ctx_(options.context),
+        residual_bits_(predicates.size() * kBatchBitmapWords) {
+    active_.reserve(predicates.size());
+    residual_preds_.reserve(predicates.size());
+  }
 
   Status Evaluate(PageId page, const char* records, uint16_t count,
                   bool* keep_going) {
@@ -67,17 +81,21 @@ class PageEvaluator {
         }
       }
     }
+    ActivateAll();
     if (zone_map_ != nullptr) {
       const size_t zone = zone_map_->FindZone(page);
       // Prune only when the zone covers exactly the rows the page holds;
       // a mismatch (e.g. a crash persisted appends the checkpointed map
       // never saw) falls back to evaluating the whole page.
-      if (zone != ZoneMap::kNoZone &&
-          zone_map_->zone(zone).rows == count &&
-          !ZoneCanMatch(*zone_map_, zone, predicate_.conditions())) {
-        ++stats_.pages_pruned;
-        stats_.rows_pruned += count;
-        return Status::OK();
+      if (zone != ZoneMap::kNoZone && zone_map_->zone(zone).rows == count) {
+        KeepActiveIf([&](const Predicate& p) {
+          return ZoneCanMatch(*zone_map_, zone, p.conditions());
+        });
+        if (active_.empty()) {
+          ++stats_.pages_pruned;
+          stats_.rows_pruned += count;
+          return Status::OK();
+        }
       }
     }
     ++stats_.pages_scanned;
@@ -115,29 +133,40 @@ class PageEvaluator {
       return opened.status();
     }
     ColumnSegmentHandle handle = std::move(opened).value();
-    if (prune_ && !SegmentCanMatch(info, predicate_.conditions())) {
-      stats_.pages_pruned += info.pages;
-      stats_.rows_pruned += info.rows;
-      return Status::OK();
+    ActivateAll();
+    if (prune_) {
+      KeepActiveIf([&](const Predicate& p) {
+        return SegmentCanMatch(info, p.conditions());
+      });
+      if (active_.empty()) {
+        stats_.pages_pruned += info.pages;
+        stats_.rows_pruned += info.rows;
+        return Status::OK();
+      }
     }
     stats_.pages_scanned += info.pages;
     stats_.rows_scanned += info.rows;
     const size_t ncols = handle.num_columns();
     // Rows must be materialized when something consumes whole records
     // (callback or residual) or in the row-at-a-time ablation mode;
-    // count-only scans decode just the predicate's columns.
+    // count-only scans decode just the predicates' columns.
     const bool need_rows =
-        static_cast<bool>(callback_) || predicate_.residual() || !batch_;
+        static_cast<bool>(callback_) || !batch_ ||
+        std::any_of(active_.begin(), active_.end(), [this](size_t i) {
+          return static_cast<bool>(predicates_[i].residual());
+        });
     std::vector<size_t> wanted;
     if (need_rows) {
       for (size_t c = 0; c < ncols; ++c) {
         wanted.push_back(c);
       }
     } else {
-      for (const ColumnCondition& cond : predicate_.conditions()) {
-        if (std::find(wanted.begin(), wanted.end(), cond.column) ==
-            wanted.end()) {
-          wanted.push_back(cond.column);
+      for (const size_t i : active_) {
+        for (const ColumnCondition& cond : predicates_[i].conditions()) {
+          if (std::find(wanted.begin(), wanted.end(), cond.column) ==
+              wanted.end()) {
+            wanted.push_back(cond.column);
+          }
         }
       }
     }
@@ -181,6 +210,95 @@ class PageEvaluator {
   }
 
  private:
+  void ActivateAll() {
+    active_.clear();
+    for (size_t i = 0; i < predicates_.size(); ++i) {
+      active_.push_back(i);
+    }
+  }
+
+  /// Drops the active predicates the zone statistics rule out; the rest
+  /// are the only ones this page or segment evaluates.
+  template <typename CanMatch>
+  void KeepActiveIf(CanMatch can_match) {
+    std::erase_if(active_,
+                  [&](size_t i) { return !can_match(predicates_[i]); });
+  }
+
+  /// True when some active predicate matches `record` (row-at-a-time).
+  bool AnyActiveMatches(const char* record) const {
+    for (const size_t i : active_) {
+      if (predicates_[i].Matches(record)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Runs every active predicate's column conditions over one batch of
+  /// `count` rows, `fill(predicate, bitmap)` writing one predicate's AND.
+  /// Rows a residual-free predicate selects are ORed into sure_; each
+  /// residual predicate keeps its own survivors for EmitSelected.
+  template <typename Fill>
+  void Select(size_t count, Fill fill) {
+    const size_t words = (count + 63) / 64;
+    std::fill_n(sure_, words, uint64_t{0});
+    residual_preds_.clear();
+    for (const size_t i : active_) {
+      const Predicate& predicate = predicates_[i];
+      if (predicate.residual()) {
+        fill(predicate, ResidualBits(residual_preds_.size()));
+        residual_preds_.push_back(&predicate);
+        continue;
+      }
+      fill(predicate, scratch_);
+      for (size_t w = 0; w < words; ++w) {
+        sure_[w] |= scratch_[w];
+      }
+    }
+  }
+
+  /// Emits, in batch order, every row the last Select chose: rows in
+  /// sure_ directly, any other candidate only when a residual predicate
+  /// whose conditions held accepts it (residuals run in predicate order
+  /// and stop at the first acceptance), so each row is emitted once.
+  /// `row_at(i)` yields batch row i's encoded record, `id_at(i)` its id.
+  template <typename RowAt, typename IdAt>
+  Status EmitSelected(size_t count, RowAt row_at, IdAt id_at) {
+    const size_t residuals = residual_preds_.size();
+    for (size_t w = 0; w * 64 < count; ++w) {
+      uint64_t candidates = sure_[w];
+      for (size_t r = 0; r < residuals; ++r) {
+        candidates |= ResidualBits(r)[w];
+      }
+      while (candidates != 0) {
+        const int bit = std::countr_zero(candidates);
+        candidates &= candidates - 1;
+        const uint64_t mask = uint64_t{1} << bit;
+        const size_t i = w * 64 + static_cast<size_t>(bit);
+        const char* record = row_at(i);
+        bool selected = (sure_[w] & mask) != 0;
+        for (size_t r = 0; !selected && r < residuals; ++r) {
+          selected = (ResidualBits(r)[w] & mask) != 0 &&
+                     residual_preds_[r]->residual()(record);
+        }
+        if (!selected) {
+          continue;
+        }
+        ++stats_.rows_matched;
+        if (callback_) {
+          SEGDIFF_RETURN_IF_ERROR(callback_(record, id_at(i)));
+        }
+        SEGDIFF_RETURN_IF_ERROR(CheckBetweenEmits());
+      }
+    }
+    return Status::OK();
+  }
+
+  uint64_t* ResidualBits(size_t r) {
+    return residual_bits_.data() + r * kBatchBitmapWords;
+  }
+
   /// Rebuilds the encoded record for batch row `i` from the decoded
   /// columns (bit-exact: the cursors reproduce the stored bit patterns).
   const char* MaterializeRow(const ColumnDecoder& decoder, size_t ncols,
@@ -191,44 +309,32 @@ class PageEvaluator {
     return row_buf_.data();
   }
 
-  /// Vectorized evaluation of one decoded batch: selection bitmap over
-  /// contiguous columns, then residual/emit only for surviving rows.
+  /// Vectorized evaluation of one decoded batch: selection bitmaps over
+  /// contiguous columns, then residual/emit only for candidate rows.
   /// Count-only scans (no callback, no residual) never materialize —
   /// just popcount the bitmap.
   Status SegmentBatch(const ColumnDecoder& decoder,
                       const ColumnSegmentInfo& info, size_t ncols,
                       size_t count, bool need_rows) {
-    InitSelectionBitmap(count, bitmap_);
-    for (const ColumnCondition& cond : predicate_.conditions()) {
-      column_compare_(decoder.column(cond.column), count, cond.op, cond.value,
-                      bitmap_);
-    }
+    Select(count, [&](const Predicate& predicate, uint64_t* bitmap) {
+      InitSelectionBitmap(count, bitmap);
+      for (const ColumnCondition& cond : predicate.conditions()) {
+        column_compare_(decoder.column(cond.column), count, cond.op,
+                        cond.value, bitmap);
+      }
+    });
     if (!need_rows) {
       for (size_t w = 0; w * 64 < count; ++w) {
-        stats_.rows_matched += static_cast<uint64_t>(std::popcount(bitmap_[w]));
+        stats_.rows_matched += static_cast<uint64_t>(std::popcount(sure_[w]));
       }
       return Status::OK();
     }
-    const auto& residual = predicate_.residual();
-    for (size_t w = 0; w * 64 < count; ++w) {
-      uint64_t word = bitmap_[w];
-      while (word != 0) {
-        const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        word &= word - 1;
-        const char* record = MaterializeRow(decoder, ncols, i);
-        if (!residual || residual(record)) {
-          ++stats_.rows_matched;
-          if (callback_) {
-            const uint32_t row =
-                static_cast<uint32_t>(decoder.batch_start() + i);
-            SEGDIFF_RETURN_IF_ERROR(
-                callback_(record, RecordId{info.first_page, row}));
-          }
-          SEGDIFF_RETURN_IF_ERROR(CheckBetweenEmits());
-        }
-      }
-    }
-    return Status::OK();
+    return EmitSelected(
+        count, [&](size_t i) { return MaterializeRow(decoder, ncols, i); },
+        [&](size_t i) {
+          return RecordId{info.first_page,
+                          static_cast<uint32_t>(decoder.batch_start() + i)};
+        });
   }
 
   /// Row-at-a-time ablation path over a decoded batch.
@@ -237,7 +343,7 @@ class PageEvaluator {
                      size_t count) {
     for (size_t i = 0; i < count; ++i) {
       const char* record = MaterializeRow(decoder, ncols, i);
-      if (predicate_.Matches(record)) {
+      if (AnyActiveMatches(record)) {
         ++stats_.rows_matched;
         if (callback_) {
           const uint32_t row = static_cast<uint32_t>(decoder.batch_start() + i);
@@ -249,11 +355,12 @@ class PageEvaluator {
     }
     return Status::OK();
   }
+
   Status EvaluateRows(PageId page, const char* records, uint16_t count) {
     for (uint16_t slot = 0; slot < count; ++slot) {
       const char* record = records + static_cast<size_t>(slot) * record_bytes_;
       ++stats_.rows_scanned;
-      if (predicate_.Matches(record)) {
+      if (AnyActiveMatches(record)) {
         ++stats_.rows_matched;
         if (callback_) {
           SEGDIFF_RETURN_IF_ERROR(callback_(record, RecordId{page, slot}));
@@ -265,28 +372,17 @@ class PageEvaluator {
   }
 
   Status EvaluateBatch(PageId page, const char* records, uint16_t count) {
-    const std::vector<ColumnCondition>& conditions = predicate_.conditions();
-    kernel_(records, record_bytes_, count, conditions.data(),
-            conditions.size(), bitmap_);
+    Select(count, [&](const Predicate& predicate, uint64_t* bitmap) {
+      const std::vector<ColumnCondition>& conditions = predicate.conditions();
+      kernel_(records, record_bytes_, count, conditions.data(),
+              conditions.size(), bitmap);
+    });
     stats_.rows_scanned += count;
-    const auto& residual = predicate_.residual();
-    for (size_t w = 0; w * 64 < count; ++w) {
-      uint64_t word = bitmap_[w];
-      while (word != 0) {
-        const size_t slot = w * 64 + static_cast<size_t>(std::countr_zero(word));
-        word &= word - 1;
-        const char* record = records + slot * record_bytes_;
-        if (!residual || residual(record)) {
-          ++stats_.rows_matched;
-          if (callback_) {
-            SEGDIFF_RETURN_IF_ERROR(callback_(
-                record, RecordId{page, static_cast<uint16_t>(slot)}));
-          }
-          SEGDIFF_RETURN_IF_ERROR(CheckBetweenEmits());
-        }
-      }
-    }
-    return Status::OK();
+    return EmitSelected(
+        count, [&](size_t slot) { return records + slot * record_bytes_; },
+        [page](size_t slot) {
+          return RecordId{page, static_cast<uint32_t>(slot)};
+        });
   }
 
   /// Extra check points inside the residual/emit loop, for pages where
@@ -300,7 +396,7 @@ class PageEvaluator {
     return Status::OK();
   }
 
-  const Predicate& predicate_;
+  const std::span<const Predicate> predicates_;
   const RowCallback& callback_;
   const size_t record_bytes_;
   const bool batch_;
@@ -316,15 +412,22 @@ class PageEvaluator {
   uint64_t pages_since_deadline_check_ = kDeadlineCheckPageInterval - 1;
   ScanStats stats_;
   std::vector<char> row_buf_;  ///< columnar row materialization scratch
-  uint64_t bitmap_[kBatchBitmapWords];
+  /// Indices of the predicates the current page or segment can match.
+  std::vector<size_t> active_;
+  /// Residual predicates of the current batch, in predicate order; the
+  /// r-th one's condition survivors are ResidualBits(r).
+  std::vector<const Predicate*> residual_preds_;
+  std::vector<uint64_t> residual_bits_;
+  uint64_t sure_[kBatchBitmapWords];     ///< rows selected outright
+  uint64_t scratch_[kBatchBitmapWords];  ///< one predicate's conditions
 };
 
 }  // namespace
 
-Status SeqScan(const Table& table, const Predicate& predicate,
+Status SeqScan(const Table& table, std::span<const Predicate> predicates,
                const RowCallback& callback, ScanStats* stats,
                const SeqScanOptions& options) {
-  PageEvaluator evaluator(table, predicate, options, callback);
+  PageEvaluator evaluator(table, predicates, options, callback);
   Status status = Status::OK();
   // Columnar segments hold the oldest rows; scanning them first keeps
   // the visit order identical to the row-format scan of the same data.
@@ -362,13 +465,14 @@ struct ScanPartition {
 
 }  // namespace
 
-Status ParallelSeqScan(const Table& table, const Predicate& predicate,
-                       ThreadPool* pool, size_t num_partitions,
+Status ParallelSeqScan(const Table& table,
+                       std::span<const Predicate> predicates, ThreadPool* pool,
+                       size_t num_partitions,
                        const PartitionSinkFactory& make_sink,
                        ScanStats* stats, const SeqScanOptions& options) {
   if (pool == nullptr || num_partitions <= 1) {
     // Degenerate case: one partition is just a serial scan.
-    return SeqScan(table, predicate, make_sink(0), stats, options);
+    return SeqScan(table, predicates, make_sink(0), stats, options);
   }
   // Chain resolution happens once, up front; with quarantine routing a
   // broken chain's unreachable remainder is accounted here (no
@@ -433,7 +537,7 @@ Status ParallelSeqScan(const Table& table, const Predicate& predicate,
   SEGDIFF_RETURN_IF_ERROR(pool->ParallelFor(
       num_partitions, options.context, [&](size_t p) -> Status {
         const ScanPartition& part = partitions[p];
-        PageEvaluator evaluator(table, predicate, options, sinks[p]);
+        PageEvaluator evaluator(table, predicates, options, sinks[p]);
         Status status = Status::OK();
         for (size_t s = part.seg_begin; s < part.seg_end && status.ok();
              ++s) {

@@ -5,6 +5,7 @@
 #define SEGDIFF_QUERY_EXECUTOR_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/governance.h"
@@ -29,6 +30,8 @@ struct ScanStats {
   uint64_t pages_pruned = 0;          ///< pages skipped via zone stats
   uint64_t index_entries_scanned = 0; ///< index keys examined (index scan)
   uint64_t heap_fetches = 0;          ///< random heap reads (index scan)
+  /// Records emitted. An any-of scan counts each selected record once,
+  /// however many of its predicates match it.
   uint64_t rows_matched = 0;
   /// Corrupt pages routed around (SeqScanOptions::skip_quarantined):
   /// the result is PARTIAL whenever these are non-zero — callers must
@@ -89,13 +92,30 @@ struct SeqScanOptions {
   bool skip_quarantined = false;
 };
 
-/// Full-table scan applying `predicate` to every record: the table's
-/// compressed columnar segments first (vectorized decode feeding the
-/// selection-bitmap kernels), then the row-format heap tail — insertion
-/// order overall.
-Status SeqScan(const Table& table, const Predicate& predicate,
+/// Full-table any-of scan: emits every record that at least one of
+/// `predicates` matches, once, in scan order — the table's compressed
+/// columnar segments first (vectorized decode feeding the
+/// selection-bitmap kernels), then the row-format heap tail, insertion
+/// order overall. Each page or decoded batch is read once for all
+/// predicates: the kernels AND each predicate's conditions into its own
+/// bitmap, the bitmaps are ORed, and a predicate's residual runs only
+/// on its surviving rows that no other predicate already selected. A
+/// page or segment is pruned only when its zone statistics rule out
+/// every predicate; one that survives evaluates just the predicates it
+/// can match. Every scanned row counts once in rows_scanned, every
+/// emitted row once in rows_matched. An empty span matches nothing.
+Status SeqScan(const Table& table, std::span<const Predicate> predicates,
                const RowCallback& callback, ScanStats* stats = nullptr,
                const SeqScanOptions& options = {});
+
+/// The single-predicate scan: same rows, order and stats as the any-of
+/// scan over a one-element span.
+inline Status SeqScan(const Table& table, const Predicate& predicate,
+                      const RowCallback& callback, ScanStats* stats = nullptr,
+                      const SeqScanOptions& options = {}) {
+  return SeqScan(table, std::span<const Predicate>(&predicate, 1), callback,
+                 stats, options);
+}
 
 /// Returns the per-partition row callback for partition `i` of a
 /// parallel scan. Each partition's callback runs on exactly one worker
@@ -104,19 +124,30 @@ Status SeqScan(const Table& table, const Predicate& predicate,
 /// locking.
 using PartitionSinkFactory = std::function<RowCallback(size_t partition)>;
 
-/// Partitioned full-table scan: splits the table's work units —
-/// columnar segments (weighted by their page span) followed by heap
-/// pages (weight 1) — into `num_partitions` contiguous runs executed
-/// concurrently on `pool` (the calling thread participates). Rows are
-/// visited exactly once overall; per-partition ScanStats are merged
-/// into `stats` in partition order, so totals equal the serial
-/// SeqScan's. Early-stop (`keep_going`) inside a callback only stops
-/// that partition.
-Status ParallelSeqScan(const Table& table, const Predicate& predicate,
-                       ThreadPool* pool, size_t num_partitions,
+/// Partitioned full-table any-of scan (see SeqScan): splits the table's
+/// work units — columnar segments (weighted by their page span)
+/// followed by heap pages (weight 1) — into `num_partitions` contiguous
+/// runs executed concurrently on `pool` (the calling thread
+/// participates). Rows are visited exactly once overall; per-partition
+/// ScanStats are merged into `stats` in partition order, so totals
+/// equal the serial SeqScan's. Early-stop (`keep_going`) inside a
+/// callback only stops that partition.
+Status ParallelSeqScan(const Table& table,
+                       std::span<const Predicate> predicates, ThreadPool* pool,
+                       size_t num_partitions,
                        const PartitionSinkFactory& make_sink,
                        ScanStats* stats = nullptr,
                        const SeqScanOptions& options = {});
+
+/// The single-predicate partitioned scan (a one-element span).
+inline Status ParallelSeqScan(const Table& table, const Predicate& predicate,
+                              ThreadPool* pool, size_t num_partitions,
+                              const PartitionSinkFactory& make_sink,
+                              ScanStats* stats = nullptr,
+                              const SeqScanOptions& options = {}) {
+  return ParallelSeqScan(table, std::span<const Predicate>(&predicate, 1),
+                         pool, num_partitions, make_sink, stats, options);
+}
 
 /// Range scan over a B+-tree index. Starts at the first key >= `lower`,
 /// advances while `key_continue(key)` holds, and for each key passing

@@ -187,7 +187,7 @@ Status ExhIndex::SearchScan(SearchKind kind, double T, double V,
     // Partitioned across the pool when the search has one; events are
     // re-sorted afterwards, so collection order does not matter.
     return QuarantineScanError(
-        PartitionedScan(*table_, predicate, scope, decode, events,
+        PartitionedScan(*table_, {&predicate, 1}, scope, decode, events,
                         &scope.stats->scan),
         "the exh pair table");
   }

@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,15 +74,20 @@ enum class QueryMode : unsigned char {
 struct SearchOptions {
   QueryMode mode = QueryMode::kSeqScan;
   /// Paper semantics issue one range query per stored corner/edge (each
-  /// its own scan). `fused_scan` instead evaluates all of a table's
-  /// conditions in a single pass — an optimization the ablation bench
-  /// quantifies. Only affects kSeqScan.
+  /// its own scan). `fused_scan` instead runs each feature table's
+  /// queries as one pass — a single any-of SeqScan that decodes the
+  /// table once, evaluates every query's column conditions in the
+  /// kernels and ORs them — which is what kAuto does with the queries it
+  /// plans as sequential scans. Only affects kSeqScan; the ablation
+  /// bench quantifies the difference.
   bool fused_scan = false;
   /// Intra-query parallelism. 0 or 1 executes everything serially on the
   /// calling thread, preserving the paper's single-threaded semantics.
-  /// >= 2 runs the search's independent range queries concurrently on a
-  /// worker pool (fused and Exh scans are instead partitioned across the
-  /// workers by heap page). Results and SearchStats are identical to the
+  /// >= 2 runs a search's independent tasks (per-corner queries, index
+  /// scans, passes beside index scans) concurrently on a worker pool; a
+  /// search made only of passes (and Exh scans) instead runs them one
+  /// after another, each partitioned across the workers by heap page —
+  /// fan-outs never nest. Results and SearchStats are identical to the
   /// serial path; only wall-clock time changes. Requests > 1 are clamped
   /// to the store's AdmissionOptions::max_threads_per_query.
   size_t num_threads = 0;
@@ -106,7 +112,12 @@ struct SearchOptions {
 
 /// Execution report for one search.
 struct SearchStats {
+  /// Execution counters summed over the search's scans. A pass scans
+  /// each row once and counts each selected row once in rows_matched;
+  /// a quarantined page or segment counts once per scan that meets it.
   ScanStats scan;
+  /// Scans issued: one per per-corner query or index scan, one per pass
+  /// (a table's queries run together), one per Exh scan.
   uint64_t queries_issued = 0;
   uint64_t pairs_returned = 0;
   double seconds = 0.0;
@@ -195,20 +206,21 @@ RowCallback CollectInto(MemoryBudget* budget, std::vector<Hit>* out,
   };
 }
 
-/// Sequential scan of `table` under `predicate`, partitioned by heap
-/// page across the search's pool when it has one. Each partition
-/// collects into a private vector (the first straight into `out`), and
-/// the rest are appended in partition order — also on failure, so a
-/// budget-truncated search keeps what the partitions gathered before
-/// the breach.
+/// Any-of sequential scan of `table` under `predicates` (see SeqScan),
+/// partitioned by heap page across the search's pool when it has one.
+/// Each partition collects into a private vector (the first straight
+/// into `out`), and the rest are appended in partition order — also on
+/// failure, so a budget-truncated search keeps what the partitions
+/// gathered before the breach.
 template <typename Hit, typename Decode>
-Status PartitionedScan(const Table& table, const Predicate& predicate,
+Status PartitionedScan(const Table& table,
+                       std::span<const Predicate> predicates,
                        const SearchScope& scope, const Decode& decode,
                        std::vector<Hit>* out, ScanStats* stats) {
   const size_t partitions = std::max<size_t>(scope.num_threads, 1);
   std::vector<std::vector<Hit>> rest(partitions - 1);
   Status status = ParallelSeqScan(
-      table, predicate, scope.pool, partitions,
+      table, predicates, scope.pool, partitions,
       [&](size_t p) {
         return CollectInto(scope.ctx->budget, p == 0 ? out : &rest[p - 1],
                            decode);

@@ -461,15 +461,17 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
     return predicate;
   };
 
-  // One executable unit: a fused whole-table pass, or a single
-  // point/line range query with its access path already resolved.
+  // One executable unit: a pass running several of a table's queries as
+  // one any-of scan, or a single point/line query with its access path
+  // already resolved.
   struct QueryTask {
     int k = 1;
     Table* table = nullptr;
-    bool fused = false;
-    RangeQuery query;
-    QueryMode mode = QueryMode::kSeqScan;
+    std::vector<RangeQuery> queries;  ///< exactly one unless `pass`
+    bool pass = false;
+    QueryMode mode = QueryMode::kSeqScan;  ///< a pass always scans
   };
+  const bool fused = options.mode == QueryMode::kSeqScan && options.fused_scan;
   std::vector<QueryTask> tasks;
   for (int k = 1; k <= 3; ++k) {
     Table* table = tables[k - 1];
@@ -489,24 +491,16 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
     if (snap_rows == 0) {
       continue;
     }
-    if (options.mode == QueryMode::kSeqScan && options.fused_scan) {
-      tasks.push_back(QueryTask{k, table, true, RangeQuery{},
-                                QueryMode::kSeqScan});
-      continue;
+    if (options.mode == QueryMode::kIndexScan && !options_.build_indexes) {
+      return Status::InvalidArgument(
+          "index scan requested but the store has no indexes");
     }
-    std::vector<RangeQuery> queries;
-    for (int j = 1; j <= k; ++j) {
-      queries.push_back(RangeQuery{false, j});
-    }
-    for (int j = 1; j < k; ++j) {
-      queries.push_back(RangeQuery{true, j});
-    }
-    for (const RangeQuery& query : queries) {
+    // kAuto and fused kSeqScan gather the table's seq-planned queries
+    // into one pass; per-corner kSeqScan and index scans stay one task
+    // per query.
+    QueryTask pass{k, table, {}, true, QueryMode::kSeqScan};
+    auto add_query = [&](const RangeQuery& query) {
       QueryMode mode = options.mode;
-      if (mode == QueryMode::kIndexScan && !options_.build_indexes) {
-        return Status::InvalidArgument(
-            "index scan requested but the store has no indexes");
-      }
       if (mode == QueryMode::kAuto) {
         const PlanChoice choice =
             PlanRangeQuery(*view, make_predicate(query).conditions(),
@@ -514,15 +508,29 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
         mode = choice.path == AccessPath::kIndexScan ? QueryMode::kIndexScan
                                                      : QueryMode::kSeqScan;
       }
-      tasks.push_back(QueryTask{k, table, false, query, mode});
+      if (mode == QueryMode::kSeqScan &&
+          (fused || options.mode == QueryMode::kAuto)) {
+        pass.queries.push_back(query);
+      } else {
+        tasks.push_back(QueryTask{k, table, {query}, false, mode});
+      }
+    };
+    for (int j = 1; j <= k; ++j) {
+      add_query(RangeQuery{false, j});
+    }
+    for (int j = 1; j < k; ++j) {
+      add_query(RangeQuery{true, j});
+    }
+    if (!pass.queries.empty()) {
+      tasks.push_back(std::move(pass));
     }
   }
 
   // Runs one task, collecting matches into `out` (private to the task)
-  // and execution counters into `scan`. Fused tasks may additionally
-  // partition their single pass across the pool by heap page.
-  auto run_task = [&](const QueryTask& task, std::vector<PairId>* out,
-                      ScanStats* scan) -> Status {
+  // and execution counters into `scan`. A pass run with `partition`
+  // additionally splits its scan across the pool by heap page.
+  auto run_task = [&](const QueryTask& task, bool partition,
+                      std::vector<PairId>* out, ScanStats* scan) -> Status {
     const int k = task.k;
     auto decode = [k](const char* record) {
       PairId id;
@@ -532,47 +540,32 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
       id.t_a = 0.0;  // resolved after dedup
       return id;
     };
-    if (task.fused) {
-      // One pass evaluating the OR of every query's conditions.
-      std::vector<RangeQuery> queries;
-      for (int j = 1; j <= k; ++j) {
-        queries.push_back(RangeQuery{false, j});
-      }
-      for (int j = 1; j < k; ++j) {
-        queries.push_back(RangeQuery{true, j});
-      }
+    if (task.mode == QueryMode::kSeqScan) {
       std::vector<Predicate> predicates;
-      predicates.reserve(queries.size());
-      for (const RangeQuery& query : queries) {
+      predicates.reserve(task.queries.size());
+      for (const RangeQuery& query : task.queries) {
         predicates.push_back(make_predicate(query));
       }
-      Predicate fused;
-      fused.AndResidual([&predicates](const char* record) {
-        for (const Predicate& p : predicates) {
-          if (p.Matches(record)) {
-            return true;
-          }
-        }
-        return false;
-      });
-      return PartitionedScan(*task.table, fused, scope, decode, out, scan);
-    }
-    const RowCallback collect = CollectInto(scope.ctx->budget, out, decode);
-    if (task.mode == QueryMode::kSeqScan) {
-      return SeqScan(*task.table, make_predicate(task.query), collect, scan,
+      if (partition) {
+        return PartitionedScan(*task.table, predicates, scope, decode, out,
+                               scan);
+      }
+      return SeqScan(*task.table, predicates,
+                     CollectInto(scope.ctx->budget, out, decode), scan,
                      scan_options);
     }
     // Index scan: all conditions evaluate on the key; the heap fetch
     // only materializes the pair id.
+    const RangeQuery& query = task.queries.front();
     IndexScanSpec spec = scope.index_spec();
     const std::string index_name =
-        (task.query.is_line ? "ln" : "pt") + std::to_string(task.query.corner);
+        (query.is_line ? "ln" : "pt") + std::to_string(query.corner);
     SEGDIFF_ASSIGN_OR_RETURN(BPlusTree * tree,
                              task.table->GetIndex(index_name));
     spec.index = tree;
     spec.lower = IndexKey::LowerBound({-kInf, -kInf, -kInf, -kInf});
     spec.key_continue = [T](const IndexKey& key) { return key.vals[0] <= T; };
-    if (!task.query.is_line) {
+    if (!query.is_line) {
       spec.key_filter = [drop, V](const IndexKey& key) {
         return drop ? key.vals[1] <= V : key.vals[1] >= V;
       };
@@ -593,24 +586,27 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
         return drop ? at_T <= V : at_T >= V;
       };
     }
-    return IndexScan(*task.table, spec, Predicate::True(), collect, scan);
+    return IndexScan(*task.table, spec, Predicate::True(),
+                     CollectInto(scope.ctx->budget, out, decode), scan);
   };
 
   SearchStats* local = scope.stats;
   local->queries_issued = tasks.size();
-  if (scope.pool == nullptr || tasks.size() <= 1 ||
-      (options.mode == QueryMode::kSeqScan && options.fused_scan)) {
-    // Serial task loop. Fused tasks still fan out internally when a pool
+  const bool only_passes =
+      std::all_of(tasks.begin(), tasks.end(),
+                  [](const QueryTask& task) { return task.pass; });
+  if (scope.pool == nullptr || tasks.size() <= 1 || only_passes) {
+    // Serial task loop. Passes still fan out internally when a pool
     // exists (table-at-a-time with partitioned passes avoids nesting
     // task- and partition-level parallelism).
     for (const QueryTask& task : tasks) {
       SEGDIFF_RETURN_IF_ERROR(QuarantineScanError(
-          run_task(task, results, &local->scan),
+          run_task(task, /*partition=*/task.pass, results, &local->scan),
           "feature table '" + task.table->name() + "'"));
     }
     return Status::OK();
   }
-  // Concurrent point/line queries: each task gets a private result
+  // Concurrent tasks, each unpartitioned: each gets a private result
   // vector and ScanStats, merged in task order so stats totals match
   // the serial path exactly. The governed ParallelFor stops claiming
   // tasks once the context fires; in-flight tasks stop at their own
@@ -620,7 +616,8 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   Status status = scope.pool->ParallelFor(
       tasks.size(), scope.num_threads, scope.ctx, [&](size_t i) -> Status {
         return QuarantineScanError(
-            run_task(tasks[i], &task_out[i], &task_scan[i]),
+            run_task(tasks[i], /*partition=*/false, &task_out[i],
+                     &task_scan[i]),
             "feature table '" + tasks[i].table->name() + "'");
       });
   // Merge even on failure: a budget-truncated search keeps what the

@@ -5,6 +5,8 @@
 // Search: drop/jump queries (T, V) -> point + line range queries
 //         (Section 4.4) over the feature tables, by sequential scan or
 //         B+-tree index scan -> deduplicated segment-pair results.
+//         kAuto (and fused kSeqScan) run a table's scanned queries as
+//         one any-of pass, so each table is read once per search.
 //
 // Storage layout (one minidb file):
 //   segments                 (t_s, v_s, t_e, v_e)     the segment directory

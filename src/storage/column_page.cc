@@ -33,10 +33,9 @@ constexpr size_t kChainHeaderBytes = 16;
 constexpr uint8_t kColumnPageKind = 0xC1;
 constexpr size_t kPagePayloadBytes = kPageCapacity - kChainHeaderBytes;
 
-// Decode reads whole 64-bit words, so every payload buffer handed to a
-// cursor must stay readable for this many bytes past its end; the
-// scratch buffers that assemble payloads append the slack explicitly.
-constexpr size_t kPayloadSlackBytes = 8;
+// The scratch buffers that assemble payloads append the cursor's slack
+// explicitly.
+constexpr size_t kPayloadSlackBytes = ColumnCursor::kPayloadSlackBytes;
 
 constexpr double kPow10[] = {1.0, 10.0, 100.0, 1000.0, 10000.0};
 constexpr unsigned kMaxScaleLog10 = 4;

@@ -101,6 +101,10 @@ std::string EncodeColumnSegment(const char* records, size_t num_columns,
 /// cursor; the total decoded must not exceed the segment's rows.
 class ColumnCursor {
  public:
+  /// Decode reads whole 64-bit words, so `payload` must stay readable
+  /// for this many bytes past its last byte.
+  static constexpr size_t kPayloadSlackBytes = 8;
+
   ColumnCursor() = default;
   ColumnCursor(const ColumnDirEntry* dir, const char* payload, size_t rows);
 

@@ -20,6 +20,8 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,7 +86,11 @@ void ExpectRoundTrip(const std::vector<std::vector<double>>& cols) {
       std::memcpy(&bytes, blob.data() + 16 + 32 * p + 4, 4);
       offset += bytes;
     }
-    ColumnCursor cursor(&dir, blob.data() + offset, rows);
+    // The cursor reads whole words: hand it the payload plus its slack,
+    // as ColumnSegmentHandle does.
+    std::string payload = blob.substr(offset, dir.payload_bytes);
+    payload.append(ColumnCursor::kPayloadSlackBytes, '\0');
+    ColumnCursor cursor(&dir, payload.data(), rows);
     std::vector<double> decoded(rows);
     cursor.Decode(rows, decoded.data());
     for (size_t r = 0; r < rows; ++r) {
@@ -215,15 +221,15 @@ class ColumnarDifferentialTest : public ::testing::Test {
     ASSERT_TRUE(col_table_->EnsureZoneMap().ok());
   }
 
-  /// All matching records (raw bytes, scan order) plus stats.
-  static std::vector<std::string> Matches(const Table& table,
-                                          const Predicate& predicate,
-                                          const SeqScanOptions& options,
-                                          ScanStats* stats) {
+  /// All records matching any of `predicates` (raw bytes, scan order)
+  /// plus stats.
+  static std::vector<std::string> Matches(
+      const Table& table, std::span<const Predicate> predicates,
+      const SeqScanOptions& options, ScanStats* stats) {
     std::vector<std::string> out;
     const size_t bytes = table.schema().num_columns() * 8;
     Status status = SeqScan(
-        table, predicate,
+        table, predicates,
         [&](const char* record, RecordId) {
           out.emplace_back(record, bytes);
           return Status::OK();
@@ -233,25 +239,36 @@ class ColumnarDifferentialTest : public ::testing::Test {
     return out;
   }
 
-  /// Differential check of one predicate across both stores and every
-  /// execution strategy (row-at-a-time, batch, batch+prune, parallel,
-  /// count-only). The row store's plain batch scan is the oracle.
   void ExpectSameResults(const Predicate& predicate) {
+    ExpectSameResults(std::span<const Predicate>(&predicate, 1));
+  }
+
+  /// Differential check of one any-of scan across both stores and every
+  /// execution strategy (row-at-a-time, batch, batch+prune — each with
+  /// and without pruning —, parallel, count-only). The row store's
+  /// plain batch scan is the oracle; with several predicates it must
+  /// itself equal the union of the single-predicate scans, each row
+  /// once, in scan order.
+  void ExpectSameResults(std::span<const Predicate> predicates) {
     const SeqScanOptions kStrategies[] = {
         SeqScanOptions{/*batch=*/false, /*prune=*/false},
+        SeqScanOptions{/*batch=*/false, /*prune=*/true},
         SeqScanOptions{/*batch=*/true, /*prune=*/false},
         SeqScanOptions{/*batch=*/true, /*prune=*/true},
     };
     ScanStats oracle_stats;
     const std::vector<std::string> oracle =
-        Matches(*row_table_, predicate, kStrategies[1], &oracle_stats);
+        Matches(*row_table_, predicates, kStrategies[2], &oracle_stats);
+    if (predicates.size() > 1) {
+      ExpectUnionOfSingles(predicates, oracle);
+    }
 
     for (const SeqScanOptions& options : kStrategies) {
       for (Table* table : {row_table_, col_table_}) {
         const char* label = table == row_table_ ? "row" : "columnar";
         ScanStats stats;
         const std::vector<std::string> got =
-            Matches(*table, predicate, options, &stats);
+            Matches(*table, predicates, options, &stats);
         ASSERT_EQ(got.size(), oracle.size())
             << label << " batch=" << options.batch
             << " prune=" << options.prune;
@@ -270,7 +287,7 @@ class ColumnarDifferentialTest : public ::testing::Test {
         // with the materializing scan's stats exactly.
         ScanStats count_stats;
         ASSERT_TRUE(
-            SeqScan(*table, predicate, nullptr, &count_stats, options).ok());
+            SeqScan(*table, predicates, nullptr, &count_stats, options).ok());
         EXPECT_EQ(count_stats.rows_matched, stats.rows_matched) << label;
         EXPECT_EQ(count_stats.rows_scanned, stats.rows_scanned) << label;
         EXPECT_EQ(count_stats.rows_pruned, stats.rows_pruned) << label;
@@ -282,11 +299,11 @@ class ColumnarDifferentialTest : public ::testing::Test {
     // Parallel == serial on the columnar store, for every partitioning.
     ThreadPool pool(3);
     const size_t bytes = col_table_->schema().num_columns() * 8;
-    for (const size_t partitions : {2u, 4u, 7u}) {
+    for (const size_t partitions : {1u, 2u, 3u, 4u, 7u}) {
       std::vector<std::vector<std::string>> outs(partitions);
       ScanStats parallel_stats;
       ASSERT_TRUE(ParallelSeqScan(
-                      *col_table_, predicate, &pool, partitions,
+                      *col_table_, predicates, &pool, partitions,
                       [&outs, bytes](size_t p) -> RowCallback {
                         auto* sink = &outs[p];
                         return [sink, bytes](const char* record, RecordId) {
@@ -303,6 +320,32 @@ class ColumnarDifferentialTest : public ::testing::Test {
       ASSERT_EQ(merged, oracle) << partitions << " partitions";
       EXPECT_EQ(parallel_stats.rows_matched, oracle_stats.rows_matched);
     }
+  }
+
+  /// `any_of` (the row store's any-of scan of `predicates`) is the union
+  /// of the single-predicate scans: each row once, in scan order.
+  void ExpectUnionOfSingles(std::span<const Predicate> predicates,
+                            const std::vector<std::string>& any_of) {
+    std::set<uint64_t> selected;
+    for (const Predicate& predicate : predicates) {
+      ASSERT_TRUE(SeqScan(*row_table_, predicate,
+                          [&](const char*, RecordId id) {
+                            selected.insert(id.Pack());
+                            return Status::OK();
+                          })
+                      .ok());
+    }
+    std::vector<std::string> expected;
+    const size_t bytes = row_table_->schema().num_columns() * 8;
+    ASSERT_TRUE(SeqScan(*row_table_, Predicate::True(),
+                        [&](const char* record, RecordId id) {
+                          if (selected.count(id.Pack()) > 0) {
+                            expected.emplace_back(record, bytes);
+                          }
+                          return Status::OK();
+                        })
+                    .ok());
+    EXPECT_EQ(any_of, expected);
   }
 
   std::string row_path_, col_path_;
@@ -335,6 +378,24 @@ TEST_F(ColumnarDifferentialTest, IdenticalResultsAcrossFormats) {
   ExpectSameResults(conjunction);
   Predicate nothing;  // empty predicate: full scan
   ExpectSameResults(nothing);
+
+  // Any-of inputs: overlapping, disjoint, an impossible member, and a
+  // residual member (the line query's shape).
+  Predicate low;
+  low.And(1, CmpOp::kLe, -3.0);
+  Predicate high;
+  high.And(1, CmpOp::kGe, 6.0).And(0, CmpOp::kLe, 300000.0);
+  Predicate impossible;
+  impossible.And(0, CmpOp::kGt, 1e18);
+  Predicate residual;
+  residual.And(1, CmpOp::kGe, -5.0).AndResidual([](const char* record) {
+    return std::fmod(DecodeDoubleColumn(record, 0), 3.0) == 0.0;
+  });
+  ExpectSameResults(std::vector<Predicate>{low, high});
+  ExpectSameResults(std::vector<Predicate>{conjunction, low});
+  ExpectSameResults(std::vector<Predicate>{impossible, high, impossible});
+  ExpectSameResults(std::vector<Predicate>{residual, low, high, residual});
+  ExpectSameResults(std::vector<Predicate>{impossible, impossible});
 }
 
 TEST_F(ColumnarDifferentialTest, NanColumnsNeverMatchInEitherFormat) {
@@ -355,6 +416,7 @@ TEST_F(ColumnarDifferentialTest, NanColumnsNeverMatchInEitherFormat) {
     Predicate ge;
     ge.And(1, CmpOp::kGe, -bound);
     ExpectSameResults(ge);
+    ExpectSameResults(std::vector<Predicate>{predicate, ge});
   }
 }
 
@@ -369,8 +431,11 @@ TEST_F(ColumnarDifferentialTest, SegmentBoundaryRowCounts) {
     Predicate all;
     Predicate half;
     half.And(1, CmpOp::kLe, 0.0);
+    Predicate early;
+    early.And(0, CmpOp::kLe, 40000.0);
     ExpectSameResults(all);
     ExpectSameResults(half);
+    ExpectSameResults(std::vector<Predicate>{half, early});
     TearDown();
   }
 }
@@ -407,6 +472,39 @@ TEST_F(ColumnarDifferentialTest, PrunedSegmentsAccountAllRows) {
   EXPECT_EQ(survey.segments_surviving, 0u);
   EXPECT_EQ(survey.pages_total, store->page_count());
   EXPECT_EQ(survey.rows_total, store->row_count());
+}
+
+// An any-of scan prunes a segment only when no predicate can match it:
+// the first and last segments, each matched by one predicate, are
+// decoded; the two between are pruned.
+TEST_F(ColumnarDifferentialTest, AnyOfPrunesOnlySegmentsNoPredicateCanMatch) {
+  const size_t kSeg = ColumnStore::kMaxSegmentRows;
+  std::vector<std::vector<double>> rows;
+  for (size_t i = 0; i < 4 * kSeg; ++i) {
+    rows.push_back({static_cast<double>(i), i % 2 ? 1.0 : -1.0});
+  }
+  Build(rows);
+  const ColumnStore* store = col_table_->columnar();
+  ASSERT_NE(store, nullptr);
+  ASSERT_EQ(store->segment_count(), 4u);
+  Predicate first;
+  first.And(0, CmpOp::kLt, 10.0);
+  Predicate last;
+  last.And(0, CmpOp::kGe, 4.0 * kSeg - 10.0).And(1, CmpOp::kGt, 0.0);
+  Predicate none;
+  none.And(0, CmpOp::kGt, 1e18);
+  const std::vector<Predicate> any_of = {none, first, last};
+  ScanStats stats;
+  const std::vector<std::string> got =
+      Matches(*col_table_, any_of, SeqScanOptions{}, &stats);
+  EXPECT_EQ(got.size(), 15u);
+  EXPECT_EQ(stats.rows_matched, 15u);
+  const auto& segments = store->meta().segments;
+  EXPECT_EQ(stats.rows_scanned, 2 * kSeg);
+  EXPECT_EQ(stats.rows_pruned, 2 * kSeg);
+  EXPECT_EQ(stats.pages_scanned, segments[0].pages + segments[3].pages);
+  EXPECT_EQ(stats.pages_pruned, segments[1].pages + segments[2].pages);
+  ExpectSameResults(any_of);
 }
 
 // A table with columnar segments carries no index: both ways to add one

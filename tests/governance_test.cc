@@ -33,6 +33,7 @@
 #include "storage/db.h"
 #include "storage/fault_vfs.h"
 #include "storage/record.h"
+#include "storage/wal.h"
 #include "ts/generator.h"
 
 namespace segdiff {
@@ -550,27 +551,52 @@ TEST_F(SegDiffGovernanceTest, BudgetBreachTruncatesExplicitly) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->IngestSeries(series_).ok());
 
-  // A permissive drop query returns plenty of pairs ungoverned...
-  auto baseline = (*store)->SearchDrops(4 * 3600.0, -0.5);
-  ASSERT_TRUE(baseline.ok());
-  ASSERT_GT(baseline->size(), 4u);
+  // Inputs: the row store under the default per-corner scans, and its
+  // compacted copy under kAuto (one pass per feature table).
+  const std::string compact_path =
+      UniqueTestPath("segdiff_governance", "_compact.db");
+  std::remove(compact_path.c_str());
+  ASSERT_TRUE((*store)->Compact(compact_path).ok());
+  SegDiffOptions reopen = options;
+  reopen.create_if_missing = false;
+  auto compacted = SegDiffIndex::Open(compact_path, reopen);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  struct Input {
+    SegDiffIndex* index;
+    QueryMode mode;
+  };
+  for (const Input& input : {Input{store->get(), QueryMode::kSeqScan},
+                             Input{compacted->get(), QueryMode::kAuto}}) {
+    SCOPED_TRACE(input.mode == QueryMode::kAuto ? "compacted, kAuto"
+                                                : "row store, kSeqScan");
+    // A permissive drop query returns plenty of pairs ungoverned...
+    SearchOptions ungoverned;
+    ungoverned.mode = input.mode;
+    auto baseline = input.index->SearchDrops(4 * 3600.0, -0.5, ungoverned);
+    ASSERT_TRUE(baseline.ok());
+    ASSERT_GT(baseline->size(), 4u);
 
-  // ...so a two-pair budget must breach. With a stats out-param the
-  // search keeps the partial results and flags them.
-  SearchOptions governed;
-  governed.max_result_bytes = 2 * sizeof(PairId);
-  SearchStats stats;
-  auto truncated = (*store)->SearchDrops(4 * 3600.0, -0.5, governed, &stats);
-  ASSERT_TRUE(truncated.ok()) << truncated.status().ToString();
-  EXPECT_TRUE(stats.truncated);
-  EXPECT_LT(truncated->size(), baseline->size());
-  EXPECT_GE((*store)->admission_controller()->counters().truncated, 1u);
+    // ...so a two-pair budget must breach. With a stats out-param the
+    // search keeps the partial results and flags them.
+    SearchOptions governed = ungoverned;
+    governed.max_result_bytes = 2 * sizeof(PairId);
+    SearchStats stats;
+    auto truncated =
+        input.index->SearchDrops(4 * 3600.0, -0.5, governed, &stats);
+    ASSERT_TRUE(truncated.ok()) << truncated.status().ToString();
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_LT(truncated->size(), baseline->size());
+    EXPECT_GE(input.index->admission_controller()->counters().truncated, 1u);
 
-  // Without one there is nowhere to surface the flag: explicit failure,
-  // never a silently shortened result.
-  auto failed = (*store)->SearchDrops(4 * 3600.0, -0.5, governed);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_TRUE(failed.status().IsResourceExhausted());
+    // Without one there is nowhere to surface the flag: explicit
+    // failure, never a silently shortened result.
+    auto failed = input.index->SearchDrops(4 * 3600.0, -0.5, governed);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(failed.status().IsResourceExhausted());
+  }
+  compacted->reset();
+  std::remove(compact_path.c_str());
+  std::remove(Wal::PathFor(compact_path).c_str());
 }
 
 TEST_F(SegDiffGovernanceTest, SaturatedAdmissionRejectsFast) {

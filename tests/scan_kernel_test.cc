@@ -4,13 +4,17 @@
 // partitioned across a thread pool — returns byte-identical results and
 // consistent statistics versus the row-at-a-time baseline on randomized
 // workloads (random schemas, row counts, NaN densities, and conjunctive
-// predicates, including all-pruned and empty-table cases).
+// predicates, including all-pruned and empty-table cases) — and that
+// the any-of scan over several predicates emits exactly the union of
+// their single-predicate scans.
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,6 +46,29 @@ CmpOp RandomOp(Rng& rng) {
   static const CmpOp kOps[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
                                CmpOp::kGe, CmpOp::kEq};
   return kOps[rng.UniformU64(5)];
+}
+
+/// A random conjunction of 0-3 cluster-scale conditions over
+/// `num_columns` columns, with a residual (a parity test on column
+/// `residual_column`) 30% of the time.
+Predicate RandomPredicate(Rng& rng, size_t num_columns,
+                          size_t residual_column) {
+  Predicate predicate;
+  const size_t num_conditions = rng.UniformU64(4);  // 0 = scan all
+  for (size_t k = 0; k < num_conditions; ++k) {
+    // Cluster-scale bounds: selective but regularly non-empty. An
+    // occasional far-out bound makes the all-pruned case common too.
+    const double value = rng.Bernoulli(0.15) ? rng.Uniform(500.0, 1000.0)
+                                             : rng.Uniform(-60.0, 60.0);
+    predicate.And(rng.UniformU64(num_columns), RandomOp(rng), value);
+  }
+  if (rng.Bernoulli(0.3)) {
+    predicate.AndResidual([residual_column](const char* record) {
+      const double v = DecodeDoubleColumn(record, residual_column);
+      return v == v && std::fmod(std::fabs(v), 2.0) < 1.0;
+    });
+  }
+  return predicate;
 }
 
 TEST(ScanKernelTest, VariantsMatchEvalConditionIncludingNaN) {
@@ -195,23 +222,7 @@ class ScanDifferentialTest : public ::testing::Test {
       ASSERT_TRUE(table->InsertDoubles(row).ok());
     }
 
-    Predicate predicate;
-    const size_t num_conditions = rng.UniformU64(4);  // 0 = scan all
-    for (size_t k = 0; k < num_conditions; ++k) {
-      // Cluster-scale bounds: selective but regularly non-empty. An
-      // occasional far-out bound makes the all-pruned case common too.
-      const double value = rng.Bernoulli(0.15)
-                               ? rng.Uniform(500.0, 1000.0)
-                               : rng.Uniform(-60.0, 60.0);
-      predicate.And(rng.UniformU64(num_columns), RandomOp(rng), value);
-    }
-    const bool with_residual = rng.Bernoulli(0.3);
-    if (with_residual) {
-      predicate.AndResidual([](const char* record) {
-        const double v = DecodeDoubleColumn(record, 0);
-        return v == v && std::fmod(std::fabs(v), 2.0) < 1.0;
-      });
-    }
+    const Predicate predicate = RandomPredicate(rng, num_columns, 0);
 
     // Baseline: row-at-a-time, no pruning — the pre-PR semantics.
     std::vector<Hit> baseline;
@@ -268,6 +279,93 @@ class ScanDifferentialTest : public ::testing::Test {
     EXPECT_EQ(parallel_stats.pages_scanned, pruned_stats.pages_scanned);
     EXPECT_EQ(parallel_stats.pages_pruned, pruned_stats.pages_pruned);
     EXPECT_EQ(parallel_stats.rows_matched, pruned_stats.rows_matched);
+
+    // Any-of input: 1-4 predicates (each may carry a residual) in one
+    // pass.
+    std::vector<Predicate> any_of;
+    const size_t num_predicates = 1 + rng.UniformU64(4);
+    for (size_t i = 0; i < num_predicates; ++i) {
+      any_of.push_back(RandomPredicate(rng, num_columns, i % num_columns));
+    }
+    CheckAnyOf(*table, any_of, pool, seed);
+  }
+
+  /// The any-of scan of `predicates` emits exactly the union of the
+  /// single-predicate row-at-a-time scans — each row once, in scan
+  /// order — in every mode (batch and prune on and off, 1-4 partitions),
+  /// with every row scanned or pruned and each selected row counted once.
+  void CheckAnyOf(const Table& table, const std::vector<Predicate>& predicates,
+                  ThreadPool* pool, uint64_t seed) {
+    const size_t record_bytes = table.schema().RowBytes();
+    const SeqScanOptions kRowAtATime{/*batch=*/false, /*prune=*/false};
+    std::vector<Hit> all;
+    ASSERT_TRUE(SeqScan(table, Predicate::True(), Capture(&all, record_bytes),
+                        nullptr, kRowAtATime)
+                    .ok());
+    std::set<std::pair<uint64_t, uint32_t>> selected;
+    for (const Predicate& predicate : predicates) {
+      std::vector<Hit> single;
+      ASSERT_TRUE(SeqScan(table, predicate, Capture(&single, record_bytes),
+                          nullptr, kRowAtATime)
+                      .ok());
+      for (const Hit& hit : single) {
+        selected.insert({hit.page, hit.slot});
+      }
+    }
+    std::vector<Hit> expected;
+    for (const Hit& hit : all) {
+      if (selected.count({hit.page, hit.slot}) > 0) {
+        expected.push_back(hit);
+      }
+    }
+
+    ScanStats pruned_stats;
+    for (const bool batch : {false, true}) {
+      for (const bool prune : {false, true}) {
+        const SeqScanOptions options{batch, prune};
+        std::vector<Hit> got;
+        ScanStats stats;
+        ASSERT_TRUE(SeqScan(table, predicates, Capture(&got, record_bytes),
+                            &stats, options)
+                        .ok());
+        EXPECT_EQ(got, expected) << "seed " << seed << " batch=" << batch
+                                 << " prune=" << prune;
+        EXPECT_EQ(stats.rows_matched, expected.size()) << "seed " << seed;
+        CheckStats(stats, table, "any-of");
+        if (!prune) {
+          EXPECT_EQ(stats.rows_scanned, table.row_count());
+        }
+        ScanStats count_stats;
+        ASSERT_TRUE(
+            SeqScan(table, predicates, nullptr, &count_stats, options).ok());
+        EXPECT_EQ(count_stats.rows_matched, expected.size());
+        EXPECT_EQ(count_stats.pages_pruned, stats.pages_pruned);
+        if (batch && prune) {
+          pruned_stats = stats;
+        }
+      }
+    }
+    for (size_t partitions = 1; partitions <= 4; ++partitions) {
+      std::vector<std::vector<Hit>> parts(partitions);
+      ScanStats parallel_stats;
+      ASSERT_TRUE(ParallelSeqScan(
+                      table, predicates, pool, partitions,
+                      [&parts, record_bytes](size_t p) {
+                        return Capture(&parts[p], record_bytes);
+                      },
+                      &parallel_stats)
+                      .ok());
+      std::vector<Hit> merged;
+      for (const auto& part : parts) {
+        merged.insert(merged.end(), part.begin(), part.end());
+      }
+      EXPECT_EQ(merged, expected)
+          << "seed " << seed << ", " << partitions << " partitions";
+      EXPECT_EQ(parallel_stats.rows_scanned, pruned_stats.rows_scanned);
+      EXPECT_EQ(parallel_stats.rows_pruned, pruned_stats.rows_pruned);
+      EXPECT_EQ(parallel_stats.pages_pruned, pruned_stats.pages_pruned);
+      EXPECT_EQ(parallel_stats.rows_matched, expected.size());
+    }
   }
 
   std::string path_;
@@ -353,6 +451,61 @@ TEST_F(ScanDifferentialTest, ResidualOnlyPredicateDisablesPruning) {
   EXPECT_EQ(matched, 5u);
   EXPECT_EQ(stats.pages_pruned, 0u);
   EXPECT_EQ(stats.rows_scanned, 100u);
+}
+
+// An any-of scan prunes a page only when no predicate can match it: a
+// page that a single predicate can match is scanned (and evaluates only
+// that predicate), every other page is pruned.
+TEST_F(ScanDifferentialTest, AnyOfPrunesOnlyPagesNoPredicateCanMatch) {
+  auto schema = DoubleSchema({"t", "v"});
+  auto table_or = db_->CreateTable("t", *schema);
+  ASSERT_TRUE(table_or.ok());
+  Table* table = *table_or;
+  constexpr int kRows = 4000;
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(
+        table->InsertDoubles({static_cast<double>(i), i % 2 ? 1.0 : -1.0})
+            .ok());
+  }
+  const uint64_t pages = table->heap_meta().page_count;
+  ASSERT_GE(pages, 4u);
+  Predicate first;  // rows 0-9: the first page only
+  first.And(0, CmpOp::kLt, 10.0);
+  Predicate last;   // rows 3990-3999, and only the odd ones
+  last.And(0, CmpOp::kGe, kRows - 10.0).And(1, CmpOp::kGt, 0.0);
+  Predicate none;   // beyond every zone
+  none.And(0, CmpOp::kGt, 1e9);
+  const std::vector<Predicate> any_of = {first, none, last};
+
+  std::vector<double> matched;
+  ScanStats stats;
+  ASSERT_TRUE(SeqScan(*table, any_of,
+                      [&](const char* record, RecordId) {
+                        matched.push_back(DecodeDoubleColumn(record, 0));
+                        return Status::OK();
+                      },
+                      &stats)
+                  .ok());
+  std::vector<double> expected;
+  for (int i = 0; i < 10; ++i) expected.push_back(i);
+  for (int i = kRows - 10; i < kRows; ++i) {
+    if (i % 2) expected.push_back(i);
+  }
+  EXPECT_EQ(matched, expected);
+  EXPECT_EQ(stats.rows_matched, expected.size());
+  EXPECT_EQ(stats.pages_scanned, 2u);
+  EXPECT_EQ(stats.pages_pruned, pages - 2);
+  EXPECT_EQ(stats.rows_scanned + stats.rows_pruned,
+            static_cast<uint64_t>(kRows));
+
+  // Only the impossible predicate: every page is pruned.
+  ScanStats none_stats;
+  ASSERT_TRUE(SeqScan(*table, std::vector<Predicate>{none, none}, nullptr,
+                      &none_stats)
+                  .ok());
+  EXPECT_EQ(none_stats.pages_pruned, pages);
+  EXPECT_EQ(none_stats.rows_scanned, 0u);
+  EXPECT_EQ(none_stats.rows_matched, 0u);
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // Facade-level tests for SegDiffIndex: ingest, search modes, reopen,
-// sizes, option validation.
+// sizes, option validation, and kAuto's one-pass-per-table execution.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_paths.h"
 
+#include "common/vfs.h"
 #include "segdiff/segdiff_index.h"
+#include "storage/page.h"
+#include "storage/wal.h"
 #include "ts/generator.h"
 
 namespace segdiff {
@@ -287,6 +292,163 @@ TEST_F(SegDiffIndexTest, IncrementalIngestMatchesSearchability) {
   }
   EXPECT_TRUE(in_first);
   EXPECT_TRUE(in_second);
+}
+
+/// Removes a store file and its WAL sidecar.
+void RemoveStoreFiles(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove(Wal::PathFor(path).c_str());
+}
+
+/// Compacts `index` into `destination` and opens the copy.
+std::unique_ptr<SegDiffIndex> CompactAndOpen(SegDiffIndex* index,
+                                             const std::string& destination) {
+  RemoveStoreFiles(destination);
+  Status compacted = index->Compact(destination);
+  EXPECT_TRUE(compacted.ok()) << compacted.ToString();
+  SegDiffOptions reopen;
+  reopen.create_if_missing = false;
+  auto copy = SegDiffIndex::Open(destination, reopen);
+  EXPECT_TRUE(copy.ok()) << copy.status().ToString();
+  return copy.ok() ? std::move(copy).value() : nullptr;
+}
+
+/// Feature rows of `kind` over its three tables.
+uint64_t FeatureRows(SegDiffIndex* index, SearchKind kind) {
+  uint64_t rows = 0;
+  for (int k = 1; k <= 3; ++k) {
+    auto table = index->db()->GetTable(std::string(SearchKindName(kind)) +
+                                       std::to_string(k));
+    EXPECT_TRUE(table.ok());
+    rows += (*table)->row_count();
+  }
+  return rows;
+}
+
+// Without usable indexes kAuto runs each feature table's queries as one
+// pass: three scans per search, each feature row scanned (or pruned)
+// once and each returned pair matched once — on a compacted store and
+// on an index-less row store alike — with the per-corner scans' pairs.
+TEST_F(SegDiffIndexTest, AutoSearchRunsOnePassPerTable) {
+  SegDiffOptions no_index;
+  no_index.build_indexes = false;
+  auto bare = Build(no_index);
+  const std::string compact_path = UniqueTestPath("segdiff_index",
+                                                  "_compact.db");
+  auto compacted = CompactAndOpen(bare.get(), compact_path);
+  ASSERT_NE(compacted, nullptr);
+  struct Case {
+    SearchKind kind;
+    double T;
+    double V;
+  };
+  const Case cases[] = {{SearchKind::kDrop, 3600.0, -3.0},
+                        {SearchKind::kDrop, 4 * 3600.0, -1.0},
+                        {SearchKind::kDrop, 900.0, -8.0},
+                        {SearchKind::kJump, 3600.0, 2.0}};
+  for (SegDiffIndex* index : {bare.get(), compacted.get()}) {
+    const char* label = index == bare.get() ? "row" : "compacted";
+    for (const Case& c : cases) {
+      for (int k = 1; k <= 3; ++k) {
+        auto table = index->db()->GetTable(
+            std::string(SearchKindName(c.kind)) + std::to_string(k));
+        ASSERT_TRUE(table.ok());
+        ASSERT_GT((*table)->row_count(), 0u) << label << " " << k;
+      }
+      auto search = [&](const SearchOptions& options, SearchStats* stats) {
+        return c.kind == SearchKind::kDrop
+                   ? index->SearchDrops(c.T, c.V, options, stats)
+                   : index->SearchJumps(c.T, c.V, options, stats);
+      };
+      SearchStats per_corner_stats;
+      auto per_corner = search(SearchOptions{}, &per_corner_stats);
+      ASSERT_TRUE(per_corner.ok()) << per_corner.status().ToString();
+      SearchOptions automatic;
+      automatic.mode = QueryMode::kAuto;
+      for (const size_t threads : {size_t{0}, size_t{4}}) {
+        automatic.num_threads = threads;
+        SearchStats stats;
+        auto result = search(automatic, &stats);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(*result, *per_corner)
+            << label << " T=" << c.T << " V=" << c.V;
+        EXPECT_EQ(stats.queries_issued, 3u) << label;
+        EXPECT_EQ(stats.scan.rows_scanned + stats.scan.rows_pruned,
+                  FeatureRows(index, c.kind))
+            << label << " T=" << c.T << " V=" << c.V;
+        EXPECT_EQ(stats.scan.rows_matched, stats.pairs_returned)
+            << label << " T=" << c.T << " V=" << c.V;
+      }
+      // The per-corner path still issues one scan per corner and edge.
+      EXPECT_EQ(per_corner_stats.queries_issued, 9u) << label;
+    }
+  }
+  compacted.reset();
+  RemoveStoreFiles(compact_path);
+}
+
+// A quarantined columnar segment is met once by the pass over its
+// table: the kAuto search is flagged partial, loses exactly that
+// segment's rows, and returns a subset of a clean copy's pairs.
+TEST_F(SegDiffIndexTest, AutoSearchCountsQuarantinedSegmentOnce) {
+  auto source = Build(SegDiffOptions{});
+  const std::string clean_path = UniqueTestPath("segdiff_index", "_clean.db");
+  const std::string damaged_path =
+      UniqueTestPath("segdiff_index", "_damaged.db");
+  auto clean = CompactAndOpen(source.get(), clean_path);
+  ASSERT_NE(clean, nullptr);
+  PageId victim = kInvalidPageId;
+  uint64_t victim_rows = 0;
+  {
+    auto damaged = CompactAndOpen(source.get(), damaged_path);
+    ASSERT_NE(damaged, nullptr);
+    auto drop2 = damaged->db()->GetTable("drop2");
+    ASSERT_TRUE(drop2.ok());
+    const ColumnStore* columnar = (*drop2)->columnar();
+    ASSERT_NE(columnar, nullptr);
+    ASSERT_GT(columnar->segment_count(), 0u);
+    victim = columnar->meta().segments[0].first_page;
+    victim_rows = columnar->meta().segments[0].rows;
+  }
+  {
+    // Flip one bit inside the segment's first page.
+    auto file = Vfs::Default()->OpenFile(damaged_path, /*create=*/false);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    const uint64_t offset = victim * kPageSize + 64;
+    char b = 0;
+    ASSERT_TRUE((*file)->Read(offset, 1, &b).ok());
+    b ^= 0x40;
+    ASSERT_TRUE((*file)->Write(offset, &b, 1).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  SegDiffOptions reopen;
+  reopen.create_if_missing = false;
+  auto damaged = SegDiffIndex::Open(damaged_path, reopen);
+  ASSERT_TRUE(damaged.ok()) << damaged.status().ToString();
+
+  SearchOptions automatic;
+  automatic.mode = QueryMode::kAuto;
+  auto whole = clean->SearchDrops(4 * 3600.0, -1.0, automatic);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  SearchStats stats;
+  auto partial = (*damaged)->SearchDrops(4 * 3600.0, -1.0, automatic, &stats);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_TRUE(stats.partial);
+  EXPECT_EQ(stats.scan.rows_quarantined, victim_rows);
+  EXPECT_LT(partial->size(), whole->size());
+  for (const PairId& pair : *partial) {
+    EXPECT_TRUE(std::find(whole->begin(), whole->end(), pair) != whole->end())
+        << "a damaged store invented a pair";
+  }
+  // Without a stats out-param the damage stays a hard error.
+  auto strict = (*damaged)->SearchDrops(4 * 3600.0, -1.0, automatic);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_TRUE(strict.status().IsCorruption());
+
+  damaged->reset();
+  clean.reset();
+  RemoveStoreFiles(clean_path);
+  RemoveStoreFiles(damaged_path);
 }
 
 }  // namespace
