@@ -173,9 +173,10 @@ void BM_PredicateMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateMatch);
 
-/// Batched page evaluation: the selection-bitmap kernel over one full
-/// page of drop2-shaped records. Arg 0 = portable scalar kernel, arg 1 =
-/// the runtime-dispatched SIMD kernel (SSE2/AVX2 when available).
+/// Batched page evaluation, as a heap-page scan runs it: per condition,
+/// gather the column out of drop2-shaped records, then AND the compare
+/// into the selection bitmap. Arg 0 = the portable scalar compare, arg
+/// 1 = the runtime-dispatched variant (SSE2/AVX2 when available).
 void BM_ScanKernelBatch(benchmark::State& state) {
   Predicate predicate;
   predicate.And(0, CmpOp::kLe, 3600.0).And(1, CmpOp::kLe, -3.0);
@@ -192,15 +193,20 @@ void BM_ScanKernelBatch(benchmark::State& state) {
       EncodeDouble(rec + 8 * c, rng.Uniform(0, 8 * 3600));
     }
   }
-  const ScanKernelFn kernel =
-      state.range(0) == 0 ? ScalarScanKernel() : ActiveScanKernel();
+  const ColumnCompareFn compare =
+      state.range(0) == 0 ? ScalarColumnCompare() : ActiveColumnCompare();
   state.SetLabel(state.range(0) == 0 ? "scalar" : ActiveScanKernelName());
   uint64_t bitmap[kBatchBitmapWords];
+  ColumnBatch vals;
   for (auto _ : state) {
-    kernel(records.data(), kRecordBytes, kRows,
-           predicate.conditions().data(), predicate.conditions().size(),
-           bitmap);
-    benchmark::DoNotOptimize(bitmap[0]);
+    InitSelectionBitmap(kRows, bitmap);
+    for (const ColumnCondition& cond : predicate.conditions()) {
+      GatherColumn(records.data(), kRecordBytes, kRows, cond.column,
+                   vals.vals);
+      compare(vals.vals, kRows, cond.op, cond.value, bitmap);
+    }
+    benchmark::DoNotOptimize(bitmap);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kRows));

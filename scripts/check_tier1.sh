@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification in one command:
 #   1. configure + build + full ctest suite (the CI gate from ROADMAP.md),
-#      a compile-only build of the perfbench package (the repo benchmark
-#      builds apart from the main tree), then a --quick smoke of the
-#      scan/parallel/micro benches (proves the bench binaries still run
-#      end to end; no perf assertions)
+#      the scan suites (scan_kernel, columnar, zone_map) rerun with the
+#      scalar and the SSE2 compare variant forced, a compile-only build
+#      of the perfbench package (the repo benchmark builds apart from
+#      the main tree), then a --quick smoke of the scan/parallel/micro
+#      benches (proves the bench binaries still run end to end; no perf
+#      assertions)
 #   2. a governance smoke: N concurrent pathological corner queries with
 #      a 50 ms deadline through segdiff_cli — every one must reach a
 #      terminal status (deadline-exceeded or success), proving a slow
@@ -55,6 +57,19 @@ cmake --build build -j "${JOBS}"
 
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "${JOBS}")
+
+echo "== tier-1: scan suites under each forced compare variant =="
+# The evaluator picks its compare variant once per process — the widest
+# the CPU supports — so the ctest run above drives only that one end to
+# end. Rerun the scan suites with each narrower variant forced;
+# ScanKernelTest.ActiveVariantHonoursOverride fails if the override did
+# not take.
+for kernel in scalar sse2; do
+  echo "-- SEGDIFF_SCAN_KERNEL=${kernel}"
+  (cd build && export SEGDIFF_SCAN_KERNEL="${kernel}" && \
+   ./tests/scan_kernel_test && ./tests/columnar_test && \
+   ./tests/zone_map_test)
+done
 
 echo "== tier-1: perfbench build (compile only, no run) =="
 # perfbench/ is a CMake package of its own, so the build above never

@@ -37,16 +37,10 @@ void AdmissionController::Ticket::Release() {
 }
 
 Result<AdmissionController::Ticket> AdmissionController::Admit(
-    const QueryContext& ctx, QueryPriority priority) {
+    const QueryContext& ctx) {
   SEGDIFF_RETURN_IF_ERROR(ctx.Check());
 
   std::unique_lock<std::mutex> lock(mu_);
-  if (opts_.unlimited) {
-    ++active_;
-    ++counters_.admitted;
-    return Ticket(this);
-  }
-
   // Fast path: a free slot and nobody queued ahead of us.
   if (waiters_.empty() && active_ < opts_.max_concurrent) {
     ++active_;
@@ -54,12 +48,7 @@ Result<AdmissionController::Ticket> AdmissionController::Admit(
     return Ticket(this);
   }
 
-  // High priority buys a deeper queue (refused later under overload),
-  // not a place at its head: the wait itself stays strictly FIFO.
-  const size_t queue_bound = priority == QueryPriority::kHigh
-                                 ? 2 * opts_.max_queue
-                                 : opts_.max_queue;
-  if (waiters_.size() >= queue_bound) {
+  if (waiters_.size() >= opts_.max_queue) {
     ++counters_.rejected;
     // Rough hint: every queued query ahead of the caller must drain
     // through a slot; assume one poll interval each.
@@ -68,7 +57,7 @@ Result<AdmissionController::Ticket> AdmissionController::Admit(
         (1 + waiters_.size() / std::max<size_t>(1, opts_.max_concurrent));
     return Status::ResourceExhausted(
         "admission queue full (" + std::to_string(waiters_.size()) + "/" +
-        std::to_string(queue_bound) + " waiting, " +
+        std::to_string(opts_.max_queue) + " waiting, " +
         std::to_string(active_) + " running); retry after ~" +
         std::to_string(retry_ms) + " ms");
   }
@@ -120,9 +109,6 @@ void AdmissionController::ReleaseSlot() {
 }
 
 size_t AdmissionController::ClampThreads(size_t requested) const {
-  if (opts_.unlimited) {
-    return std::max<size_t>(1, requested);
-  }
   if (requested == 0) {
     return opts_.max_threads_per_query;
   }

@@ -40,14 +40,10 @@ struct AdmissionOptions {
   /// Queries allowed to execute concurrently. 0 = auto:
   /// max(4, 2 x hardware_concurrency).
   size_t max_concurrent = 0;
-  /// Queries allowed to wait for a slot (normal priority). 0 = auto:
-  /// 2 x max_concurrent. High-priority queries get twice this bound.
+  /// Queries allowed to wait for a slot. 0 = auto: 2 x max_concurrent.
   size_t max_queue = 0;
   /// Per-query worker-thread clamp. 0 = auto: hardware_concurrency.
   size_t max_threads_per_query = 0;
-  /// Disables gating entirely (counters still accumulate). For embedded
-  /// single-tenant use and benchmarks of the ungoverned path.
-  bool unlimited = false;
 };
 
 /// Monotonic tallies of admission and query outcomes, surfaced next to
@@ -105,8 +101,7 @@ class AdmissionController {
   /// Blocks until a slot is free (FIFO among waiters) or fails:
   ///  - ResourceExhausted immediately when the wait queue is full,
   ///  - Cancelled / DeadlineExceeded if `ctx` fires while queued.
-  Result<Ticket> Admit(const QueryContext& ctx,
-                       QueryPriority priority = QueryPriority::kNormal);
+  Result<Ticket> Admit(const QueryContext& ctx);
 
   /// Caps a query's requested worker count at max_threads_per_query
   /// (requested 0 means "as many as allowed"). Always >= 1.

@@ -143,15 +143,6 @@ class MemoryBudget {
   std::atomic<bool> breached_{false};
 };
 
-/// Scheduling class for admission control. High-priority queries get a
-/// deeper admission queue (they are refused later under overload); they
-/// do not jump ahead of already-queued work — the wait queue stays FIFO
-/// so no query starves.
-enum class QueryPriority {
-  kNormal = 0,
-  kHigh,
-};
-
 /// Everything a cooperative check point needs, bundled so executors
 /// thread one pointer. Null context (the default everywhere) means
 /// ungoverned: zero checks, zero overhead beyond a branch.

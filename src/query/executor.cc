@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,15 +26,18 @@ const ZoneMap* ResolveZoneMap(const Table& table,
   return table.zone_map();
 }
 
-/// Per-scan (per-partition, under ParallelSeqScan) page evaluator for
-/// an any-of scan: a row is selected when at least one predicate
-/// matches it, and is emitted once, in scan order. Each page or decoded
-/// batch is read once for all predicates: every predicate's conditions
-/// are ANDed into a selection bitmap by the kernels, and a predicate's
-/// residual runs only on its surviving rows that no residual-free or
-/// earlier predicate already selected.
+/// Per-scan (per-partition, under ParallelSeqScan) evaluator for an
+/// any-of scan: a row is selected when at least one predicate matches
+/// it, and is emitted once, in scan order. Heap pages and decoded
+/// column batches take the same two bodies. The batch body lays each
+/// column a surviving predicate compares on out as contiguous doubles
+/// (gathered from the page's records, or decoded), ANDs every
+/// predicate's conditions into a selection bitmap with the one compare
+/// kernel, and runs a predicate's residual only on its surviving rows
+/// that no residual-free or earlier predicate already selected. The
+/// row-at-a-time body is the reference it is tested against.
 ///
-/// Both modes walk identical pages and count identically, so serial,
+/// Both bodies walk identical pages and count identically, so serial,
 /// parallel, batched, and row-at-a-time scans all agree on
 /// rows_scanned + rows_pruned and pages_scanned + pages_pruned —
 /// and the columnar segment path counts segment pages/rows under the
@@ -52,55 +56,73 @@ class PageEvaluator {
                            [](const Predicate& p) {
                              return !p.conditions().empty();
                            })),
-        kernel_(ActiveScanKernel()),
-        column_compare_(ActiveColumnCompare()),
+        compare_(ActiveColumnCompare()),
         zone_map_(prune_ ? ResolveZoneMap(table, options) : nullptr),
         ctx_(options.context),
         residual_bits_(predicates.size() * kBatchBitmapWords) {
     active_.reserve(predicates.size());
     residual_preds_.reserve(predicates.size());
+    // One gather buffer per column some condition compares on.
+    for (const Predicate& predicate : predicates) {
+      for (const ColumnCondition& cond : predicate.conditions()) {
+        if (cond.column >= gather_slot_.size()) {
+          gather_slot_.resize(cond.column + 1, kNoSlot);
+        }
+        if (gather_slot_[cond.column] == kNoSlot) {
+          gather_slot_[cond.column] = gathered_at_.size();
+          gathered_at_.push_back(0);
+        }
+      }
+    }
+    gathered_ = std::make_unique_for_overwrite<ColumnBatch[]>(
+        gathered_at_.size());
   }
 
+  /// Evaluates one heap page.
   Status Evaluate(PageId page, const char* records, uint16_t count,
                   bool* keep_going) {
     *keep_going = true;
-    // Page-granular cancellation point: the scan stops within one page
-    // of a cancel, and the non-OK return unwinds the pin held by the
-    // page-data walk. The deadline's clock read is amortized over
-    // kDeadlineCheckPageInterval pages (first page included, so an
-    // already-expired deadline fails before any work) — a relaxed
-    // atomic load per page is all the always-on cost.
-    if (ctx_ != nullptr) {
-      if (ctx_->cancel.cancelled()) {
-        return Status::Cancelled("query cancelled by caller");
-      }
-      if (++pages_since_deadline_check_ >= kDeadlineCheckPageInterval) {
-        pages_since_deadline_check_ = 0;
-        if (ctx_->deadline.expired()) {
-          return Status::DeadlineExceeded("query deadline exceeded");
-        }
-      }
-    }
-    ActivateAll();
+    SEGDIFF_RETURN_IF_ERROR(CheckGovernance(1));
+    size_t zone = ZoneMap::kNoZone;
     if (zone_map_ != nullptr) {
-      const size_t zone = zone_map_->FindZone(page);
+      zone = zone_map_->FindZone(page);
       // Prune only when the zone covers exactly the rows the page holds;
       // a mismatch (e.g. a crash persisted appends the checkpointed map
       // never saw) falls back to evaluating the whole page.
-      if (zone != ZoneMap::kNoZone && zone_map_->zone(zone).rows == count) {
-        KeepActiveIf([&](const Predicate& p) {
-          return ZoneCanMatch(*zone_map_, zone, p.conditions());
-        });
-        if (active_.empty()) {
-          ++stats_.pages_pruned;
-          stats_.rows_pruned += count;
-          return Status::OK();
-        }
+      if (zone != ZoneMap::kNoZone && zone_map_->zone(zone).rows != count) {
+        zone = ZoneMap::kNoZone;
       }
     }
+    Activate([&](const Predicate& p) {
+      return zone == ZoneMap::kNoZone ||
+             ZoneCanMatch(*zone_map_, zone, p.conditions());
+    });
+    if (zone != ZoneMap::kNoZone && active_.empty()) {
+      ++stats_.pages_pruned;
+      stats_.rows_pruned += count;
+      return Status::OK();
+    }
     ++stats_.pages_scanned;
-    return batch_ ? EvaluateBatch(page, records, count)
-                  : EvaluateRows(page, records, count);
+    stats_.rows_scanned += count;
+    auto row_at = [&](size_t slot) { return records + slot * record_bytes_; };
+    auto id_at = [page](size_t slot) {
+      return RecordId{page, static_cast<uint32_t>(slot)};
+    };
+    if (!batch_) {
+      return EvaluateRows(count, row_at, id_at);
+    }
+    // Each referenced column is gathered on its first use in this page,
+    // so a page gathers only the columns its surviving predicates read.
+    ++gather_epoch_;
+    auto column_at = [&](size_t col) -> const double* {
+      const size_t slot = gather_slot_[col];
+      if (gathered_at_[slot] != gather_epoch_) {
+        GatherColumn(records, record_bytes_, count, col, gathered_[slot].vals);
+        gathered_at_[slot] = gather_epoch_;
+      }
+      return gathered_[slot].vals;
+    };
+    return EvaluateBatch(count, NeedRows(), column_at, row_at, id_at);
   }
 
   /// Evaluates one compressed columnar segment. The segment's pages are
@@ -110,18 +132,7 @@ class PageEvaluator {
   /// in force for pruned segments).
   Status EvaluateSegment(const ColumnStore& store, size_t seg_idx) {
     const ColumnSegmentInfo& info = store.meta().segments[seg_idx];
-    if (ctx_ != nullptr) {
-      if (ctx_->cancel.cancelled()) {
-        return Status::Cancelled("query cancelled by caller");
-      }
-      pages_since_deadline_check_ += info.pages;
-      if (pages_since_deadline_check_ >= kDeadlineCheckPageInterval) {
-        pages_since_deadline_check_ = 0;
-        if (ctx_->deadline.expired()) {
-          return Status::DeadlineExceeded("query deadline exceeded");
-        }
-      }
-    }
+    SEGDIFF_RETURN_IF_ERROR(CheckGovernance(info.pages));
     Result<ColumnSegmentHandle> opened = store.OpenSegment(seg_idx);
     if (!opened.ok()) {
       if (skip_quarantined_ && opened.status().IsCorruption()) {
@@ -133,28 +144,21 @@ class PageEvaluator {
       return opened.status();
     }
     ColumnSegmentHandle handle = std::move(opened).value();
-    ActivateAll();
-    if (prune_) {
-      KeepActiveIf([&](const Predicate& p) {
-        return SegmentCanMatch(info, p.conditions());
-      });
-      if (active_.empty()) {
-        stats_.pages_pruned += info.pages;
-        stats_.rows_pruned += info.rows;
-        return Status::OK();
-      }
+    Activate([&](const Predicate& p) {
+      return !prune_ || SegmentCanMatch(info, p.conditions());
+    });
+    if (prune_ && active_.empty()) {
+      stats_.pages_pruned += info.pages;
+      stats_.rows_pruned += info.rows;
+      return Status::OK();
     }
     stats_.pages_scanned += info.pages;
     stats_.rows_scanned += info.rows;
     const size_t ncols = handle.num_columns();
     // Rows must be materialized when something consumes whole records
-    // (callback or residual) or in the row-at-a-time ablation mode;
-    // count-only scans decode just the predicates' columns.
-    const bool need_rows =
-        static_cast<bool>(callback_) || !batch_ ||
-        std::any_of(active_.begin(), active_.end(), [this](size_t i) {
-          return static_cast<bool>(predicates_[i].residual());
-        });
+    // (callback or residual) or in the row-at-a-time mode; count-only
+    // scans decode just the predicates' columns.
+    const bool need_rows = !batch_ || NeedRows();
     std::vector<size_t> wanted;
     if (need_rows) {
       for (size_t c = 0; c < ncols; ++c) {
@@ -175,12 +179,24 @@ class PageEvaluator {
     if (row_buf_.size() < record_bytes_) {
       row_buf_.resize(record_bytes_);
     }
+    // Rebuilds the encoded record for batch row i from the decoded
+    // columns (bit-exact: the cursors reproduce the stored bit patterns).
+    auto row_at = [&](size_t i) {
+      for (size_t c = 0; c < ncols; ++c) {
+        EncodeDouble(row_buf_.data() + 8 * c, decoder.column(c)[i]);
+      }
+      return static_cast<const char*>(row_buf_.data());
+    };
+    auto id_at = [&](size_t i) {
+      return RecordId{info.first_page,
+                      static_cast<uint32_t>(decoder.batch_start() + i)};
+    };
+    auto column_at = [&](size_t col) { return decoder.column(col); };
     size_t count;
     while ((count = decoder.NextBatch()) > 0) {
-      SEGDIFF_RETURN_IF_ERROR(batch_
-                                  ? SegmentBatch(decoder, info, ncols, count,
-                                                 need_rows)
-                                  : SegmentRows(decoder, info, ncols, count));
+      SEGDIFF_RETURN_IF_ERROR(
+          batch_ ? EvaluateBatch(count, need_rows, column_at, row_at, id_at)
+                 : EvaluateRows(count, row_at, id_at));
     }
     return Status::OK();
   }
@@ -210,63 +226,109 @@ class PageEvaluator {
   }
 
  private:
-  void ActivateAll() {
-    active_.clear();
-    for (size_t i = 0; i < predicates_.size(); ++i) {
-      active_.push_back(i);
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+  /// Page-granular cancellation point, ahead of `pages` pages of work (a
+  /// heap page, or a segment's page span): the scan stops within one
+  /// page of a cancel, and the non-OK return unwinds the pin held by the
+  /// page-data walk. The deadline's clock read is amortized over
+  /// kDeadlineCheckPageInterval pages (first page included, so an
+  /// already-expired deadline fails before any work) — a relaxed atomic
+  /// load per page is all the always-on cost.
+  Status CheckGovernance(uint64_t pages) {
+    if (ctx_ == nullptr) {
+      return Status::OK();
     }
-  }
-
-  /// Drops the active predicates the zone statistics rule out; the rest
-  /// are the only ones this page or segment evaluates.
-  template <typename CanMatch>
-  void KeepActiveIf(CanMatch can_match) {
-    std::erase_if(active_,
-                  [&](size_t i) { return !can_match(predicates_[i]); });
-  }
-
-  /// True when some active predicate matches `record` (row-at-a-time).
-  bool AnyActiveMatches(const char* record) const {
-    for (const size_t i : active_) {
-      if (predicates_[i].Matches(record)) {
-        return true;
+    if (ctx_->cancel.cancelled()) {
+      return Status::Cancelled("query cancelled by caller");
+    }
+    pages_since_deadline_check_ += pages;
+    if (pages_since_deadline_check_ >= kDeadlineCheckPageInterval) {
+      pages_since_deadline_check_ = 0;
+      if (ctx_->deadline.expired()) {
+        return Status::DeadlineExceeded("query deadline exceeded");
       }
     }
-    return false;
+    return Status::OK();
   }
 
-  /// Runs every active predicate's column conditions over one batch of
-  /// `count` rows, `fill(predicate, bitmap)` writing one predicate's AND.
-  /// Rows a residual-free predicate selects are ORed into sure_; each
-  /// residual predicate keeps its own survivors for EmitSelected.
-  template <typename Fill>
-  void Select(size_t count, Fill fill) {
+  /// Makes the predicates `can_match` admits the only ones the current
+  /// page or segment evaluates (its zone statistics rule out the rest).
+  template <typename CanMatch>
+  void Activate(CanMatch can_match) {
+    active_.clear();
+    for (size_t i = 0; i < predicates_.size(); ++i) {
+      if (can_match(predicates_[i])) {
+        active_.push_back(i);
+      }
+    }
+  }
+
+  /// True when the batch body must hand out whole records: a callback
+  /// consumes them, or an active predicate has a residual.
+  bool NeedRows() const {
+    return static_cast<bool>(callback_) ||
+           std::any_of(active_.begin(), active_.end(), [this](size_t i) {
+             return static_cast<bool>(predicates_[i].residual());
+           });
+  }
+
+  /// The row-at-a-time reference body over `count` rows: each active
+  /// predicate's Matches, in order, until one accepts. `row_at(i)`
+  /// yields row i's encoded record, `id_at(i)` its id.
+  template <typename RowAt, typename IdAt>
+  Status EvaluateRows(size_t count, RowAt row_at, IdAt id_at) {
+    for (size_t i = 0; i < count; ++i) {
+      const char* record = row_at(i);
+      if (std::any_of(active_.begin(), active_.end(), [&](size_t p) {
+            return predicates_[p].Matches(record);
+          })) {
+        SEGDIFF_RETURN_IF_ERROR(Emit(record, id_at(i)));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// The batch body over `count` rows. `column_at(col)` yields the
+  /// batch's values of table column `col`. Rows a residual-free
+  /// predicate selects are ORed into sure_; each residual predicate
+  /// keeps its own survivors. Without `need_rows` (count-only, no
+  /// residual) the selection is just popcounted; otherwise each row is
+  /// emitted once, in batch order: rows in sure_ directly, any other
+  /// candidate only when a residual predicate whose conditions held
+  /// accepts it (residuals run in predicate order and stop at the first
+  /// acceptance).
+  template <typename ColumnAt, typename RowAt, typename IdAt>
+  Status EvaluateBatch(size_t count, bool need_rows, ColumnAt column_at,
+                       RowAt row_at, IdAt id_at) {
     const size_t words = (count + 63) / 64;
     std::fill_n(sure_, words, uint64_t{0});
     residual_preds_.clear();
     for (const size_t i : active_) {
       const Predicate& predicate = predicates_[i];
+      uint64_t* bitmap = predicate.residual()
+                             ? ResidualBits(residual_preds_.size())
+                             : scratch_;
+      InitSelectionBitmap(count, bitmap);
+      for (const ColumnCondition& cond : predicate.conditions()) {
+        compare_(column_at(cond.column), count, cond.op, cond.value, bitmap);
+      }
       if (predicate.residual()) {
-        fill(predicate, ResidualBits(residual_preds_.size()));
         residual_preds_.push_back(&predicate);
         continue;
       }
-      fill(predicate, scratch_);
       for (size_t w = 0; w < words; ++w) {
         sure_[w] |= scratch_[w];
       }
     }
-  }
-
-  /// Emits, in batch order, every row the last Select chose: rows in
-  /// sure_ directly, any other candidate only when a residual predicate
-  /// whose conditions held accepts it (residuals run in predicate order
-  /// and stop at the first acceptance), so each row is emitted once.
-  /// `row_at(i)` yields batch row i's encoded record, `id_at(i)` its id.
-  template <typename RowAt, typename IdAt>
-  Status EmitSelected(size_t count, RowAt row_at, IdAt id_at) {
+    if (!need_rows) {
+      for (size_t w = 0; w < words; ++w) {
+        stats_.rows_matched += static_cast<uint64_t>(std::popcount(sure_[w]));
+      }
+      return Status::OK();
+    }
     const size_t residuals = residual_preds_.size();
-    for (size_t w = 0; w * 64 < count; ++w) {
+    for (size_t w = 0; w < words; ++w) {
       uint64_t candidates = sure_[w];
       for (size_t r = 0; r < residuals; ++r) {
         candidates |= ResidualBits(r)[w];
@@ -282,14 +344,9 @@ class PageEvaluator {
           selected = (ResidualBits(r)[w] & mask) != 0 &&
                      residual_preds_[r]->residual()(record);
         }
-        if (!selected) {
-          continue;
+        if (selected) {
+          SEGDIFF_RETURN_IF_ERROR(Emit(record, id_at(i)));
         }
-        ++stats_.rows_matched;
-        if (callback_) {
-          SEGDIFF_RETURN_IF_ERROR(callback_(record, id_at(i)));
-        }
-        SEGDIFF_RETURN_IF_ERROR(CheckBetweenEmits());
       }
     }
     return Status::OK();
@@ -299,96 +356,15 @@ class PageEvaluator {
     return residual_bits_.data() + r * kBatchBitmapWords;
   }
 
-  /// Rebuilds the encoded record for batch row `i` from the decoded
-  /// columns (bit-exact: the cursors reproduce the stored bit patterns).
-  const char* MaterializeRow(const ColumnDecoder& decoder, size_t ncols,
-                             size_t i) {
-    for (size_t c = 0; c < ncols; ++c) {
-      EncodeDouble(row_buf_.data() + 8 * c, decoder.column(c)[i]);
+  /// Counts and emits one selected row. Also a check point inside the
+  /// emit loop, for pages where the row callback itself is the
+  /// expensive part (corner-query overlap tests): every
+  /// kGovernanceCheckInterval emitted rows.
+  Status Emit(const char* record, RecordId id) {
+    ++stats_.rows_matched;
+    if (callback_) {
+      SEGDIFF_RETURN_IF_ERROR(callback_(record, id));
     }
-    return row_buf_.data();
-  }
-
-  /// Vectorized evaluation of one decoded batch: selection bitmaps over
-  /// contiguous columns, then residual/emit only for candidate rows.
-  /// Count-only scans (no callback, no residual) never materialize —
-  /// just popcount the bitmap.
-  Status SegmentBatch(const ColumnDecoder& decoder,
-                      const ColumnSegmentInfo& info, size_t ncols,
-                      size_t count, bool need_rows) {
-    Select(count, [&](const Predicate& predicate, uint64_t* bitmap) {
-      InitSelectionBitmap(count, bitmap);
-      for (const ColumnCondition& cond : predicate.conditions()) {
-        column_compare_(decoder.column(cond.column), count, cond.op,
-                        cond.value, bitmap);
-      }
-    });
-    if (!need_rows) {
-      for (size_t w = 0; w * 64 < count; ++w) {
-        stats_.rows_matched += static_cast<uint64_t>(std::popcount(sure_[w]));
-      }
-      return Status::OK();
-    }
-    return EmitSelected(
-        count, [&](size_t i) { return MaterializeRow(decoder, ncols, i); },
-        [&](size_t i) {
-          return RecordId{info.first_page,
-                          static_cast<uint32_t>(decoder.batch_start() + i)};
-        });
-  }
-
-  /// Row-at-a-time ablation path over a decoded batch.
-  Status SegmentRows(const ColumnDecoder& decoder,
-                     const ColumnSegmentInfo& info, size_t ncols,
-                     size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      const char* record = MaterializeRow(decoder, ncols, i);
-      if (AnyActiveMatches(record)) {
-        ++stats_.rows_matched;
-        if (callback_) {
-          const uint32_t row = static_cast<uint32_t>(decoder.batch_start() + i);
-          SEGDIFF_RETURN_IF_ERROR(
-              callback_(record, RecordId{info.first_page, row}));
-        }
-        SEGDIFF_RETURN_IF_ERROR(CheckBetweenEmits());
-      }
-    }
-    return Status::OK();
-  }
-
-  Status EvaluateRows(PageId page, const char* records, uint16_t count) {
-    for (uint16_t slot = 0; slot < count; ++slot) {
-      const char* record = records + static_cast<size_t>(slot) * record_bytes_;
-      ++stats_.rows_scanned;
-      if (AnyActiveMatches(record)) {
-        ++stats_.rows_matched;
-        if (callback_) {
-          SEGDIFF_RETURN_IF_ERROR(callback_(record, RecordId{page, slot}));
-        }
-        SEGDIFF_RETURN_IF_ERROR(CheckBetweenEmits());
-      }
-    }
-    return Status::OK();
-  }
-
-  Status EvaluateBatch(PageId page, const char* records, uint16_t count) {
-    Select(count, [&](const Predicate& predicate, uint64_t* bitmap) {
-      const std::vector<ColumnCondition>& conditions = predicate.conditions();
-      kernel_(records, record_bytes_, count, conditions.data(),
-              conditions.size(), bitmap);
-    });
-    stats_.rows_scanned += count;
-    return EmitSelected(
-        count, [&](size_t slot) { return records + slot * record_bytes_; },
-        [page](size_t slot) {
-          return RecordId{page, static_cast<uint32_t>(slot)};
-        });
-  }
-
-  /// Extra check points inside the residual/emit loop, for pages where
-  /// the row callback itself is the expensive part (corner-query overlap
-  /// tests): every kGovernanceCheckInterval emitted rows.
-  Status CheckBetweenEmits() {
     if (ctx_ != nullptr && ++emits_since_check_ >= kGovernanceCheckInterval) {
       emits_since_check_ = 0;
       return ctx_->Check();
@@ -403,8 +379,7 @@ class PageEvaluator {
   const bool skip_quarantined_;
   CorruptPageSkipper skipper_;  ///< lazily armed by heap_skipper()
   const bool prune_;
-  const ScanKernelFn kernel_;
-  const ColumnCompareFn column_compare_;
+  const ColumnCompareFn compare_;
   const ZoneMap* zone_map_;
   const QueryContext* ctx_;
   uint64_t emits_since_check_ = 0;
@@ -420,30 +395,49 @@ class PageEvaluator {
   std::vector<uint64_t> residual_bits_;
   uint64_t sure_[kBatchBitmapWords];     ///< rows selected outright
   uint64_t scratch_[kBatchBitmapWords];  ///< one predicate's conditions
+  /// Heap-page gather buffers: gathered_[gather_slot_[col]] holds table
+  /// column col of the page whose gather_epoch_ is in gathered_at_.
+  std::vector<size_t> gather_slot_;
+  std::vector<uint64_t> gathered_at_;
+  std::unique_ptr<ColumnBatch[]> gathered_;
+  uint64_t gather_epoch_ = 0;
 };
 
-}  // namespace
+/// One contiguous slice of a scan: a run of columnar segments, then a
+/// heap walk — the whole page chain, or a run of its pages (segments
+/// always precede the heap in scan order, so every contiguous slice has
+/// this shape).
+struct ScanPartition {
+  size_t seg_begin = 0;
+  size_t seg_end = 0;        ///< exclusive
+  bool whole_chain = false;  ///< walk the chain itself, not `pages`
+  std::vector<PageId> pages;
+  size_t heap_first = 0;  ///< chain position of pages[0] (tail counts)
+};
 
-Status SeqScan(const Table& table, std::span<const Predicate> predicates,
-               const RowCallback& callback, ScanStats* stats,
-               const SeqScanOptions& options) {
+/// The one scan body, run by SeqScan and by every ParallelSeqScan
+/// partition. It adds its counters to `*stats` whether it succeeds or
+/// fails, so a failed scan still reports what it read and routed around.
+Status RunPartition(const Table& table, std::span<const Predicate> predicates,
+                    const SeqScanOptions& options, const RowCallback& callback,
+                    const ScanPartition& part, ScanStats* stats) {
   PageEvaluator evaluator(table, predicates, options, callback);
   Status status = Status::OK();
-  // Columnar segments hold the oldest rows; scanning them first keeps
-  // the visit order identical to the row-format scan of the same data.
-  const ColumnStore* columnar = table.columnar();
-  if (columnar != nullptr) {
-    for (size_t s = 0; s < columnar->segment_count() && status.ok(); ++s) {
-      status = evaluator.EvaluateSegment(*columnar, s);
-    }
+  for (size_t s = part.seg_begin; s < part.seg_end && status.ok(); ++s) {
+    status = evaluator.EvaluateSegment(*table.columnar(), s);
   }
   if (status.ok()) {
-    status = table.ScanPageData(
-        [&](PageId page, const char* records, uint16_t count,
-            bool* keep_going) -> Status {
+    const HeapFile::PageDataFn evaluate =
+        [&evaluator](PageId page, const char* records, uint16_t count,
+                     bool* keep_going) {
           return evaluator.Evaluate(page, records, count, keep_going);
-        },
-        options.snapshot, evaluator.heap_skipper());
+        };
+    status = part.whole_chain
+                 ? table.ScanChain(evaluate, options.snapshot,
+                                   evaluator.heap_skipper())
+                 : table.ScanPageList(part.pages, part.heap_first, evaluate,
+                                      options.snapshot,
+                                      evaluator.heap_skipper());
   }
   if (stats != nullptr) {
     stats->Add(evaluator.stats());
@@ -451,19 +445,19 @@ Status SeqScan(const Table& table, std::span<const Predicate> predicates,
   return status;
 }
 
-namespace {
-
-/// One contiguous slice of a parallel scan: a run of columnar segments
-/// followed by a run of heap pages (segments always precede the heap in
-/// scan order, so every contiguous slice has this shape).
-struct ScanPartition {
-  size_t seg_begin = 0;
-  size_t seg_end = 0;  ///< exclusive
-  std::vector<PageId> pages;
-  size_t heap_first = 0;  ///< heap index of pages[0] (tail-count math)
-};
-
 }  // namespace
+
+Status SeqScan(const Table& table, std::span<const Predicate> predicates,
+               const RowCallback& callback, ScanStats* stats,
+               const SeqScanOptions& options) {
+  // Columnar segments hold the oldest rows; scanning them first keeps
+  // the visit order identical to the row-format scan of the same data.
+  ScanPartition whole;
+  whole.seg_end =
+      table.columnar() != nullptr ? table.columnar()->segment_count() : 0;
+  whole.whole_chain = true;
+  return RunPartition(table, predicates, options, callback, whole, stats);
+}
 
 Status ParallelSeqScan(const Table& table,
                        std::span<const Predicate> predicates, ThreadPool* pool,
@@ -483,10 +477,13 @@ Status ParallelSeqScan(const Table& table,
     collect_stats.pages_quarantined += page != kInvalidPageId ? 1 : 0;
     collect_stats.rows_quarantined += lost;
   };
-  SEGDIFF_ASSIGN_OR_RETURN(
-      std::vector<PageId> pages,
-      table.HeapPageIds(options.snapshot,
-                        options.skip_quarantined ? &collect_skipper : nullptr));
+  Result<std::vector<PageId>> collected = table.HeapPageIds(
+      options.snapshot, options.skip_quarantined ? &collect_skipper : nullptr);
+  if (stats != nullptr) {
+    stats->Add(collect_stats);
+  }
+  SEGDIFF_RETURN_IF_ERROR(collected.status());
+  const std::vector<PageId>& pages = *collected;
   const ColumnStore* columnar = table.columnar();
   const size_t num_segments =
       columnar != nullptr ? columnar->segment_count() : 0;
@@ -534,34 +531,20 @@ Status ParallelSeqScan(const Table& table,
     sinks[p] = make_sink(p);
   }
   std::vector<ScanStats> partition_stats(num_partitions);
-  SEGDIFF_RETURN_IF_ERROR(pool->ParallelFor(
+  const Status status = pool->ParallelFor(
       num_partitions, options.context, [&](size_t p) -> Status {
-        const ScanPartition& part = partitions[p];
-        PageEvaluator evaluator(table, predicates, options, sinks[p]);
-        Status status = Status::OK();
-        for (size_t s = part.seg_begin; s < part.seg_end && status.ok();
-             ++s) {
-          status = evaluator.EvaluateSegment(*columnar, s);
-        }
-        if (status.ok()) {
-          status = table.ScanPagesData(
-              part.pages, part.heap_first,
-              [&](PageId page, const char* records, uint16_t count,
-                  bool* keep_going) -> Status {
-                return evaluator.Evaluate(page, records, count, keep_going);
-              },
-              options.snapshot, evaluator.heap_skipper());
-        }
-        partition_stats[p] = evaluator.stats();
-        return status;
-      }));
+        return RunPartition(table, predicates, options, sinks[p],
+                            partitions[p], &partition_stats[p]);
+      });
+  // Merged whatever the outcome, in partition order, so totals equal
+  // the serial scan's; a partition the failure left unclaimed adds
+  // nothing.
   if (stats != nullptr) {
-    stats->Add(collect_stats);
     for (const ScanStats& local : partition_stats) {
       stats->Add(local);
     }
   }
-  return Status::OK();
+  return status;
 }
 
 Status IndexScan(const Table& table, const IndexScanSpec& spec,

@@ -1,5 +1,12 @@
 // Access-path executors: sequential scan (serial or partitioned across a
 // thread pool) and index range scan.
+//
+// SeqScan and every ParallelSeqScan partition run one scan body: a run
+// of columnar segments, then a heap walk (the whole page chain, or a
+// partition's slice of it). Heap pages and decoded column batches reach
+// their selection bitmaps through the same compare kernels
+// (query/scan_kernel.h), and the body reports its ScanStats whether the
+// scan succeeds or fails.
 
 #ifndef SEGDIFF_QUERY_EXECUTOR_H_
 #define SEGDIFF_QUERY_EXECUTOR_H_
@@ -104,6 +111,8 @@ struct SeqScanOptions {
 /// every predicate; one that survives evaluates just the predicates it
 /// can match. Every scanned row counts once in rows_scanned, every
 /// emitted row once in rows_matched. An empty span matches nothing.
+/// `stats` receives the counters also when the scan fails (a callback
+/// error, a cancel), covering everything read up to the failure.
 Status SeqScan(const Table& table, std::span<const Predicate> predicates,
                const RowCallback& callback, ScanStats* stats = nullptr,
                const SeqScanOptions& options = {});
@@ -130,8 +139,10 @@ using PartitionSinkFactory = std::function<RowCallback(size_t partition)>;
 /// runs executed concurrently on `pool` (the calling thread
 /// participates). Rows are visited exactly once overall; per-partition
 /// ScanStats are merged into `stats` in partition order, so totals
-/// equal the serial SeqScan's. Early-stop (`keep_going`) inside a
-/// callback only stops that partition.
+/// equal the serial SeqScan's — also on failure, when every partition
+/// that ran adds what it read (one the failure left unstarted adds
+/// nothing). Early-stop (`keep_going`) inside a callback only stops
+/// that partition.
 Status ParallelSeqScan(const Table& table,
                        std::span<const Predicate> predicates, ThreadPool* pool,
                        size_t num_partitions,

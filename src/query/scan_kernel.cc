@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "common/coding.h"
 #include "common/env.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -12,30 +13,6 @@
 
 namespace segdiff {
 namespace {
-
-// Sets the low `count` bits; bits at and above `count` stay zero so the
-// caller can walk whole words.
-void InitBitmap(size_t count, uint64_t* bitmap) {
-  const size_t words = (count + 63) / 64;
-  for (size_t w = 0; w < words; ++w) {
-    bitmap[w] = ~uint64_t{0};
-  }
-  if (count % 64 != 0) {
-    bitmap[words - 1] = ~uint64_t{0} >> (64 - count % 64);
-  }
-}
-
-// Strided gather of one column into a contiguous buffer: the only part
-// of the kernel that touches the record layout; the compare loops below
-// then run over plain doubles.
-void GatherColumn(const char* records, size_t record_bytes, size_t count,
-                  size_t column, double* vals) {
-  const char* cell = records + 8 * column;
-  for (size_t i = 0; i < count; ++i) {
-    vals[i] = DecodeDoubleColumn(cell, 0);
-    cell += record_bytes;
-  }
-}
 
 template <CmpOp Op>
 bool CmpScalar(double v, double bound) {
@@ -66,34 +43,24 @@ void AndCompareScalar(const double* vals, size_t count, double bound,
   }
 }
 
-void KernelScalar(const char* records, size_t record_bytes, size_t count,
-                  const ColumnCondition* conditions, size_t num_conditions,
-                  uint64_t* bitmap) {
-  InitBitmap(count, bitmap);
-  if (count == 0 || num_conditions == 0) {
-    return;
-  }
-  double vals[kMaxBatchRows];
-  for (size_t c = 0; c < num_conditions; ++c) {
-    const ColumnCondition& cond = conditions[c];
-    GatherColumn(records, record_bytes, count, cond.column, vals);
-    switch (cond.op) {
-      case CmpOp::kLt:
-        AndCompareScalar<CmpOp::kLt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kLe:
-        AndCompareScalar<CmpOp::kLe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGt:
-        AndCompareScalar<CmpOp::kGt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGe:
-        AndCompareScalar<CmpOp::kGe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kEq:
-        AndCompareScalar<CmpOp::kEq>(vals, count, cond.value, bitmap);
-        break;
-    }
+void ColumnCompareScalar(const double* vals, size_t count, CmpOp op,
+                         double bound, uint64_t* bitmap) {
+  switch (op) {
+    case CmpOp::kLt:
+      AndCompareScalar<CmpOp::kLt>(vals, count, bound, bitmap);
+      break;
+    case CmpOp::kLe:
+      AndCompareScalar<CmpOp::kLe>(vals, count, bound, bitmap);
+      break;
+    case CmpOp::kGt:
+      AndCompareScalar<CmpOp::kGt>(vals, count, bound, bitmap);
+      break;
+    case CmpOp::kGe:
+      AndCompareScalar<CmpOp::kGe>(vals, count, bound, bitmap);
+      break;
+    case CmpOp::kEq:
+      AndCompareScalar<CmpOp::kEq>(vals, count, bound, bitmap);
+      break;
   }
 }
 
@@ -136,64 +103,6 @@ void AndCompareSse2(const double* vals, size_t count, double bound,
   }
 }
 
-void KernelSse2(const char* records, size_t record_bytes, size_t count,
-                const ColumnCondition* conditions, size_t num_conditions,
-                uint64_t* bitmap) {
-  InitBitmap(count, bitmap);
-  if (count == 0 || num_conditions == 0) {
-    return;
-  }
-  double vals[kMaxBatchRows];
-  for (size_t c = 0; c < num_conditions; ++c) {
-    const ColumnCondition& cond = conditions[c];
-    GatherColumn(records, record_bytes, count, cond.column, vals);
-    switch (cond.op) {
-      case CmpOp::kLt:
-        AndCompareSse2<CmpOp::kLt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kLe:
-        AndCompareSse2<CmpOp::kLe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGt:
-        AndCompareSse2<CmpOp::kGt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGe:
-        AndCompareSse2<CmpOp::kGe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kEq:
-        AndCompareSse2<CmpOp::kEq>(vals, count, cond.value, bitmap);
-        break;
-    }
-  }
-}
-
-#endif  // x86-64
-
-/// Dispatch over a contiguous column batch: same compare loops as the
-/// page kernels, minus the gather.
-void ColumnCompareScalar(const double* vals, size_t count, CmpOp op,
-                         double bound, uint64_t* bitmap) {
-  switch (op) {
-    case CmpOp::kLt:
-      AndCompareScalar<CmpOp::kLt>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kLe:
-      AndCompareScalar<CmpOp::kLe>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kGt:
-      AndCompareScalar<CmpOp::kGt>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kGe:
-      AndCompareScalar<CmpOp::kGe>(vals, count, bound, bitmap);
-      break;
-    case CmpOp::kEq:
-      AndCompareScalar<CmpOp::kEq>(vals, count, bound, bitmap);
-      break;
-  }
-}
-
-#if defined(__x86_64__) || defined(_M_X64)
-
 void ColumnCompareSse2(const double* vals, size_t count, CmpOp op,
                        double bound, uint64_t* bitmap) {
   switch (op) {
@@ -218,14 +127,13 @@ void ColumnCompareSse2(const double* vals, size_t count, CmpOp op,
 #endif  // x86-64
 
 struct KernelChoice {
-  ScanKernelFn fn;
-  ColumnCompareFn column_fn;
+  ColumnCompareFn fn;
   const char* name;
 };
 
 KernelChoice PickKernel() {
-  const ScanKernelFn sse2 = Sse2ScanKernel();
-  ScanKernelFn avx2 = Avx2ScanKernel();  // null when not compiled in
+  const ColumnCompareFn sse2 = Sse2ColumnCompare();
+  ColumnCompareFn avx2 = Avx2ColumnCompare();  // null when not compiled in
 #if (defined(__x86_64__) || defined(_M_X64)) && \
     (defined(__GNUC__) || defined(__clang__))
   if (avx2 != nullptr && !__builtin_cpu_supports("avx2")) {
@@ -234,28 +142,21 @@ KernelChoice PickKernel() {
 #else
   avx2 = nullptr;
 #endif
-  const KernelChoice scalar = {&KernelScalar, ScalarColumnCompare(),
-                               "scalar"};
-  const KernelChoice with_sse2 = {sse2, Sse2ColumnCompare(), "sse2"};
-  const KernelChoice with_avx2 = {avx2, Avx2ColumnCompare(), "avx2"};
   const std::string want = GetEnvString("SEGDIFF_SCAN_KERNEL", "");
   if (want == "scalar") {
-    return scalar;
+    return {&ColumnCompareScalar, "scalar"};
   }
   if (want == "sse2" && sse2 != nullptr) {
-    return with_sse2;
-  }
-  if (want == "avx2" && avx2 != nullptr) {
-    return with_avx2;
+    return {sse2, "sse2"};
   }
   // Default (and fallback for unsupported requests): widest available.
   if (avx2 != nullptr) {
-    return with_avx2;
+    return {avx2, "avx2"};
   }
   if (sse2 != nullptr) {
-    return with_sse2;
+    return {sse2, "sse2"};
   }
-  return scalar;
+  return {&ColumnCompareScalar, "scalar"};
 }
 
 const KernelChoice& Active() {
@@ -279,17 +180,77 @@ bool RangeCanMatch(const ColumnCondition& cond, double lo, double hi) {
   return true;
 }
 
+/// What a zone's statistics say about one column: the range of its
+/// non-NaN cells (lo > hi when there are none) and whether any cell is
+/// NaN.
+struct ColumnBounds {
+  double lo;
+  double hi;
+  bool has_nan;
+};
+
+/// The one bounds test, behind both page zones (ZoneCanMatch) and
+/// segment zones (SegmentCanMatch): true when some row of a zone could
+/// satisfy every condition. `bounds_of(col)` yields the zone's
+/// ColumnBounds for a column below `num_columns`; the zone holds no
+/// evidence about columns past that.
+template <typename BoundsOf>
+bool BoundsCanMatch(const std::vector<ColumnCondition>& conditions,
+                    size_t num_columns, BoundsOf bounds_of) {
+  for (const ColumnCondition& cond : conditions) {
+    if (cond.column >= num_columns) {
+      continue;  // no evidence about this column; cannot prune on it
+    }
+    const ColumnBounds bounds = bounds_of(cond.column);
+    if (std::isnan(bounds.lo) || std::isnan(bounds.hi)) {
+      continue;  // polluted bounds must never justify a skip
+    }
+    if (bounds.lo > bounds.hi) {
+      // No non-NaN value was observed. With the NaN bit set, every cell
+      // of this column is NaN and fails any comparison — the zone
+      // cannot match. Without it the zone is inconsistent; do not prune.
+      if (bounds.has_nan) {
+        return false;
+      }
+      continue;
+    }
+    if (!RangeCanMatch(cond, bounds.lo, bounds.hi)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-ScanKernelFn ActiveScanKernel() { return Active().fn; }
+void GatherColumn(const char* records, size_t record_bytes, size_t count,
+                  size_t column, double* vals) {
+  const char* cell = records + 8 * column;
+  for (size_t i = 0; i < count; ++i) {
+    vals[i] = DecodeDouble(cell);
+    cell += record_bytes;
+  }
+}
+
+void InitSelectionBitmap(size_t count, uint64_t* bitmap) {
+  const size_t words = (count + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    bitmap[w] = ~uint64_t{0};
+  }
+  if (count % 64 != 0) {
+    bitmap[words - 1] = ~uint64_t{0} >> (64 - count % 64);
+  }
+}
+
+ColumnCompareFn ActiveColumnCompare() { return Active().fn; }
 
 const char* ActiveScanKernelName() { return Active().name; }
 
-ScanKernelFn ScalarScanKernel() { return &KernelScalar; }
+ColumnCompareFn ScalarColumnCompare() { return &ColumnCompareScalar; }
 
-ScanKernelFn Sse2ScanKernel() {
+ColumnCompareFn Sse2ColumnCompare() {
 #if defined(__x86_64__) || defined(_M_X64)
-  return &KernelSse2;
+  return &ColumnCompareSse2;
 #else
   return nullptr;
 #endif
@@ -297,29 +258,11 @@ ScanKernelFn Sse2ScanKernel() {
 
 bool ZoneCanMatch(const ZoneMap& zone_map, size_t zone_idx,
                   const std::vector<ColumnCondition>& conditions) {
-  for (const ColumnCondition& cond : conditions) {
-    if (cond.column >= zone_map.num_columns()) {
-      continue;  // no evidence about this column; cannot prune on it
-    }
-    const double lo = zone_map.Min(zone_idx, cond.column);
-    const double hi = zone_map.Max(zone_idx, cond.column);
-    if (std::isnan(lo) || std::isnan(hi)) {
-      continue;  // polluted bounds must never justify a skip
-    }
-    if (lo > hi) {
-      // No non-NaN value was observed. With the NaN bit set, every cell
-      // of this column is NaN and fails any comparison — the page
-      // cannot match. Without it the zone is inconsistent; do not prune.
-      if (zone_map.HasNan(zone_idx, cond.column)) {
-        return false;
-      }
-      continue;
-    }
-    if (!RangeCanMatch(cond, lo, hi)) {
-      return false;
-    }
-  }
-  return true;
+  return BoundsCanMatch(conditions, zone_map.num_columns(), [&](size_t col) {
+    return ColumnBounds{zone_map.Min(zone_idx, col),
+                        zone_map.Max(zone_idx, col),
+                        zone_map.HasNan(zone_idx, col)};
+  });
 }
 
 ZoneSurvey SurveyZones(const ZoneMap& zone_map,
@@ -336,47 +279,12 @@ ZoneSurvey SurveyZones(const ZoneMap& zone_map,
   return survey;
 }
 
-void InitSelectionBitmap(size_t count, uint64_t* bitmap) {
-  InitBitmap(count, bitmap);
-}
-
-ColumnCompareFn ActiveColumnCompare() { return Active().column_fn; }
-
-ColumnCompareFn ScalarColumnCompare() { return &ColumnCompareScalar; }
-
-ColumnCompareFn Sse2ColumnCompare() {
-#if defined(__x86_64__) || defined(_M_X64)
-  return &ColumnCompareSse2;
-#else
-  return nullptr;
-#endif
-}
-
 bool SegmentCanMatch(const ColumnSegmentInfo& info,
                      const std::vector<ColumnCondition>& conditions) {
-  for (const ColumnCondition& cond : conditions) {
-    if (cond.column >= info.min.size()) {
-      continue;  // no evidence about this column; cannot prune on it
-    }
-    const double lo = info.min[cond.column];
-    const double hi = info.max[cond.column];
-    if (std::isnan(lo) || std::isnan(hi)) {
-      continue;  // polluted bounds must never justify a skip
-    }
-    if (lo > hi) {
-      // No non-NaN value in this column. With the NaN bit set every
-      // cell is NaN and fails any comparison — the segment cannot
-      // match. Without it the stats are inconsistent; do not prune.
-      if ((info.nan_mask >> cond.column) & 1u) {
-        return false;
-      }
-      continue;
-    }
-    if (!RangeCanMatch(cond, lo, hi)) {
-      return false;
-    }
-  }
-  return true;
+  return BoundsCanMatch(conditions, info.min.size(), [&](size_t col) {
+    return ColumnBounds{info.min[col], info.max[col],
+                        ((info.nan_mask >> col) & 1u) != 0};
+  });
 }
 
 ColumnarSurvey SurveyColumnarSegments(

@@ -1,16 +1,19 @@
-// Batched predicate kernels and zone-map pruning tests.
+// Selection-bitmap compare kernels and zone-map pruning tests.
 //
-// The batched sequential scan evaluates one heap page at a time: each
-// ColumnCondition is applied to the page's column values with a
-// branch-free compare loop that ANDs a selection bitmap, and only rows
-// whose bit survives reach the residual std::function / row callback.
-// Three kernel variants share one signature — a portable scalar loop
-// (auto-vectorizable), an SSE2 loop (x86-64 baseline), and an AVX2 loop
-// compiled with a target attribute and selected at runtime via CPU
+// Every batched scan reaches its selection bitmap the same way, whether
+// it reads a heap page or a compressed columnar segment: each column a
+// condition references is laid out as contiguous doubles — gathered
+// from the page's records (GatherColumn) or decoded from the segment
+// (ColumnDecoder) — and the condition ANDs a branch-free compare loop
+// over those values into the bitmap. One compare family serves both
+// formats, in three variants sharing one signature: a portable scalar
+// loop (auto-vectorizable), an SSE2 loop (x86-64 baseline), and an AVX2
+// loop compiled with a target attribute and selected at runtime via CPU
 // detection, following the crc32c hardware/software dispatch pattern.
 //
 // Semantics match EvalCondition exactly: all comparisons are ordered,
-// so a NaN cell never matches.
+// so a NaN cell never matches. Page zones and segment zones prune
+// through one bounds test with the same NaN rules.
 
 #ifndef SEGDIFF_QUERY_SCAN_KERNEL_H_
 #define SEGDIFF_QUERY_SCAN_KERNEL_H_
@@ -33,30 +36,38 @@ inline constexpr size_t kMaxBatchRows =
     (kPageCapacity - HeapFile::kHeaderBytes) / 8;
 inline constexpr size_t kBatchBitmapWords = (kMaxBatchRows + 63) / 64;
 
-/// Fills `bitmap` (ceil(count/64) words; bit i = record i matches every
-/// condition) for `count` fixed-width records starting at `records`.
-/// Bits at and above `count` are zero. `count` must not exceed
-/// kMaxBatchRows and every condition's column must lie within the
-/// record.
-using ScanKernelFn = void (*)(const char* records, size_t record_bytes,
-                              size_t count, const ColumnCondition* conditions,
-                              size_t num_conditions, uint64_t* bitmap);
+/// Copies column `column` of `count` fixed-width records starting at
+/// `records` into the contiguous buffer `vals` — the heap page's
+/// counterpart of a columnar decode. `count` must not exceed
+/// kMaxBatchRows and the column must lie within the record.
+void GatherColumn(const char* records, size_t record_bytes, size_t count,
+                  size_t column, double* vals);
 
-/// The kernel chosen for this process: the widest variant the CPU
-/// supports, overridable with SEGDIFF_SCAN_KERNEL=scalar|sse2|avx2
-/// (unsupported requests fall back to the widest supported variant).
-ScanKernelFn ActiveScanKernel();
+/// Sets the low `count` bits of `bitmap` (ceil(count/64) words); bits at
+/// and above `count` stay zero so callers can walk whole words.
+void InitSelectionBitmap(size_t count, uint64_t* bitmap);
 
-/// Name of the variant ActiveScanKernel() returns ("scalar", "sse2",
+/// ANDs `bitmap` with `vals[i] op bound` over `count` contiguous values
+/// (a gathered heap column or a decoded column batch). Comparisons are
+/// ordered: NaN never matches.
+using ColumnCompareFn = void (*)(const double* vals, size_t count, CmpOp op,
+                                 double bound, uint64_t* bitmap);
+
+/// The variant chosen for this process: the widest the CPU supports,
+/// overridable with SEGDIFF_SCAN_KERNEL=scalar|sse2|avx2 (unsupported
+/// requests fall back to the widest supported variant).
+ColumnCompareFn ActiveColumnCompare();
+
+/// Name of the variant ActiveColumnCompare() returns ("scalar", "sse2",
 /// "avx2") — for --stats output and bench reports.
 const char* ActiveScanKernelName();
 
-/// The individual variants, exposed for differential tests. Sse2/Avx2
-/// are null function pointers off x86-64 (and Avx2 may be unusable even
-/// where non-null; callers outside tests should use ActiveScanKernel).
-ScanKernelFn ScalarScanKernel();
-ScanKernelFn Sse2ScanKernel();
-ScanKernelFn Avx2ScanKernel();
+/// The individual variants, exposed for differential tests and benches.
+/// Sse2/Avx2 are null off x86-64 (and Avx2 may be unusable even where
+/// non-null; callers outside tests should use ActiveColumnCompare).
+ColumnCompareFn ScalarColumnCompare();
+ColumnCompareFn Sse2ColumnCompare();
+ColumnCompareFn Avx2ColumnCompare();
 
 /// True when some value inside zone `zone_idx` could satisfy every
 /// condition. Sound with NaN-bearing pages: zone bounds exclude NaN
@@ -89,30 +100,17 @@ inline constexpr size_t kColumnBatchRows = 1024;
 static_assert(kColumnBatchRows % 64 == 0);
 static_assert(kColumnBatchRows / 64 <= kBatchBitmapWords);
 static_assert(ColumnStore::kMaxSegmentRows % kColumnBatchRows == 0);
+static_assert(kMaxBatchRows <= kColumnBatchRows);
 
-/// Sets the low `count` bits of `bitmap` (ceil(count/64) words); bits at
-/// and above `count` stay zero so callers can walk whole words.
-void InitSelectionBitmap(size_t count, uint64_t* bitmap);
-
-/// ANDs `bitmap` with `vals[i] op bound` over a contiguous column batch
-/// — the columnar counterpart of ScanKernelFn, minus the gather (the
-/// decoder already materialized the column). Comparisons are ordered:
-/// NaN never matches.
-using ColumnCompareFn = void (*)(const double* vals, size_t count, CmpOp op,
-                                 double bound, uint64_t* bitmap);
-
-/// Widest supported variant, honouring the same SEGDIFF_SCAN_KERNEL
-/// override as ActiveScanKernel().
-ColumnCompareFn ActiveColumnCompare();
-
-/// The individual variants, exposed for differential tests (null off
-/// x86-64 / without AVX2, like their ScanKernelFn counterparts).
-ColumnCompareFn ScalarColumnCompare();
-ColumnCompareFn Sse2ColumnCompare();
-ColumnCompareFn Avx2ColumnCompare();
+/// One column's values for one batch, 64-byte aligned for the compare
+/// loops: a decoded columnar batch, or a heap page's gathered column
+/// (a page holds at most kMaxBatchRows records).
+struct alignas(64) ColumnBatch {
+  double vals[kColumnBatchRows];
+};
 
 /// Segment-level pruning test over the directory's zone statistics —
-/// the columnar counterpart of ZoneCanMatch, with identical NaN rules.
+/// the same bounds test as ZoneCanMatch, so the same NaN rules.
 /// Pruned segments must still have their pages fetched (and therefore
 /// checksum-verified); opening the segment handle does exactly that.
 bool SegmentCanMatch(const ColumnSegmentInfo& info,
@@ -156,16 +154,12 @@ class ColumnDecoder {
   }
 
  private:
-  struct alignas(64) Batch {
-    double vals[kColumnBatchRows];
-  };
-
   ColumnDecoder() = default;
 
   ColumnSegmentHandle* handle_ = nullptr;
   std::vector<size_t> columns_;
   std::vector<ColumnCursor> cursors_;
-  std::vector<Batch> buffers_;
+  std::vector<ColumnBatch> buffers_;
   uint8_t slot_of_[ZoneMap::kMaxColumns] = {};
   size_t next_row_ = 0;
   size_t batch_start_ = 0;

@@ -1,4 +1,4 @@
-// AVX2 variant of the batched predicate kernel. This translation unit
+// AVX2 variant of the column compare kernel. This translation unit
 // alone is compiled with -mavx2 when the compiler supports it (mirroring
 // the crc32c SSE4.2 arrangement); scan_kernel.cc only takes the function
 // pointer after checking __builtin_cpu_supports("avx2") at runtime, so
@@ -68,47 +68,6 @@ void AndCompareAvx2(const double* vals, size_t count, double bound,
   }
 }
 
-void KernelAvx2(const char* records, size_t record_bytes, size_t count,
-                const ColumnCondition* conditions, size_t num_conditions,
-                uint64_t* bitmap) {
-  const size_t words = (count + 63) / 64;
-  for (size_t w = 0; w < words; ++w) {
-    bitmap[w] = ~uint64_t{0};
-  }
-  if (count % 64 != 0) {
-    bitmap[words - 1] = ~uint64_t{0} >> (64 - count % 64);
-  }
-  if (count == 0 || num_conditions == 0) {
-    return;
-  }
-  double vals[kMaxBatchRows];
-  for (size_t c = 0; c < num_conditions; ++c) {
-    const ColumnCondition& cond = conditions[c];
-    const char* cell = records + 8 * cond.column;
-    for (size_t i = 0; i < count; ++i) {
-      vals[i] = DecodeDoubleColumn(cell, 0);
-      cell += record_bytes;
-    }
-    switch (cond.op) {
-      case CmpOp::kLt:
-        AndCompareAvx2<CmpOp::kLt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kLe:
-        AndCompareAvx2<CmpOp::kLe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGt:
-        AndCompareAvx2<CmpOp::kGt>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kGe:
-        AndCompareAvx2<CmpOp::kGe>(vals, count, cond.value, bitmap);
-        break;
-      case CmpOp::kEq:
-        AndCompareAvx2<CmpOp::kEq>(vals, count, cond.value, bitmap);
-        break;
-    }
-  }
-}
-
 void ColumnCompareAvx2(const double* vals, size_t count, CmpOp op,
                        double bound, uint64_t* bitmap) {
   switch (op) {
@@ -132,8 +91,6 @@ void ColumnCompareAvx2(const double* vals, size_t count, CmpOp op,
 
 }  // namespace
 
-ScanKernelFn Avx2ScanKernel() { return &KernelAvx2; }
-
 ColumnCompareFn Avx2ColumnCompare() { return &ColumnCompareAvx2; }
 
 }  // namespace segdiff
@@ -141,8 +98,6 @@ ColumnCompareFn Avx2ColumnCompare() { return &ColumnCompareAvx2; }
 #else  // !defined(__AVX2__)
 
 namespace segdiff {
-
-ScanKernelFn Avx2ScanKernel() { return nullptr; }
 
 ColumnCompareFn Avx2ColumnCompare() { return nullptr; }
 

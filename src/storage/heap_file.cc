@@ -135,32 +135,21 @@ Status HeapFile::SkipCorruptChainPage(const Status& error, PageId* current,
 
 Status HeapFile::Scan(const ScanFn& fn, const PoolSnapshot* snap,
                       const CorruptPageSkipper* skip) const {
-  PageId current = meta_.first_page;
-  uint64_t index = 0;
-  bool keep_going = true;
-  while (current != kInvalidPageId && index < meta_.page_count && keep_going) {
-    Result<PageHandle> page = pool_->Fetch(current, snap);
-    if (!page.ok()) {
-      SEGDIFF_RETURN_IF_ERROR(
-          SkipCorruptChainPage(page.status(), &current, index, skip));
-      ++index;
-      continue;
-    }
-    const uint16_t count = PageRecordCount(index);
-    const char* base = (*page).data() + kHeaderBytes;
-    for (uint16_t slot = 0; slot < count && keep_going; ++slot) {
-      SEGDIFF_RETURN_IF_ERROR(
-          fn(base + static_cast<size_t>(slot) * record_bytes_,
-             RecordId{current, slot}, &keep_going));
-    }
-    current = PageNext((*page).data());
-    ++index;
-  }
-  return Status::OK();
+  return ScanChain(
+      [&](PageId page, const char* records, uint16_t count,
+          bool* keep_going) -> Status {
+        for (uint16_t slot = 0; slot < count && *keep_going; ++slot) {
+          SEGDIFF_RETURN_IF_ERROR(
+              fn(records + static_cast<size_t>(slot) * record_bytes_,
+                 RecordId{page, slot}, keep_going));
+        }
+        return Status::OK();
+      },
+      snap, skip);
 }
 
-Status HeapFile::ScanPageData(const PageDataFn& fn, const PoolSnapshot* snap,
-                              const CorruptPageSkipper* skip) const {
+Status HeapFile::ScanChain(const PageDataFn& fn, const PoolSnapshot* snap,
+                           const CorruptPageSkipper* skip) const {
   PageId current = meta_.first_page;
   uint64_t index = 0;
   bool keep_going = true;
@@ -180,10 +169,10 @@ Status HeapFile::ScanPageData(const PageDataFn& fn, const PoolSnapshot* snap,
   return Status::OK();
 }
 
-Status HeapFile::ScanPagesData(const std::vector<PageId>& pages,
-                               uint64_t first_page_index, const PageDataFn& fn,
-                               const PoolSnapshot* snap,
-                               const CorruptPageSkipper* skip) const {
+Status HeapFile::ScanPageList(const std::vector<PageId>& pages,
+                              uint64_t first_page_index, const PageDataFn& fn,
+                              const PoolSnapshot* snap,
+                              const CorruptPageSkipper* skip) const {
   bool keep_going = true;
   for (size_t i = 0; i < pages.size(); ++i) {
     if (!keep_going || first_page_index + i >= meta_.page_count) {
@@ -212,61 +201,25 @@ Result<std::vector<PageId>> HeapFile::CollectPageIds(
     const PoolSnapshot* snap, const CorruptPageSkipper* skip) const {
   std::vector<PageId> pages;
   pages.reserve(meta_.page_count);
-  PageId current = meta_.first_page;
-  while (current != kInvalidPageId && pages.size() < meta_.page_count) {
-    pages.push_back(current);
-    Result<PageHandle> page = pool_->Fetch(current, snap);
-    if (!page.ok()) {
-      // The corrupt page keeps its slot in the list (the consuming scan
-      // reports it when its own fetch fails); only the chain recovery —
-      // and any unreachable-remainder report — happens here. on_skip is
-      // suppressed for the page itself to avoid double counting.
-      CorruptPageSkipper remainder_only;
-      if (skip != nullptr) {
-        remainder_only.on_skip = [&](PageId p, uint64_t lost) {
-          if (p == kInvalidPageId && skip->on_skip) {
-            skip->on_skip(p, lost);
-          }
-        };
-      }
-      SEGDIFF_RETURN_IF_ERROR(SkipCorruptChainPage(
-          page.status(), &current, pages.size() - 1,
-          skip != nullptr ? &remainder_only : nullptr));
-      continue;
+  // A corrupt page keeps its slot in the list (the consuming scan
+  // reports it when its own fetch fails), so the chain walk's report of
+  // the page itself only records its id; an unreachable-remainder
+  // report (kInvalidPageId) is passed on.
+  CorruptPageSkipper keep_slot;
+  keep_slot.on_skip = [&](PageId page, uint64_t lost) {
+    if (page != kInvalidPageId) {
+      pages.push_back(page);
+    } else if (skip->on_skip) {
+      skip->on_skip(page, lost);
     }
-    current = PageNext((*page).data());
-  }
+  };
+  SEGDIFF_RETURN_IF_ERROR(ScanChain(
+      [&pages](PageId page, const char*, uint16_t, bool*) {
+        pages.push_back(page);
+        return Status::OK();
+      },
+      snap, skip != nullptr ? &keep_slot : nullptr));
   return pages;
-}
-
-Status HeapFile::ScanPages(const std::vector<PageId>& pages,
-                           uint64_t first_page_index, const ScanFn& fn,
-                           const PoolSnapshot* snap,
-                           const CorruptPageSkipper* skip) const {
-  bool keep_going = true;
-  for (size_t i = 0; i < pages.size(); ++i) {
-    if (!keep_going || first_page_index + i >= meta_.page_count) {
-      break;
-    }
-    Result<PageHandle> page = pool_->Fetch(pages[i], snap);
-    if (!page.ok()) {
-      if (skip == nullptr || !page.status().IsCorruption()) {
-        return page.status();
-      }
-      if (skip->on_skip) {
-        skip->on_skip(pages[i], PageRecordCount(first_page_index + i));
-      }
-      continue;
-    }
-    const uint16_t count = PageRecordCount(first_page_index + i);
-    const char* base = (*page).data() + kHeaderBytes;
-    for (uint16_t slot = 0; slot < count && keep_going; ++slot) {
-      SEGDIFF_RETURN_IF_ERROR(
-          fn(base + static_cast<size_t>(slot) * record_bytes_,
-             RecordId{pages[i], slot}, &keep_going));
-    }
-  }
-  return Status::OK();
 }
 
 Status HeapFile::ReadRecord(RecordId id, char* buf,

@@ -7,7 +7,12 @@
 //   [16..   ] records, record_bytes each (up to kPageCapacity; the
 //             trailing kPageTrailerBytes belong to the pager's checksum)
 //
-// Scans stream pages in chain order; point reads resolve a RecordId.
+// Reads walk pages in one of two ways: the chain walk (ScanChain)
+// follows the next pointers from the first page, and the page-list
+// walk (ScanPageList) visits a slice of page ids collected up front,
+// which is how a partitioned scan splits the heap. The record scan
+// (Scan) and the page-id collection (CollectPageIds) are adapters over
+// the chain walk. Point reads resolve a RecordId.
 //
 // The HeapFileMeta is authoritative over the page headers. Pages fill
 // strictly in order, so the i-th page of the chain holds
@@ -82,9 +87,9 @@ class HeapFile {
   /// replay after a crash overwrites any phantom rows in place.
   Result<RecordId> Append(const char* record);
 
-  /// Visits records in storage order. The callback sets `*keep_going` to
-  /// false to stop early. `snap` (nullable) reads page contents as of a
-  /// pool snapshot — pair it with a frozen meta.
+  /// Visits records in storage order (over the chain walk). The callback
+  /// sets `*keep_going` to false to stop early. `snap` (nullable) reads
+  /// page contents as of a pool snapshot — pair it with a frozen meta.
   using ScanFn =
       std::function<Status(const char* record, RecordId id, bool* keep_going)>;
   Status Scan(const ScanFn& fn, const PoolSnapshot* snap = nullptr,
@@ -94,10 +99,10 @@ class HeapFile {
   Status ReadRecord(RecordId id, char* buf,
                     const PoolSnapshot* snap = nullptr) const;
 
-  /// Page ids of the chain in storage order, by walking the next
-  /// pointers (bounded by meta.page_count). The walk touches every page
-  /// header (one pool fetch per page), so callers partitioning a scan
-  /// should reuse the result.
+  /// Page ids of the chain in storage order (over the chain walk,
+  /// bounded by meta.page_count). The walk fetches every page (one pool
+  /// fetch per page), so callers partitioning a scan should reuse the
+  /// result.
   /// With a skipper, a corrupt chain page's id is still included (the
   /// consuming scan reports it when its own fetch fails); only an
   /// unreachable remainder is reported here, since no partition would
@@ -106,28 +111,27 @@ class HeapFile {
       const PoolSnapshot* snap = nullptr,
       const CorruptPageSkipper* skip = nullptr) const;
 
-  /// Scans only `pages` (a contiguous slice of CollectPageIds() whose
-  /// first element sits at chain position `first_page_index`), in the
-  /// given order. `keep_going = false` stops this partition.
-  Status ScanPages(const std::vector<PageId>& pages, uint64_t first_page_index,
-                   const ScanFn& fn, const PoolSnapshot* snap = nullptr,
-                   const CorruptPageSkipper* skip = nullptr) const;
-
-  /// Page-at-a-time scan: the callback sees each page's record area
-  /// (`records` = first record, `count` records of record_bytes each)
-  /// while the page stays pinned, so batched executors can evaluate a
-  /// whole page without per-record dispatch. Every page is fetched
-  /// through the buffer pool — and therefore checksum-verified — even
-  /// when the callback then decides to skip it (zone-map pruning must
-  /// not mask corruption).
+  /// The chain walk, a page at a time: the callback sees each page's
+  /// record area (`records` = first record, `count` records of
+  /// record_bytes each) while the page stays pinned, so batched
+  /// executors can evaluate a whole page without per-record dispatch.
+  /// Every page is fetched through the buffer pool — and therefore
+  /// checksum-verified — even when the callback then decides to skip it
+  /// (zone-map pruning must not mask corruption).
   using PageDataFn = std::function<Status(PageId page, const char* records,
                                           uint16_t count, bool* keep_going)>;
-  Status ScanPageData(const PageDataFn& fn, const PoolSnapshot* snap = nullptr,
+  Status ScanChain(const PageDataFn& fn, const PoolSnapshot* snap = nullptr,
+                   const CorruptPageSkipper* skip = nullptr) const;
+
+  /// The page-list walk: the same callback over only `pages` (a
+  /// contiguous slice of CollectPageIds() whose first element sits at
+  /// chain position `first_page_index`), in the given order. With a
+  /// skipper a corrupt page costs only its own records, since the chain
+  /// is already resolved. `keep_going = false` stops this walk.
+  Status ScanPageList(const std::vector<PageId>& pages,
+                      uint64_t first_page_index, const PageDataFn& fn,
+                      const PoolSnapshot* snap = nullptr,
                       const CorruptPageSkipper* skip = nullptr) const;
-  Status ScanPagesData(const std::vector<PageId>& pages,
-                       uint64_t first_page_index, const PageDataFn& fn,
-                       const PoolSnapshot* snap = nullptr,
-                       const CorruptPageSkipper* skip = nullptr) const;
 
   const HeapFileMeta& meta() const { return meta_; }
   size_t record_bytes() const { return record_bytes_; }

@@ -95,112 +95,86 @@ Result<RecordId> Table::InsertEncoded(const char* record) {
   return rid;
 }
 
-Result<HeapFile> Table::FrozenHeap(const DatabaseSnapshot& snapshot) const {
-  const TableSnapshotView* view = snapshot.TableView(name_);
+Result<Table::HeapAt> Table::ResolveHeap(
+    const DatabaseSnapshot* snapshot) const {
+  if (snapshot == nullptr) {
+    return HeapAt{*heap_, nullptr};
+  }
+  const TableSnapshotView* view = snapshot->TableView(name_);
   if (view == nullptr) {
     return Status::InvalidArgument("table not covered by snapshot: " + name_);
   }
-  return HeapFile::Attach(pool_, schema_.RowBytes(), view->heap_meta);
+  SEGDIFF_ASSIGN_OR_RETURN(
+      HeapFile frozen,
+      HeapFile::Attach(pool_, schema_.RowBytes(), view->heap_meta));
+  return HeapAt{frozen, snapshot->pool_snapshot()};
 }
 
 Status Table::Scan(const HeapFile::ScanFn& fn,
                    const DatabaseSnapshot* snapshot,
                    const CorruptPageSkipper* skip) const {
-  if (columnar_ != nullptr) {
-    // Columnar segments are immutable once written, so snapshot scans
-    // read them directly.
-    bool keep_going = true;
-    SEGDIFF_RETURN_IF_ERROR(ScanColumnar(fn, &keep_going));
-    if (!keep_going) {
-      return Status::OK();
-    }
-  }
-  if (snapshot == nullptr) {
-    return heap_->Scan(fn, nullptr, skip);
-  }
-  SEGDIFF_ASSIGN_OR_RETURN(HeapFile frozen, FrozenHeap(*snapshot));
-  return frozen.Scan(fn, snapshot->pool_snapshot(), skip);
+  return ScanRecords(fn, snapshot, skip, nullptr);
 }
 
 Status Table::ScanSalvage(const HeapFile::ScanFn& fn,
                           SalvageStats* stats) const {
-  bool keep_going = true;
-  if (columnar_ != nullptr) {
-    // Per-segment tolerance: a corrupt segment (any of its pages fails
-    // its checksum, or its directory fails to parse) is dropped whole —
-    // segments are decoded as a unit, so there is no finer grain to
-    // salvage at.
-    const size_t ncols = schema_.num_columns();
-    std::vector<double> values;
-    std::vector<char> record(schema_.RowBytes());
-    for (size_t s = 0; s < columnar_->segment_count() && keep_going; ++s) {
-      const ColumnSegmentInfo& info = columnar_->meta().segments[s];
-      Result<ColumnSegmentHandle> opened = columnar_->OpenSegment(s);
-      Status decode_status = opened.status();
-      if (opened.ok()) {
-        ColumnSegmentHandle handle = std::move(opened).value();
-        const size_t rows = handle.rows();
-        values.resize(ncols * rows);
-        decode_status = Status::OK();
-        for (size_t c = 0; c < ncols && decode_status.ok(); ++c) {
-          decode_status = handle.DecodeColumn(c, values.data() + c * rows);
-        }
-        if (decode_status.ok()) {
-          const PageId first = handle.first_page();
-          for (size_t r = 0; r < rows && keep_going; ++r) {
-            for (size_t c = 0; c < ncols; ++c) {
-              EncodeDouble(record.data() + c * 8, values[c * rows + r]);
-            }
-            SEGDIFF_RETURN_IF_ERROR(
-                fn(record.data(), RecordId{first, static_cast<uint32_t>(r)},
-                   &keep_going));
-          }
-          continue;
-        }
-      }
-      if (!decode_status.IsCorruption()) {
-        return decode_status;
-      }
-      ++stats->segments_skipped;
-      stats->rows_lost += info.rows;
-    }
-    if (!keep_going) {
-      return Status::OK();
-    }
-  }
   CorruptPageSkipper skipper;
   skipper.on_skip = [&](PageId page, uint64_t lost) {
     stats->pages_skipped += page != kInvalidPageId ? 1 : 0;
     stats->rows_lost += lost;
   };
-  return heap_->Scan(fn, nullptr, &skipper);
+  return ScanRecords(fn, nullptr, &skipper, stats);
 }
 
-Status Table::ScanColumnar(const HeapFile::ScanFn& fn,
-                           bool* keep_going) const {
+Status Table::ScanRecords(const HeapFile::ScanFn& fn,
+                          const DatabaseSnapshot* snapshot,
+                          const CorruptPageSkipper* skip,
+                          SalvageStats* salvage) const {
+  // Columnar segments are immutable once written, so snapshot scans
+  // read them directly.
+  const size_t segments =
+      columnar_ != nullptr ? columnar_->segment_count() : 0;
   const size_t ncols = schema_.num_columns();
   std::vector<double> values;
   std::vector<char> record(schema_.RowBytes());
-  for (size_t s = 0; s < columnar_->segment_count() && *keep_going; ++s) {
-    SEGDIFF_ASSIGN_OR_RETURN(ColumnSegmentHandle handle,
-                             columnar_->OpenSegment(s));
-    const size_t rows = handle.rows();
-    values.resize(ncols * rows);
-    for (size_t c = 0; c < ncols; ++c) {
-      SEGDIFF_RETURN_IF_ERROR(
-          handle.DecodeColumn(c, values.data() + c * rows));
+  bool keep_going = true;
+  for (size_t s = 0; s < segments && keep_going; ++s) {
+    Result<ColumnSegmentHandle> opened = columnar_->OpenSegment(s);
+    Status decoded = opened.status();
+    size_t rows = 0;
+    if (opened.ok()) {
+      rows = opened->rows();
+      values.resize(ncols * rows);
+      for (size_t c = 0; c < ncols && decoded.ok(); ++c) {
+        decoded = opened->DecodeColumn(c, values.data() + c * rows);
+      }
     }
-    const PageId first = handle.first_page();
-    for (size_t r = 0; r < rows && *keep_going; ++r) {
+    if (!decoded.ok()) {
+      // Salvage drops a corrupt segment (any of its pages fails its
+      // checksum, or its directory fails to parse) whole: segments are
+      // decoded as a unit, so there is no finer grain to salvage at.
+      if (salvage == nullptr || !decoded.IsCorruption()) {
+        return decoded;
+      }
+      ++salvage->segments_skipped;
+      salvage->rows_lost += columnar_->meta().segments[s].rows;
+      continue;
+    }
+    const PageId first = opened->first_page();
+    for (size_t r = 0; r < rows && keep_going; ++r) {
       for (size_t c = 0; c < ncols; ++c) {
         EncodeDouble(record.data() + c * 8, values[c * rows + r]);
       }
       SEGDIFF_RETURN_IF_ERROR(
           fn(record.data(), RecordId{first, static_cast<uint32_t>(r)},
-             keep_going));
+             &keep_going));
     }
   }
-  return Status::OK();
+  if (!keep_going) {
+    return Status::OK();
+  }
+  SEGDIFF_ASSIGN_OR_RETURN(HeapAt at, ResolveHeap(snapshot));
+  return at.heap.Scan(fn, at.snap, skip);
 }
 
 Status Table::AppendColumnarSegment(const char* records, size_t rows) {
@@ -241,46 +215,24 @@ Table::FormatBreakdown Table::GetFormatBreakdown() const {
 
 Result<std::vector<PageId>> Table::HeapPageIds(
     const DatabaseSnapshot* snapshot, const CorruptPageSkipper* skip) const {
-  if (snapshot == nullptr) {
-    return heap_->CollectPageIds(nullptr, skip);
-  }
-  SEGDIFF_ASSIGN_OR_RETURN(HeapFile frozen, FrozenHeap(*snapshot));
-  return frozen.CollectPageIds(snapshot->pool_snapshot(), skip);
+  SEGDIFF_ASSIGN_OR_RETURN(HeapAt at, ResolveHeap(snapshot));
+  return at.heap.CollectPageIds(at.snap, skip);
 }
 
-Status Table::ScanPages(const std::vector<PageId>& pages,
-                        uint64_t first_page_index, const HeapFile::ScanFn& fn,
+Status Table::ScanChain(const HeapFile::PageDataFn& fn,
                         const DatabaseSnapshot* snapshot,
                         const CorruptPageSkipper* skip) const {
-  if (snapshot == nullptr) {
-    return heap_->ScanPages(pages, first_page_index, fn, nullptr, skip);
-  }
-  SEGDIFF_ASSIGN_OR_RETURN(HeapFile frozen, FrozenHeap(*snapshot));
-  return frozen.ScanPages(pages, first_page_index, fn,
-                          snapshot->pool_snapshot(), skip);
+  SEGDIFF_ASSIGN_OR_RETURN(HeapAt at, ResolveHeap(snapshot));
+  return at.heap.ScanChain(fn, at.snap, skip);
 }
 
-Status Table::ScanPageData(const HeapFile::PageDataFn& fn,
+Status Table::ScanPageList(const std::vector<PageId>& pages,
+                           uint64_t first_page_index,
+                           const HeapFile::PageDataFn& fn,
                            const DatabaseSnapshot* snapshot,
                            const CorruptPageSkipper* skip) const {
-  if (snapshot == nullptr) {
-    return heap_->ScanPageData(fn, nullptr, skip);
-  }
-  SEGDIFF_ASSIGN_OR_RETURN(HeapFile frozen, FrozenHeap(*snapshot));
-  return frozen.ScanPageData(fn, snapshot->pool_snapshot(), skip);
-}
-
-Status Table::ScanPagesData(const std::vector<PageId>& pages,
-                            uint64_t first_page_index,
-                            const HeapFile::PageDataFn& fn,
-                            const DatabaseSnapshot* snapshot,
-                            const CorruptPageSkipper* skip) const {
-  if (snapshot == nullptr) {
-    return heap_->ScanPagesData(pages, first_page_index, fn, nullptr, skip);
-  }
-  SEGDIFF_ASSIGN_OR_RETURN(HeapFile frozen, FrozenHeap(*snapshot));
-  return frozen.ScanPagesData(pages, first_page_index, fn,
-                              snapshot->pool_snapshot(), skip);
+  SEGDIFF_ASSIGN_OR_RETURN(HeapAt at, ResolveHeap(snapshot));
+  return at.heap.ScanPageList(pages, first_page_index, fn, at.snap, skip);
 }
 
 bool Table::AttachZoneMap(ZoneMap map) {

@@ -1,4 +1,7 @@
 // Table: a schema + heap file + any number of B+-tree secondary indexes.
+//
+// Every heap walk resolves its snapshot in one place (ResolveHeap), and
+// the record scans (Scan, ScanSalvage) share one segment loop.
 
 #ifndef SEGDIFF_STORAGE_TABLE_H_
 #define SEGDIFF_STORAGE_TABLE_H_
@@ -87,24 +90,18 @@ class Table {
       const DatabaseSnapshot* snapshot = nullptr,
       const CorruptPageSkipper* skip = nullptr) const;
 
-  /// Raw scan restricted to the given heap pages — a contiguous slice
-  /// of HeapPageIds() starting at chain position `first_page_index`
-  /// (which per-page record counts are derived from).
-  Status ScanPages(const std::vector<PageId>& pages,
-                   uint64_t first_page_index, const HeapFile::ScanFn& fn,
+  /// Page-at-a-time heap walks — the chain walk and the page-list walk
+  /// over a contiguous slice of HeapPageIds() starting at chain position
+  /// `first_page_index` (see HeapFile); the scan executors evaluate each
+  /// page's records in one shot.
+  Status ScanChain(const HeapFile::PageDataFn& fn,
                    const DatabaseSnapshot* snapshot = nullptr,
                    const CorruptPageSkipper* skip = nullptr) const;
-
-  /// Page-at-a-time scans over the whole chain / the given pages; the
-  /// batched executors decode each page's records in one shot.
-  Status ScanPageData(const HeapFile::PageDataFn& fn,
+  Status ScanPageList(const std::vector<PageId>& pages,
+                      uint64_t first_page_index,
+                      const HeapFile::PageDataFn& fn,
                       const DatabaseSnapshot* snapshot = nullptr,
                       const CorruptPageSkipper* skip = nullptr) const;
-  Status ScanPagesData(const std::vector<PageId>& pages,
-                       uint64_t first_page_index,
-                       const HeapFile::PageDataFn& fn,
-                       const DatabaseSnapshot* snapshot = nullptr,
-                       const CorruptPageSkipper* skip = nullptr) const;
 
   /// Accounting for ScanSalvage: what could not be read.
   struct SalvageStats {
@@ -213,13 +210,26 @@ class Table {
   Result<IndexKey> MakeKey(const TableIndex& index, const char* record,
                            RecordId rid) const;
 
-  /// Visits the columnar rows in segment order (clears *keep_going on
-  /// early stop, like HeapFile::Scan's callback contract).
-  Status ScanColumnar(const HeapFile::ScanFn& fn, bool* keep_going) const;
+  /// The heap a read at `snapshot` walks, and the pool snapshot its
+  /// pages are read through.
+  struct HeapAt {
+    HeapFile heap;
+    const PoolSnapshot* snap;
+  };
 
-  /// A throwaway HeapFile over this table's frozen meta in `snapshot`
-  /// (InvalidArgument when the snapshot predates the table).
-  Result<HeapFile> FrozenHeap(const DatabaseSnapshot& snapshot) const;
+  /// The one snapshot resolution behind every heap walk: the live heap
+  /// when `snapshot` is null, else a throwaway HeapFile over the
+  /// table's frozen meta in it (InvalidArgument when the snapshot
+  /// predates the table).
+  Result<HeapAt> ResolveHeap(const DatabaseSnapshot* snapshot) const;
+
+  /// The record scan behind Scan and ScanSalvage: the columnar rows in
+  /// segment order, then the heap. With `salvage`, a corrupt segment is
+  /// dropped whole and counted there; without, it fails the scan.
+  Status ScanRecords(const HeapFile::ScanFn& fn,
+                     const DatabaseSnapshot* snapshot,
+                     const CorruptPageSkipper* skip,
+                     SalvageStats* salvage) const;
 
   BufferPool* pool_;
   std::string name_;

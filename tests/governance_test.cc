@@ -257,42 +257,6 @@ TEST(AdmissionControllerTest, QueuedWaiterHonoursDeadline) {
   EXPECT_EQ(controller.waiting(), 0u);
 }
 
-TEST(AdmissionControllerTest, HighPriorityGetsDeeperQueue) {
-  AdmissionOptions opts;
-  opts.max_concurrent = 1;
-  opts.max_queue = 1;
-  AdmissionController controller(opts);
-  QueryContext ctx;
-  auto held = controller.Admit(ctx);
-  ASSERT_TRUE(held.ok());
-
-  CancellationSource source;
-  QueryContext cancellable;
-  cancellable.cancel = source.token();
-  std::vector<std::thread> waiters;
-  std::atomic<int> cancelled_count{0};
-  waiters.emplace_back([&] {
-    auto t = controller.Admit(cancellable);
-    if (!t.ok() && t.status().IsCancelled()) ++cancelled_count;
-  });
-  while (controller.waiting() < 1) {
-    std::this_thread::yield();
-  }
-  // Normal priority: queue (depth 1) is full.
-  EXPECT_TRUE(controller.Admit(ctx).status().IsResourceExhausted());
-  // High priority: allowed to wait at twice the depth.
-  waiters.emplace_back([&] {
-    auto t = controller.Admit(cancellable, QueryPriority::kHigh);
-    if (!t.ok() && t.status().IsCancelled()) ++cancelled_count;
-  });
-  while (controller.waiting() < 2) {
-    std::this_thread::yield();
-  }
-  source.Cancel();
-  for (std::thread& t : waiters) t.join();
-  EXPECT_EQ(cancelled_count.load(), 2);
-}
-
 TEST(AdmissionControllerTest, ClampThreadsRespectsPerQueryCap) {
   AdmissionOptions opts;
   opts.max_concurrent = 4;
@@ -302,21 +266,6 @@ TEST(AdmissionControllerTest, ClampThreadsRespectsPerQueryCap) {
   EXPECT_EQ(controller.ClampThreads(8), 3u);
   EXPECT_EQ(controller.ClampThreads(2), 2u);
   EXPECT_EQ(controller.ClampThreads(0), 3u);  // 0 = as many as allowed
-}
-
-TEST(AdmissionControllerTest, UnlimitedModeNeverBlocksOrRejects) {
-  AdmissionOptions opts;
-  opts.unlimited = true;
-  AdmissionController controller(opts);
-  QueryContext ctx;
-  std::vector<AdmissionController::Ticket> tickets;
-  for (int i = 0; i < 64; ++i) {
-    auto ticket = controller.Admit(ctx);
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(std::move(*ticket));
-  }
-  EXPECT_EQ(controller.counters().admitted, 64u);
-  EXPECT_EQ(controller.counters().rejected, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -271,5 +271,63 @@ TEST(ParallelSeqScanTest, MatchesSerialSeqScan) {
   std::remove(path.c_str());
 }
 
+// A failed partitioned scan still reports what every partition read.
+// Partition 0 is always claimed before partition 1, and a claimed
+// partition runs to its end, so when the sink fails on the table's last
+// row (the last partition's) both partitions' counters are complete and
+// must equal the serial scan's under the same sink.
+TEST(ParallelSeqScanTest, FailedScanReportsEveryPartitionsStats) {
+  const std::string path = UniqueTestPath("segdiff_parallel_scan_fail");
+  std::remove(path.c_str());
+  auto db = Database::Open(path, DatabaseOptions{});
+  ASSERT_TRUE(db.ok());
+  auto schema = DoubleSchema({"t", "v"});
+  ASSERT_TRUE(schema.ok());
+  auto table = (*db)->CreateTable("f", *schema);
+  ASSERT_TRUE(table.ok());
+  constexpr int kRows = 4000;
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE((*table)
+                    ->InsertDoubles({static_cast<double>(i),
+                                     i % 2 == 1 ? 1.0 : -1.0})
+                    .ok());
+  }
+  // Odd rows from 1000 on: the first pages are pruned, the last row
+  // matches.
+  Predicate predicate;
+  predicate.And(0, CmpOp::kGe, 1000.0).And(1, CmpOp::kGt, 0.0);
+  const RowCallback failing = [](const char* record, RecordId) {
+    return DecodeDoubleColumn(record, 0) == kRows - 1
+               ? Status::ResourceExhausted("sink full")
+               : Status::OK();
+  };
+
+  ScanStats serial;
+  EXPECT_TRUE(SeqScan(**table, predicate, failing, &serial)
+                  .IsResourceExhausted());
+  EXPECT_EQ(serial.rows_scanned + serial.rows_pruned,
+            static_cast<uint64_t>(kRows));
+  EXPECT_GT(serial.pages_pruned, 0u);
+  EXPECT_EQ(serial.rows_matched, static_cast<uint64_t>(kRows - 1000) / 2);
+
+  ThreadPool pool(1);
+  ScanStats parallel;
+  EXPECT_TRUE(ParallelSeqScan(
+                  **table, predicate, &pool, 2,
+                  [&failing](size_t) { return failing; }, &parallel)
+                  .IsResourceExhausted());
+  EXPECT_EQ(parallel.rows_scanned, serial.rows_scanned);
+  EXPECT_EQ(parallel.rows_pruned, serial.rows_pruned);
+  EXPECT_EQ(parallel.pages_scanned, serial.pages_scanned);
+  EXPECT_EQ(parallel.pages_pruned, serial.pages_pruned);
+  EXPECT_EQ(parallel.index_entries_scanned, serial.index_entries_scanned);
+  EXPECT_EQ(parallel.heap_fetches, serial.heap_fetches);
+  EXPECT_EQ(parallel.rows_matched, serial.rows_matched);
+  EXPECT_EQ(parallel.pages_quarantined, serial.pages_quarantined);
+  EXPECT_EQ(parallel.rows_quarantined, serial.rows_quarantined);
+  db->reset();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace segdiff

@@ -1,12 +1,13 @@
-// Scan-kernel correctness: every kernel variant against the scalar
-// predicate evaluator (NaN included), plus a differential fuzz harness
-// proving that the batched + zone-map-pruned scan — serial and
-// partitioned across a thread pool — returns byte-identical results and
-// consistent statistics versus the row-at-a-time baseline on randomized
-// workloads (random schemas, row counts, NaN densities, and conjunctive
-// predicates, including all-pruned and empty-table cases) — and that
-// the any-of scan over several predicates emits exactly the union of
-// their single-predicate scans.
+// Scan-kernel correctness: the heap-page gather feeding every compare
+// variant, against the scalar predicate evaluator (NaN included), plus
+// a differential fuzz harness proving that the batched + zone-map-pruned
+// scan — serial and partitioned across a thread pool — returns
+// byte-identical results and consistent statistics versus the
+// row-at-a-time baseline on randomized workloads (random schemas, row
+// counts, NaN densities, and conjunctive predicates, including
+// all-pruned and empty-table cases) — and that the any-of scan over
+// several predicates emits exactly the union of their single-predicate
+// scans.
 
 #include <cmath>
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "test_paths.h"
 
 #include "common/coding.h"
+#include "common/env.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "query/executor.h"
@@ -74,14 +76,14 @@ Predicate RandomPredicate(Rng& rng, size_t num_columns,
 TEST(ScanKernelTest, VariantsMatchEvalConditionIncludingNaN) {
   struct Variant {
     const char* name;
-    ScanKernelFn fn;
+    ColumnCompareFn fn;
   };
-  std::vector<Variant> variants = {{"scalar", ScalarScanKernel()}};
-  if (Sse2ScanKernel() != nullptr) {
-    variants.push_back({"sse2", Sse2ScanKernel()});
+  std::vector<Variant> variants = {{"scalar", ScalarColumnCompare()}};
+  if (Sse2ColumnCompare() != nullptr) {
+    variants.push_back({"sse2", Sse2ColumnCompare()});
   }
-  if (Avx2ScanKernel() != nullptr && CpuHasAvx2()) {
-    variants.push_back({"avx2", Avx2ScanKernel()});
+  if (Avx2ColumnCompare() != nullptr && CpuHasAvx2()) {
+    variants.push_back({"avx2", Avx2ColumnCompare()});
   }
   ASSERT_NE(variants[0].fn, nullptr);
 
@@ -108,9 +110,16 @@ TEST(ScanKernelTest, VariantsMatchEvalConditionIncludingNaN) {
     }
 
     for (const Variant& variant : variants) {
+      // The heap page's path: gather each condition's column, then AND
+      // its compare into the bitmap.
       uint64_t bitmap[kBatchBitmapWords];
-      variant.fn(records.data(), record_bytes, count, conditions.data(),
-                 conditions.size(), bitmap);
+      ColumnBatch vals;
+      InitSelectionBitmap(count, bitmap);
+      for (const ColumnCondition& condition : conditions) {
+        GatherColumn(records.data(), record_bytes, count, condition.column,
+                     vals.vals);
+        variant.fn(vals.vals, count, condition.op, condition.value, bitmap);
+      }
       for (size_t i = 0; i < count; ++i) {
         bool expect = true;
         for (const ColumnCondition& condition : conditions) {
@@ -134,13 +143,40 @@ TEST(ScanKernelTest, VariantsMatchEvalConditionIncludingNaN) {
 }
 
 TEST(ScanKernelTest, EmptyConditionListSelectsEverything) {
-  char records[64];
-  for (int c = 0; c < 8; ++c) {
-    EncodeDouble(records + c * 8, c == 3 ? kNaN : 1.0);
-  }
+  // A predicate without conditions keeps the initial selection: every
+  // row of the batch, and no bit past it.
   uint64_t bitmap[kBatchBitmapWords];
-  ScalarScanKernel()(records, 8, 8, nullptr, 0, bitmap);
+  InitSelectionBitmap(8, bitmap);
   EXPECT_EQ(bitmap[0], 0xFFu);
+  InitSelectionBitmap(kMaxBatchRows, bitmap);
+  for (size_t w = 0; w + 1 < kBatchBitmapWords; ++w) {
+    EXPECT_EQ(bitmap[w], ~uint64_t{0}) << "word " << w;
+  }
+  EXPECT_EQ(bitmap[kBatchBitmapWords - 1],
+            ~uint64_t{0} >> (kBatchBitmapWords * 64 - kMaxBatchRows));
+}
+
+// SEGDIFF_SCAN_KERNEL picks the process's compare variant, which is
+// how the tier-1 script reruns the scan suites under each narrower one;
+// an unset, unknown or unsupported request gets the widest supported.
+TEST(ScanKernelTest, ActiveVariantHonoursOverride) {
+  const std::string want = GetEnvString("SEGDIFF_SCAN_KERNEL", "");
+  std::string expect = "scalar";
+  ColumnCompareFn expect_fn = ScalarColumnCompare();
+  if (want == "sse2" && Sse2ColumnCompare() != nullptr) {
+    expect = "sse2";
+    expect_fn = Sse2ColumnCompare();
+  } else if (want != "scalar") {
+    if (Avx2ColumnCompare() != nullptr && CpuHasAvx2()) {
+      expect = "avx2";
+      expect_fn = Avx2ColumnCompare();
+    } else if (Sse2ColumnCompare() != nullptr) {
+      expect = "sse2";
+      expect_fn = Sse2ColumnCompare();
+    }
+  }
+  EXPECT_EQ(ActiveScanKernelName(), expect) << "SEGDIFF_SCAN_KERNEL=" << want;
+  EXPECT_EQ(ActiveColumnCompare(), expect_fn);
 }
 
 /// One differential trial: a randomized table + predicate, executed by
