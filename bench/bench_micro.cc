@@ -175,17 +175,21 @@ BENCHMARK(BM_PredicateMatch);
 
 /// Batched page evaluation, as a heap-page scan runs it: per condition,
 /// gather the column out of drop2-shaped records, then AND the compare
-/// into the selection bitmap. Arg 0 = the portable scalar compare, arg
-/// 1 = the runtime-dispatched variant (SSE2/AVX2 when available).
+/// into the selection bitmap. First arg 0 = the portable scalar
+/// compare, 1 = the runtime-dispatched variant (SSE2/AVX2 when
+/// available). Second arg = rows per batch: 1021 (kMaxBatchRows for
+/// 8-byte records) or 145, the most drop2-shaped records a heap page
+/// holds ((8184 - 16) / 56), where the per-batch costs (bitmap init,
+/// per-condition dispatch) weigh about 7x more per row.
 void BM_ScanKernelBatch(benchmark::State& state) {
   Predicate predicate;
   predicate.And(0, CmpOp::kLe, 3600.0).And(1, CmpOp::kLe, -3.0);
   constexpr size_t kColumns = 7;  // drop2: dt1 dv1 dt2 dv2 t_d t_c t_b
   constexpr size_t kRecordBytes = kColumns * 8;
-  constexpr size_t kRows = 1021;  // kMaxBatchRows for 8-byte records
-  std::vector<char> records(kRows * kRecordBytes);
+  const size_t rows = static_cast<size_t>(state.range(1));
+  std::vector<char> records(rows * kRecordBytes);
   Rng rng(5);
-  for (size_t i = 0; i < kRows; ++i) {
+  for (size_t i = 0; i < rows; ++i) {
     char* rec = records.data() + i * kRecordBytes;
     EncodeDouble(rec, rng.Uniform(0, 8 * 3600));
     EncodeDouble(rec + 8, rng.Uniform(-10, 2));
@@ -199,19 +203,19 @@ void BM_ScanKernelBatch(benchmark::State& state) {
   uint64_t bitmap[kBatchBitmapWords];
   ColumnBatch vals;
   for (auto _ : state) {
-    InitSelectionBitmap(kRows, bitmap);
+    InitSelectionBitmap(rows, bitmap);
     for (const ColumnCondition& cond : predicate.conditions()) {
-      GatherColumn(records.data(), kRecordBytes, kRows, cond.column,
+      GatherColumn(records.data(), kRecordBytes, rows, cond.column,
                    vals.vals);
-      compare(vals.vals, kRows, cond.op, cond.value, bitmap);
+      compare(vals.vals, rows, cond.op, cond.value, bitmap);
     }
     benchmark::DoNotOptimize(bitmap);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kRows));
+                          static_cast<int64_t>(rows));
 }
-BENCHMARK(BM_ScanKernelBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_ScanKernelBatch)->ArgsProduct({{0, 1}, {1021, 145}});
 
 /// One full single-column segment encoded with EncodeColumnSegment,
 /// decoded through ColumnCursor in 1024-value batches — the exact shape

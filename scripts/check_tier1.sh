@@ -24,7 +24,9 @@
 #      suites (the subsystems that serialize/restore raw state blobs),
 #      both engines' store-shell paths (Exh and SegDiff open, ingest and
 #      serial/parallel search), the scan evaluator's suites (columnar
-#      decode, selection-bitmap kernels, zone maps), plus the `faults`
+#      decode, selection-bitmap kernels, zone maps), the table-model and
+#      SQL suites (DELETE rewrites and SQL scans read through the same
+#      scan executor), plus the `faults`
 #      and `governance` ctest groups (crash-recovery, fault injection,
 #      and cancellation — the error paths that exercise
 #      partially-initialized and partially-released state)
@@ -232,16 +234,17 @@ echo "wal smoke: recovered (${BASE_SEGMENTS} -> ${AFTER_SEGMENTS} segments)," \
 rm -rf "${WAL_WORK}"
 
 if [[ "${RUN_ASAN}" == "1" ]]; then
-  echo "== asan: configure + build (streaming + storage + scan + fault suites) =="
+  echo "== asan: configure + build (streaming + storage + scan + sql + fault suites) =="
   cmake -B build-asan -S . -DSEGDIFF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
     streaming_ingest_test storage_test segdiff_index_test \
     exh_naive_test parallel_query_test \
     columnar_test scan_kernel_test zone_map_test \
+    db_model_test sql_test \
     fault_injection_test chaos_test transect_chaos_test governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|DbModelTest|LexerTest|ParserTest|ParserFuzzTest|EngineTest')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

@@ -79,9 +79,7 @@ class PageEvaluator {
   }
 
   /// Evaluates one heap page.
-  Status Evaluate(PageId page, const char* records, uint16_t count,
-                  bool* keep_going) {
-    *keep_going = true;
+  Status Evaluate(PageId page, const char* records, uint16_t count) {
     SEGDIFF_RETURN_IF_ERROR(CheckGovernance(1));
     size_t zone = ZoneMap::kNoZone;
     if (zone_map_ != nullptr) {
@@ -428,9 +426,8 @@ Status RunPartition(const Table& table, std::span<const Predicate> predicates,
   }
   if (status.ok()) {
     const HeapFile::PageDataFn evaluate =
-        [&evaluator](PageId page, const char* records, uint16_t count,
-                     bool* keep_going) {
-          return evaluator.Evaluate(page, records, count, keep_going);
+        [&evaluator](PageId page, const char* records, uint16_t count) {
+          return evaluator.Evaluate(page, records, count);
         };
     status = part.whole_chain
                  ? table.ScanChain(evaluate, options.snapshot,
@@ -443,6 +440,53 @@ Status RunPartition(const Table& table, std::span<const Predicate> predicates,
     stats->Add(evaluator.stats());
   }
   return status;
+}
+
+/// The range walk behind IndexScan. It counts into `*local` as it
+/// goes, so the caller reports what a failed, cancelled or truncated
+/// walk read and routed around, as RunPartition does for scans.
+Status RunIndexScan(const Table& table, const IndexScanSpec& spec,
+                    const Predicate& residual, const RowCallback& callback,
+                    ScanStats* local) {
+  std::vector<char> record(table.schema().RowBytes());
+  const PoolSnapshot* pool_snap =
+      spec.snapshot != nullptr ? spec.snapshot->pool_snapshot() : nullptr;
+  SEGDIFF_ASSIGN_OR_RETURN(BPlusTree::Iterator it,
+                           spec.index->Seek(spec.lower, pool_snap));
+  while (it.Valid()) {
+    const IndexKey& key = it.key();
+    ++local->index_entries_scanned;
+    // Governance check amortised over the range walk; leaf pins are
+    // RAII, so the early return releases the current leaf cleanly.
+    if (spec.context != nullptr &&
+        local->index_entries_scanned % kGovernanceCheckInterval == 1) {
+      SEGDIFF_RETURN_IF_ERROR(spec.context->Check());
+    }
+    if (spec.key_continue && !spec.key_continue(key)) {
+      break;
+    }
+    if (!spec.key_filter || spec.key_filter(key)) {
+      ++local->heap_fetches;
+      Status fetched = table.ReadRecord(RecordId::Unpack(key.rid),
+                                        record.data(), spec.snapshot);
+      if (!fetched.ok()) {
+        if (spec.skip_quarantined && fetched.IsCorruption()) {
+          // Candidate's page is quarantined: drop the row, flag partial.
+          ++local->rows_quarantined;
+          SEGDIFF_RETURN_IF_ERROR(it.Next());
+          continue;
+        }
+        return fetched;
+      }
+      if (residual.Matches(record.data())) {
+        ++local->rows_matched;
+        SEGDIFF_RETURN_IF_ERROR(
+            callback(record.data(), RecordId::Unpack(key.rid)));
+      }
+    }
+    SEGDIFF_RETURN_IF_ERROR(it.Next());
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -554,48 +598,12 @@ Status IndexScan(const Table& table, const IndexScanSpec& spec,
     return Status::InvalidArgument("index scan without index");
   }
   ScanStats local;
-  std::vector<char> record(table.schema().RowBytes());
-  const PoolSnapshot* pool_snap =
-      spec.snapshot != nullptr ? spec.snapshot->pool_snapshot() : nullptr;
-  SEGDIFF_ASSIGN_OR_RETURN(BPlusTree::Iterator it,
-                           spec.index->Seek(spec.lower, pool_snap));
-  while (it.Valid()) {
-    const IndexKey& key = it.key();
-    ++local.index_entries_scanned;
-    // Governance check amortised over the range walk; leaf pins are
-    // RAII, so the early return releases the current leaf cleanly.
-    if (spec.context != nullptr &&
-        local.index_entries_scanned % kGovernanceCheckInterval == 1) {
-      SEGDIFF_RETURN_IF_ERROR(spec.context->Check());
-    }
-    if (spec.key_continue && !spec.key_continue(key)) {
-      break;
-    }
-    if (!spec.key_filter || spec.key_filter(key)) {
-      ++local.heap_fetches;
-      Status fetched = table.ReadRecord(RecordId::Unpack(key.rid),
-                                        record.data(), spec.snapshot);
-      if (!fetched.ok()) {
-        if (spec.skip_quarantined && fetched.IsCorruption()) {
-          // Candidate's page is quarantined: drop the row, flag partial.
-          ++local.rows_quarantined;
-          SEGDIFF_RETURN_IF_ERROR(it.Next());
-          continue;
-        }
-        return fetched;
-      }
-      if (residual.Matches(record.data())) {
-        ++local.rows_matched;
-        SEGDIFF_RETURN_IF_ERROR(
-            callback(record.data(), RecordId::Unpack(key.rid)));
-      }
-    }
-    SEGDIFF_RETURN_IF_ERROR(it.Next());
-  }
+  const Status status =
+      RunIndexScan(table, spec, residual, callback, &local);
   if (stats != nullptr) {
     stats->Add(local);
   }
-  return Status::OK();
+  return status;
 }
 
 }  // namespace segdiff

@@ -6,7 +6,9 @@
 // partition's slice of it). Heap pages and decoded column batches reach
 // their selection bitmaps through the same compare kernels
 // (query/scan_kernel.h), and the body reports its ScanStats whether the
-// scan succeeds or fails.
+// scan succeeds or fails; IndexScan does the same. SeqScan is the one
+// full-table read: searches, SQL, compaction, repair, DELETE, the
+// segment directory and `verify` all scan through it.
 
 #ifndef SEGDIFF_QUERY_EXECUTOR_H_
 #define SEGDIFF_QUERY_EXECUTOR_H_
@@ -141,8 +143,7 @@ using PartitionSinkFactory = std::function<RowCallback(size_t partition)>;
 /// ScanStats are merged into `stats` in partition order, so totals
 /// equal the serial SeqScan's — also on failure, when every partition
 /// that ran adds what it read (one the failure left unstarted adds
-/// nothing). Early-stop (`keep_going`) inside a callback only stops
-/// that partition.
+/// nothing).
 Status ParallelSeqScan(const Table& table,
                        std::span<const Predicate> predicates, ThreadPool* pool,
                        size_t num_partitions,
@@ -183,6 +184,9 @@ struct IndexScanSpec {
   bool skip_quarantined = false;
 };
 
+/// `stats` receives the counters also when the walk fails (a callback
+/// error, a cancel, a fetch error), covering everything read up to the
+/// failure.
 Status IndexScan(const Table& table, const IndexScanSpec& spec,
                  const Predicate& residual, const RowCallback& callback,
                  ScanStats* stats = nullptr);

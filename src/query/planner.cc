@@ -7,6 +7,15 @@
 namespace segdiff {
 namespace {
 
+/// Cost-model constants, in relative units where reading one heap page
+/// sequentially costs 1. Index entries are cheap (cache-dense leaf
+/// walks); each candidate heap fetch is a random page read, the
+/// classical reason secondary-index access loses on dense queries
+/// (paper Figures 10-11).
+constexpr double kSeqPageCost = 1.0;
+constexpr double kIndexEntryCost = 0.001;
+constexpr double kRandomFetchCost = 4.0;
+
 /// Estimated fraction of rows satisfying `cond`, assuming a uniform
 /// distribution over the column's observed [lo, hi]. A NaN query bound
 /// propagates into the result, which ChooseAccessPath rejects (falling
@@ -38,8 +47,8 @@ double ConditionFraction(const ZoneMap::ColumnRange& range,
 
 }  // namespace
 
-PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
-                            const PlannerOptions& options) {
+PlanChoice ChooseAccessPath(const TableStatsView& stats,
+                            bool index_available) {
   PlanChoice choice;
   choice.estimated_selectivity = 1.0;
   if (!index_available || stats.row_count == 0) {
@@ -54,10 +63,10 @@ PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
   choice.estimated_selectivity = stats.index_entry_fraction;
   const double rows = static_cast<double>(stats.row_count);
   const double seq_cost =
-      static_cast<double>(stats.pages_after_pruning) * options.seq_page_cost;
+      static_cast<double>(stats.pages_after_pruning) * kSeqPageCost;
   const double index_cost =
-      stats.index_entry_fraction * rows * options.index_entry_cost +
-      stats.heap_fetch_fraction * rows * options.random_fetch_cost;
+      stats.index_entry_fraction * rows * kIndexEntryCost +
+      stats.heap_fetch_fraction * rows * kRandomFetchCost;
   if (index_cost < seq_cost) {
     choice.path = AccessPath::kIndexScan;
   }
@@ -66,8 +75,7 @@ PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
 
 PlanChoice PlanRangeQuery(const TableSnapshotView& view,
                           const std::vector<ColumnCondition>& conditions,
-                          bool index_available,
-                          const PlannerOptions& options) {
+                          bool index_available) {
   const ZoneMap* zone_map = view.zone_map.get();
   if (!index_available || conditions.empty() || zone_map == nullptr) {
     return PlanChoice{};  // no evidence to plan on: always-correct default
@@ -92,7 +100,7 @@ PlanChoice PlanRangeQuery(const TableSnapshotView& view,
     }
     stats.heap_fetch_fraction *= fraction;
   }
-  return ChooseAccessPath(stats, index_available, options);
+  return ChooseAccessPath(stats, index_available);
 }
 
 }  // namespace segdiff

@@ -25,17 +25,6 @@ struct PlanChoice {
   double estimated_selectivity = 1.0;
 };
 
-struct PlannerOptions {
-  /// Cost-model constants, in relative units where reading one heap
-  /// page sequentially costs 1. Index entries are cheap (cache-dense
-  /// leaf walks); each candidate heap fetch is a random page read, the
-  /// classical reason secondary-index access loses on dense queries
-  /// (paper Figures 10-11).
-  double seq_page_cost = 1.0;
-  double index_entry_cost = 0.001;
-  double random_fetch_cost = 4.0;
-};
-
 /// Zone-map-derived statistics for the cost model. The page counts come
 /// from a per-query zone survey (SurveyZones), so the sequential side is
 /// priced at what the pruned scan will actually read; the fractions
@@ -57,8 +46,8 @@ struct TableStatsView {
 /// random heap fetches. Malformed statistics (NaN or out-of-range
 /// fractions) fall back to the always-correct sequential scan.
 /// estimated_selectivity reports the index-entry fraction.
-PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
-                            const PlannerOptions& options = {});
+PlanChoice ChooseAccessPath(const TableStatsView& stats,
+                            bool index_available);
 
 /// Plans one conjunctive range query whose leading condition bounds the
 /// index's leading key column, over a table's heap as a search's
@@ -68,8 +57,7 @@ PlanChoice ChooseAccessPath(const TableStatsView& stats, bool index_available,
 /// or no index, means the sequential scan.
 PlanChoice PlanRangeQuery(const TableSnapshotView& view,
                           const std::vector<ColumnCondition>& conditions,
-                          bool index_available,
-                          const PlannerOptions& options = {});
+                          bool index_available);
 
 }  // namespace segdiff
 

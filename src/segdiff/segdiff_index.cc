@@ -349,13 +349,12 @@ Status SegDiffIndex::EnsureSegmentDirectory() {
   }
   segment_dir_.clear();
   SEGDIFF_RETURN_IF_ERROR(QuarantineScanError(
-      segments_table_->Scan(
-          [this](const char* record, RecordId, bool* keep_going) -> Status {
-            *keep_going = true;
-            segment_dir_[DecodeDoubleColumn(record, 0)] =
-                DecodeDoubleColumn(record, 2);
-            return Status::OK();
-          }),
+      SeqScan(*segments_table_, Predicate::True(),
+              [this](const char* record, RecordId) -> Status {
+                segment_dir_[DecodeDoubleColumn(record, 0)] =
+                    DecodeDoubleColumn(record, 2);
+                return Status::OK();
+              }),
       "the segment directory"));
   segment_dir_fresh_ = true;
   return Status::OK();

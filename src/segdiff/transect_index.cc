@@ -859,25 +859,11 @@ Status TransectIndex::RepairSensor(int sensor,
         // state, so acknowledged-but-unapplied writes survive the copy.
         repaired = (*acquired)->Repair(tmp, &one);
       } else {
-        // The store will not open; salvage at the database layer. If
-        // even WAL replay fails, retry without it — the data file
-        // alone may still hold most of the rows.
+        // The store will not open; salvage at the database layer.
         DatabaseOptions raw;
-        raw.create_if_missing = false;
         raw.buffer_pool_pages = store_options_.buffer_pool_pages;
         raw.vfs = store_options_.vfs;
-        Result<std::unique_ptr<Database>> database =
-            Database::Open(path, raw);
-        if (!database.ok()) {
-          raw.replay_wal = false;
-          database = Database::Open(path, raw);
-        }
-        if (!database.ok()) {
-          repaired = database.status();
-        } else {
-          (*database)->Abandon();  // never write back to the damaged file
-          repaired = (*database)->Repair(tmp, &one);
-        }
+        repaired = Database::RepairFile(path, tmp, raw, &one);
       }
     }
     if (repaired.ok()) {
@@ -905,7 +891,6 @@ Status TransectIndex::RepairSensor(int sensor,
   report->totals.tables += one.tables;
   report->totals.rows_salvaged += one.rows_salvaged;
   report->totals.pages_skipped += one.pages_skipped;
-  report->totals.segments_skipped += one.segments_skipped;
   report->totals.rows_lost += one.rows_lost;
   add_issue(true, false,
             "repaired: " + std::to_string(one.rows_salvaged) +

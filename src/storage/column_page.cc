@@ -616,12 +616,6 @@ Result<ColumnCursor> ColumnSegmentHandle::OpenColumn(size_t c) {
   return ColumnCursor(&dir_[c], payload, rows_);
 }
 
-Status ColumnSegmentHandle::DecodeColumn(size_t c, double* out) {
-  SEGDIFF_ASSIGN_OR_RETURN(ColumnCursor cursor, OpenColumn(c));
-  cursor.Decode(rows_, out);
-  return Status::OK();
-}
-
 ColumnStore::ColumnStore(BufferPool* pool, size_t num_columns)
     : pool_(pool), num_columns_(num_columns) {}
 

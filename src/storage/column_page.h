@@ -32,7 +32,9 @@
 // CompactInto-style conversion of sealed row pages, and appends after
 // conversion land in the table's row-format heap tail. A table with
 // segments carries no B+-tree index (see Table), so segments are only
-// ever read by scans: there is no point read by record id.
+// ever read by scans: there is no point read by record id, and every
+// read — searches, SQL, compaction, repair — decodes through one path,
+// SeqScan's ColumnDecoder over the cursors below.
 
 #ifndef SEGDIFF_STORAGE_COLUMN_PAGE_H_
 #define SEGDIFF_STORAGE_COLUMN_PAGE_H_
@@ -141,11 +143,10 @@ class ColumnSegmentHandle {
   PageId first_page() const { return info_.first_page; }
   const ColumnSegmentInfo& info() const { return info_; }
 
-  /// Cursor over column `c` (assembles the payload on first use).
+  /// Cursor over column `c` (assembles the payload on first use). The
+  /// one decode path: the scan executor's ColumnDecoder
+  /// (query/scan_kernel.h) drives these cursors batch by batch.
   Result<ColumnCursor> OpenColumn(size_t c);
-
-  /// Decodes all rows of column `c` into `out` (rows() doubles).
-  Status DecodeColumn(size_t c, double* out);
 
  private:
   ColumnSegmentHandle() = default;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "query/executor.h"
 
 namespace segdiff {
 namespace {
@@ -470,6 +471,20 @@ Status Database::Repair(const std::string& destination_path,
   return CopyInto(destination_path, /*salvage=*/true, report);
 }
 
+Status Database::RepairFile(const std::string& path,
+                            const std::string& destination_path,
+                            DatabaseOptions options, RepairReport* report) {
+  options.create_if_missing = false;
+  Result<std::unique_ptr<Database>> database = Open(path, options);
+  if (!database.ok()) {
+    options.replay_wal = false;
+    database = Open(path, options);
+  }
+  SEGDIFF_RETURN_IF_ERROR(database.status());
+  (*database)->Abandon();  // never write back to the damaged file
+  return (*database)->Repair(destination_path, report);
+}
+
 Status Database::CopyInto(const std::string& destination_path, bool salvage,
                           RepairReport* report) {
   DatabaseOptions options;
@@ -492,13 +507,15 @@ Status Database::CopyInto(const std::string& destination_path, bool salvage,
     SEGDIFF_ASSIGN_OR_RETURN(Table * copy,
                              fresh->CreateTable(table->name(),
                                                 table->schema()));
-    // Repair reads through the salvage scan (skips corrupt pages and
-    // segments, accounting them); compaction reads strictly (any
-    // corruption fails the copy — compacting must not silently drop).
-    Table::SalvageStats salvage_stats;
-    auto scan = [&](const HeapFile::ScanFn& fn) -> Status {
-      return salvage ? table->ScanSalvage(fn, &salvage_stats)
-                     : table->Scan(fn);
+    // Compaction reads strictly (any corruption fails the copy —
+    // compacting must not silently drop); repair routes around corrupt
+    // pages and segments the way a partial search does, counting them.
+    SeqScanOptions scan_options;
+    scan_options.skip_quarantined = salvage;
+    ScanStats scan_stats;
+    auto scan = [&](const RowCallback& fn) -> Status {
+      return SeqScan(*table, Predicate::True(), fn, &scan_stats,
+                     scan_options);
     };
     if (ZoneMap::SupportsSchema(table->schema())) {
       // Row→columnar conversion: buffer encoded records segment by
@@ -509,9 +526,8 @@ Status Database::CopyInto(const std::string& destination_path, bool salvage,
       std::vector<char> chunk;
       chunk.reserve(ColumnStore::kMaxSegmentRows * row_bytes);
       size_t chunk_rows = 0;
-      SEGDIFF_RETURN_IF_ERROR(scan(
-          [&](const char* record, RecordId, bool* keep_going) -> Status {
-            *keep_going = true;
+      SEGDIFF_RETURN_IF_ERROR(
+          scan([&](const char* record, RecordId) -> Status {
             chunk.insert(chunk.end(), record, record + row_bytes);
             if (++chunk_rows == ColumnStore::kMaxSegmentRows) {
               SEGDIFF_RETURN_IF_ERROR(
@@ -526,9 +542,8 @@ Status Database::CopyInto(const std::string& destination_path, bool salvage,
             copy->AppendColumnarSegment(chunk.data(), chunk_rows));
       }
     } else {
-      SEGDIFF_RETURN_IF_ERROR(scan(
-          [&](const char* record, RecordId, bool* keep_going) -> Status {
-            *keep_going = true;
+      SEGDIFF_RETURN_IF_ERROR(
+          scan([&](const char* record, RecordId) -> Status {
             Row row = DecodeRow(table->schema(), record);
             return copy->Insert(row).status();
           }));
@@ -546,9 +561,8 @@ Status Database::CopyInto(const std::string& destination_path, bool salvage,
     if (report != nullptr) {
       ++report->tables;
       report->rows_salvaged += copy->row_count();
-      report->pages_skipped += salvage_stats.pages_skipped;
-      report->segments_skipped += salvage_stats.segments_skipped;
-      report->rows_lost += salvage_stats.rows_lost;
+      report->pages_skipped += scan_stats.pages_quarantined;
+      report->rows_lost += scan_stats.rows_quarantined;
     }
   }
   fresh->meta_ = meta_;  // ingest state etc. survives compaction

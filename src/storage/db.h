@@ -110,13 +110,15 @@ struct StoreHealth {
   uint64_t pool_read_failures = 0;  ///< failed page reads (buffer pool)
 };
 
-/// What Repair() salvaged and what it had to leave behind.
+/// What Repair() salvaged and what it had to leave behind. The losses
+/// are the copy scan's ScanStats::pages_quarantined / rows_quarantined:
+/// a dropped columnar segment counts as its page span, as it does for a
+/// partial search.
 struct RepairReport {
   uint64_t tables = 0;
   uint64_t rows_salvaged = 0;
-  uint64_t pages_skipped = 0;     ///< corrupt heap pages routed around
-  uint64_t segments_skipped = 0;  ///< corrupt columnar segments dropped
-  uint64_t rows_lost = 0;         ///< rows on the skipped pages/segments
+  uint64_t pages_skipped = 0;  ///< corrupt pages routed around
+  uint64_t rows_lost = 0;      ///< rows on the skipped pages
 };
 
 class Database {
@@ -220,16 +222,28 @@ class Database {
   Status CompactInto(const std::string& destination_path);
 
   /// Best-effort rebuild into a fresh store at `destination_path` (which
-  /// must not exist): every row still readable — skipping quarantined
-  /// heap pages and corrupt columnar segments — is copied the way
+  /// must not exist): every row still readable is copied the way
   /// CompactInto copies (converted tables carry no index, row-format
-  /// ones get theirs rebuilt from the survivors); `report` (required)
-  /// records what was salvaged and what was lost. WAL recovery happened
-  /// at Open, so acknowledged rows the data file lost are already back
-  /// before the copy starts. This database is not modified; after a
-  /// successful repair the caller switches to the fresh store and
-  /// discards this one.
+  /// ones get theirs rebuilt from the survivors). The copy scan routes
+  /// around quarantined heap pages and corrupt columnar segments by the
+  /// rule partial searches use (SeqScanOptions::skip_quarantined), so a
+  /// repaired store answers exactly what a partial search over the
+  /// damaged one did; `report` (required) records what was salvaged and
+  /// what was lost. WAL recovery happened at Open, so acknowledged rows
+  /// the data file lost are already back before the copy starts. This
+  /// database is not modified; after a successful repair the caller
+  /// switches to the fresh store and discards this one.
   Status Repair(const std::string& destination_path, RepairReport* report);
+
+  /// Repair at the database layer, for a store whose engine will not
+  /// open: opens the store at `path` (never creating it), retrying
+  /// without WAL replay when replay itself fails — the data file alone
+  /// may still hold most of the rows — abandons the handle so nothing
+  /// is written back to the damaged file, and Repair()s it into
+  /// `destination_path`. `options` supplies the pool size and Vfs.
+  static Status RepairFile(const std::string& path,
+                           const std::string& destination_path,
+                           DatabaseOptions options, RepairReport* report);
 
   /// True once a storage failure flipped the store read-only.
   bool degraded() const { return degraded_.load(std::memory_order_acquire); }
@@ -273,8 +287,8 @@ class Database {
   Status CheckpointImpl();
 
   /// Shared rewrite behind CompactInto (salvage=false: any read error
-  /// fails the copy) and Repair (salvage=true: corrupt pages/segments
-  /// are skipped and accounted in `report`).
+  /// fails the copy) and Repair (salvage=true: corrupt pages and
+  /// segments are routed around and accounted in `report`).
   Status CopyInto(const std::string& destination_path, bool salvage,
                   RepairReport* report);
 

@@ -136,12 +136,11 @@ Status HeapFile::SkipCorruptChainPage(const Status& error, PageId* current,
 Status HeapFile::Scan(const ScanFn& fn, const PoolSnapshot* snap,
                       const CorruptPageSkipper* skip) const {
   return ScanChain(
-      [&](PageId page, const char* records, uint16_t count,
-          bool* keep_going) -> Status {
-        for (uint16_t slot = 0; slot < count && *keep_going; ++slot) {
+      [&](PageId page, const char* records, uint16_t count) -> Status {
+        for (uint16_t slot = 0; slot < count; ++slot) {
           SEGDIFF_RETURN_IF_ERROR(
               fn(records + static_cast<size_t>(slot) * record_bytes_,
-                 RecordId{page, slot}, keep_going));
+                 RecordId{page, slot}));
         }
         return Status::OK();
       },
@@ -152,8 +151,7 @@ Status HeapFile::ScanChain(const PageDataFn& fn, const PoolSnapshot* snap,
                            const CorruptPageSkipper* skip) const {
   PageId current = meta_.first_page;
   uint64_t index = 0;
-  bool keep_going = true;
-  while (current != kInvalidPageId && index < meta_.page_count && keep_going) {
+  while (current != kInvalidPageId && index < meta_.page_count) {
     Result<PageHandle> page = pool_->Fetch(current, snap);
     if (!page.ok()) {
       SEGDIFF_RETURN_IF_ERROR(
@@ -161,8 +159,8 @@ Status HeapFile::ScanChain(const PageDataFn& fn, const PoolSnapshot* snap,
       ++index;
       continue;
     }
-    SEGDIFF_RETURN_IF_ERROR(fn(current, (*page).data() + kHeaderBytes,
-                               PageRecordCount(index), &keep_going));
+    SEGDIFF_RETURN_IF_ERROR(
+        fn(current, (*page).data() + kHeaderBytes, PageRecordCount(index)));
     current = PageNext((*page).data());
     ++index;
   }
@@ -173,11 +171,8 @@ Status HeapFile::ScanPageList(const std::vector<PageId>& pages,
                               uint64_t first_page_index, const PageDataFn& fn,
                               const PoolSnapshot* snap,
                               const CorruptPageSkipper* skip) const {
-  bool keep_going = true;
-  for (size_t i = 0; i < pages.size(); ++i) {
-    if (!keep_going || first_page_index + i >= meta_.page_count) {
-      break;
-    }
+  for (size_t i = 0;
+       i < pages.size() && first_page_index + i < meta_.page_count; ++i) {
     Result<PageHandle> page = pool_->Fetch(pages[i], snap);
     if (!page.ok()) {
       if (skip == nullptr || !page.status().IsCorruption()) {
@@ -191,8 +186,7 @@ Status HeapFile::ScanPageList(const std::vector<PageId>& pages,
       continue;
     }
     SEGDIFF_RETURN_IF_ERROR(fn(pages[i], (*page).data() + kHeaderBytes,
-                               PageRecordCount(first_page_index + i),
-                               &keep_going));
+                               PageRecordCount(first_page_index + i)));
   }
   return Status::OK();
 }
@@ -214,7 +208,7 @@ Result<std::vector<PageId>> HeapFile::CollectPageIds(
     }
   };
   SEGDIFF_RETURN_IF_ERROR(ScanChain(
-      [&pages](PageId page, const char*, uint16_t, bool*) {
+      [&pages](PageId page, const char*, uint16_t) {
         pages.push_back(page);
         return Status::OK();
       },

@@ -10,9 +10,12 @@
 // Reads walk pages in one of two ways: the chain walk (ScanChain)
 // follows the next pointers from the first page, and the page-list
 // walk (ScanPageList) visits a slice of page ids collected up front,
-// which is how a partitioned scan splits the heap. The record scan
-// (Scan) and the page-id collection (CollectPageIds) are adapters over
-// the chain walk. Point reads resolve a RecordId.
+// which is how a partitioned scan splits the heap. Every walk visits
+// the whole heap: a callback stops one only by failing it. The record
+// walk (Scan) and the page-id collection (CollectPageIds) are adapters
+// over the chain walk; Scan serves the heap-only rebuilds (zone map,
+// index back-fill), while table reads go through the scan executor
+// (query/executor.h). Point reads resolve a RecordId.
 //
 // The HeapFileMeta is authoritative over the page headers. Pages fill
 // strictly in order, so the i-th page of the chain holds
@@ -87,11 +90,10 @@ class HeapFile {
   /// replay after a crash overwrites any phantom rows in place.
   Result<RecordId> Append(const char* record);
 
-  /// Visits records in storage order (over the chain walk). The callback
-  /// sets `*keep_going` to false to stop early. `snap` (nullable) reads
+  /// Visits records in storage order (over the chain walk); a failing
+  /// callback ends the walk with its status. `snap` (nullable) reads
   /// page contents as of a pool snapshot — pair it with a frozen meta.
-  using ScanFn =
-      std::function<Status(const char* record, RecordId id, bool* keep_going)>;
+  using ScanFn = std::function<Status(const char* record, RecordId id)>;
   Status Scan(const ScanFn& fn, const PoolSnapshot* snap = nullptr,
               const CorruptPageSkipper* skip = nullptr) const;
 
@@ -119,7 +121,7 @@ class HeapFile {
   /// checksum-verified — even when the callback then decides to skip it
   /// (zone-map pruning must not mask corruption).
   using PageDataFn = std::function<Status(PageId page, const char* records,
-                                          uint16_t count, bool* keep_going)>;
+                                          uint16_t count)>;
   Status ScanChain(const PageDataFn& fn, const PoolSnapshot* snap = nullptr,
                    const CorruptPageSkipper* skip = nullptr) const;
 
@@ -127,7 +129,7 @@ class HeapFile {
   /// contiguous slice of CollectPageIds() whose first element sits at
   /// chain position `first_page_index`), in the given order. With a
   /// skipper a corrupt page costs only its own records, since the chain
-  /// is already resolved. `keep_going = false` stops this walk.
+  /// is already resolved.
   Status ScanPageList(const std::vector<PageId>& pages,
                       uint64_t first_page_index, const PageDataFn& fn,
                       const PoolSnapshot* snap = nullptr,

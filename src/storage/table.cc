@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/coding.h"
+#include "query/executor.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 
@@ -110,73 +111,6 @@ Result<Table::HeapAt> Table::ResolveHeap(
   return HeapAt{frozen, snapshot->pool_snapshot()};
 }
 
-Status Table::Scan(const HeapFile::ScanFn& fn,
-                   const DatabaseSnapshot* snapshot,
-                   const CorruptPageSkipper* skip) const {
-  return ScanRecords(fn, snapshot, skip, nullptr);
-}
-
-Status Table::ScanSalvage(const HeapFile::ScanFn& fn,
-                          SalvageStats* stats) const {
-  CorruptPageSkipper skipper;
-  skipper.on_skip = [&](PageId page, uint64_t lost) {
-    stats->pages_skipped += page != kInvalidPageId ? 1 : 0;
-    stats->rows_lost += lost;
-  };
-  return ScanRecords(fn, nullptr, &skipper, stats);
-}
-
-Status Table::ScanRecords(const HeapFile::ScanFn& fn,
-                          const DatabaseSnapshot* snapshot,
-                          const CorruptPageSkipper* skip,
-                          SalvageStats* salvage) const {
-  // Columnar segments are immutable once written, so snapshot scans
-  // read them directly.
-  const size_t segments =
-      columnar_ != nullptr ? columnar_->segment_count() : 0;
-  const size_t ncols = schema_.num_columns();
-  std::vector<double> values;
-  std::vector<char> record(schema_.RowBytes());
-  bool keep_going = true;
-  for (size_t s = 0; s < segments && keep_going; ++s) {
-    Result<ColumnSegmentHandle> opened = columnar_->OpenSegment(s);
-    Status decoded = opened.status();
-    size_t rows = 0;
-    if (opened.ok()) {
-      rows = opened->rows();
-      values.resize(ncols * rows);
-      for (size_t c = 0; c < ncols && decoded.ok(); ++c) {
-        decoded = opened->DecodeColumn(c, values.data() + c * rows);
-      }
-    }
-    if (!decoded.ok()) {
-      // Salvage drops a corrupt segment (any of its pages fails its
-      // checksum, or its directory fails to parse) whole: segments are
-      // decoded as a unit, so there is no finer grain to salvage at.
-      if (salvage == nullptr || !decoded.IsCorruption()) {
-        return decoded;
-      }
-      ++salvage->segments_skipped;
-      salvage->rows_lost += columnar_->meta().segments[s].rows;
-      continue;
-    }
-    const PageId first = opened->first_page();
-    for (size_t r = 0; r < rows && keep_going; ++r) {
-      for (size_t c = 0; c < ncols; ++c) {
-        EncodeDouble(record.data() + c * 8, values[c * rows + r]);
-      }
-      SEGDIFF_RETURN_IF_ERROR(
-          fn(record.data(), RecordId{first, static_cast<uint32_t>(r)},
-             &keep_going));
-    }
-  }
-  if (!keep_going) {
-    return Status::OK();
-  }
-  SEGDIFF_ASSIGN_OR_RETURN(HeapAt at, ResolveHeap(snapshot));
-  return at.heap.Scan(fn, at.snap, skip);
-}
-
 Status Table::AppendColumnarSegment(const char* records, size_t rows) {
   if (!ZoneMap::SupportsSchema(schema_)) {
     return Status::NotSupported(
@@ -250,9 +184,8 @@ Status Table::EnsureZoneMap() {
     return Status::OK();
   }
   auto map = std::make_unique<ZoneMap>(schema_.num_columns());
-  SEGDIFF_RETURN_IF_ERROR(heap_->Scan(
-      [&](const char* record, RecordId rid, bool* keep_going) -> Status {
-        *keep_going = true;
+  SEGDIFF_RETURN_IF_ERROR(
+      heap_->Scan([&](const char* record, RecordId rid) -> Status {
         map->OnAppend(rid, record);
         return Status::OK();
       }));
@@ -298,9 +231,8 @@ Result<BPlusTree*> Table::CreateIndex(
   index.tree = std::make_unique<BPlusTree>(std::move(tree));
 
   // Back-fill from the heap's existing rows.
-  SEGDIFF_RETURN_IF_ERROR(heap_->Scan(
-      [&](const char* record, RecordId rid, bool* keep_going) -> Status {
-        *keep_going = true;
+  SEGDIFF_RETURN_IF_ERROR(
+      heap_->Scan([&](const char* record, RecordId rid) -> Status {
         SEGDIFF_ASSIGN_OR_RETURN(IndexKey key, MakeKey(index, record, rid));
         return index.tree->Insert(key);
       }));
@@ -354,9 +286,8 @@ Result<uint64_t> Table::DeleteWhere(const Predicate& predicate) {
   // row format (deletes are rare in the feature workload; the next
   // compaction re-converts), and the superseded segment pages become
   // file garbage exactly like superseded heap pages.
-  SEGDIFF_RETURN_IF_ERROR(Scan(
-      [&](const char* record, RecordId, bool* keep_going) -> Status {
-        *keep_going = true;
+  SEGDIFF_RETURN_IF_ERROR(SeqScan(
+      *this, Predicate::True(), [&](const char* record, RecordId) -> Status {
         if (predicate.Matches(record)) {
           ++removed;
           return Status::OK();
@@ -379,9 +310,8 @@ Result<uint64_t> Table::DeleteWhere(const Predicate& predicate) {
         BPlusTree::Create(pool_,
                           static_cast<int>(index.key_columns.size())));
     index.tree = std::make_unique<BPlusTree>(std::move(tree));
-    SEGDIFF_RETURN_IF_ERROR(fresh.Scan(
-        [&](const char* record, RecordId rid, bool* keep_going) -> Status {
-          *keep_going = true;
+    SEGDIFF_RETURN_IF_ERROR(
+        fresh.Scan([&](const char* record, RecordId rid) -> Status {
           SEGDIFF_ASSIGN_OR_RETURN(IndexKey key, MakeKey(index, record, rid));
           return index.tree->Insert(key);
         }));

@@ -1,7 +1,11 @@
 // Table: a schema + heap file + any number of B+-tree secondary indexes.
 //
-// Every heap walk resolves its snapshot in one place (ResolveHeap), and
-// the record scans (Scan, ScanSalvage) share one segment loop.
+// Table owns storage, not reads: searches, SQL, compaction, repair and
+// DELETE read records through the scan executor (query/executor.h) over
+// the columnar store and the heap walks below. Only the heap-only
+// rebuilds (zone map, index back-fill) walk records here, through
+// HeapFile::Scan. Every heap walk resolves its snapshot in one place
+// (ResolveHeap).
 
 #ifndef SEGDIFF_STORAGE_TABLE_H_
 #define SEGDIFF_STORAGE_TABLE_H_
@@ -33,9 +37,9 @@ struct TableIndex {
 /// Table with a dual-format data layout: an optional run of immutable
 /// compressed columnar segments (produced by compaction-time conversion,
 /// holding the oldest rows) followed by the append-only row heap. Insert
-/// maintains every index and always lands in the heap; scans stream the
-/// columnar segments first, then the heap, so visit order is insertion
-/// order regardless of format.
+/// maintains every index and always lands in the heap; SeqScan streams
+/// the columnar segments first, then the heap, so visit order is
+/// insertion order regardless of format.
 ///
 /// Invariant: a table with columnar segments carries no index. Indexes
 /// are the paper's row-store access path; on a compacted table every
@@ -74,18 +78,11 @@ class Table {
   /// append byte for byte).
   Result<RecordId> InsertEncoded(const char* record);
 
-  /// Raw scan over encoded records in insertion order: columnar
-  /// segments (materialized row by row), then the heap. A non-null
-  /// `snapshot` (see storage/snapshot.h) reads the frozen point-in-time
-  /// state instead of the live table — same for every scan/read below.
-  /// A non-null `skip` (heap_file.h) routes around corrupt heap pages
-  /// instead of failing (columnar corruption still fails this scan;
-  /// ScanSalvage covers both formats).
-  Status Scan(const HeapFile::ScanFn& fn,
-              const DatabaseSnapshot* snapshot = nullptr,
-              const CorruptPageSkipper* skip = nullptr) const;
-
   /// Heap page ids in storage order (for partitioned parallel scans).
+  /// A non-null `snapshot` (see storage/snapshot.h) reads the frozen
+  /// point-in-time state instead of the live table — same for every
+  /// walk/read below. A non-null `skip` (heap_file.h) routes around
+  /// corrupt heap pages instead of failing.
   Result<std::vector<PageId>> HeapPageIds(
       const DatabaseSnapshot* snapshot = nullptr,
       const CorruptPageSkipper* skip = nullptr) const;
@@ -102,20 +99,6 @@ class Table {
                       const HeapFile::PageDataFn& fn,
                       const DatabaseSnapshot* snapshot = nullptr,
                       const CorruptPageSkipper* skip = nullptr) const;
-
-  /// Accounting for ScanSalvage: what could not be read.
-  struct SalvageStats {
-    uint64_t pages_skipped = 0;    ///< corrupt heap pages routed around
-    uint64_t rows_lost = 0;        ///< records on skipped pages/segments
-    uint64_t segments_skipped = 0; ///< corrupt columnar segments dropped
-  };
-
-  /// Best-effort full scan for repair: visits every record that can
-  /// still be read — corrupt columnar segments are dropped whole (their
-  /// rows counted in `stats`), corrupt heap pages are skipped with
-  /// chain recovery — and never fails on corruption. Non-corruption
-  /// errors (I/O) still fail the scan.
-  Status ScanSalvage(const HeapFile::ScanFn& fn, SalvageStats* stats) const;
 
   /// Copies the encoded heap record at `id` into `buf`
   /// (schema().RowBytes()) — the index scan's fetch. Only heap ids
@@ -222,14 +205,6 @@ class Table {
   /// table's frozen meta in it (InvalidArgument when the snapshot
   /// predates the table).
   Result<HeapAt> ResolveHeap(const DatabaseSnapshot* snapshot) const;
-
-  /// The record scan behind Scan and ScanSalvage: the columnar rows in
-  /// segment order, then the heap. With `salvage`, a corrupt segment is
-  /// dropped whole and counted there; without, it fails the scan.
-  Status ScanRecords(const HeapFile::ScanFn& fn,
-                     const DatabaseSnapshot* snapshot,
-                     const CorruptPageSkipper* skip,
-                     SalvageStats* salvage) const;
 
   BufferPool* pool_;
   std::string name_;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "query/executor.h"
 #include "query/predicate.h"
 #include "storage/db.h"
 
@@ -51,16 +52,15 @@ TEST_P(DbModelTest, RandomOpsMatchModel) {
       ASSERT_TRUE(table.ok()) << name;
       ASSERT_EQ((*table)->row_count(), expected.rows.size()) << name;
       std::vector<std::vector<double>> actual;
-      ASSERT_TRUE((*table)
-                      ->Scan([&](const char* record, RecordId, bool* keep) {
-                        *keep = true;
-                        std::vector<double> row(expected.columns);
-                        for (size_t c = 0; c < expected.columns; ++c) {
-                          row[c] = DecodeDoubleColumn(record, c);
-                        }
-                        actual.push_back(std::move(row));
-                        return Status::OK();
-                      })
+      ASSERT_TRUE(SeqScan(**table, Predicate::True(),
+                          [&](const char* record, RecordId) {
+                            std::vector<double> row(expected.columns);
+                            for (size_t c = 0; c < expected.columns; ++c) {
+                              row[c] = DecodeDoubleColumn(record, c);
+                            }
+                            actual.push_back(std::move(row));
+                            return Status::OK();
+                          })
                       .ok());
       // Heap order can change across DeleteWhere rewrites; compare as
       // multisets.

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "table_records.h"
 #include "test_paths.h"
 
 #include "common/coding.h"
@@ -98,22 +99,6 @@ Series MakeSeries(int num_days, uint64_t seed = 20080325) {
   auto data = GenerateCadSeries(gen);
   EXPECT_TRUE(data.ok()) << data.status().ToString();
   return std::move(data->series);
-}
-
-/// Raw records of one table, in heap (= insertion) order.
-std::vector<std::string> TableRecords(Database* db, const std::string& name) {
-  std::vector<std::string> records;
-  auto table = db->GetTable(name);
-  EXPECT_TRUE(table.ok()) << table.status().ToString();
-  const size_t bytes = (*table)->schema().num_columns() * 8;
-  Status scan = (*table)->Scan(
-      [&](const char* record, RecordId, bool* keep_going) -> Status {
-        *keep_going = true;
-        records.emplace_back(record, bytes);
-        return Status::OK();
-      });
-  EXPECT_TRUE(scan.ok()) << scan.ToString();
-  return records;
 }
 
 const char* const kSegDiffTables[] = {"segments", "drop1", "drop2", "drop3",
@@ -717,17 +702,10 @@ TEST_F(CrashRecoveryTest, FlippedFeaturePageQuarantinesSearch) {
     auto results = (*store)->SearchDrops(3600.0, -3.0);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
 
-    // Find a heap page of drop1 to damage.
+    // Damage drop1's first heap page.
     auto table = (*store)->db()->GetTable("drop1");
     ASSERT_TRUE(table.ok());
-    ASSERT_TRUE((*table)
-                    ->Scan([&](const char*, RecordId id,
-                               bool* keep_going) -> Status {
-                      victim = id.page;
-                      *keep_going = false;
-                      return Status::OK();
-                    })
-                    .ok());
+    victim = (*table)->heap_meta().first_page;
   }
   ASSERT_NE(victim, kInvalidPageId) << "series produced no drop1 rows";
   FlipByte(path_, victim * kPageSize + 64);
@@ -770,14 +748,7 @@ TEST_F(FaultInjectionTest, PrunedCorruptPageStillDetected) {
                                        static_cast<double>(-i)})
                       .ok());
     }
-    ASSERT_TRUE((*table)
-                    ->Scan([&](const char*, RecordId id,
-                               bool* keep_going) -> Status {
-                      victim = id.page;
-                      *keep_going = false;
-                      return Status::OK();
-                    })
-                    .ok());
+    victim = (*table)->heap_meta().first_page;
     // Sanity: on the healthy store this query prunes every single page.
     ScanStats stats;
     ASSERT_TRUE(SeqScan(**table, nothing_matches,

@@ -158,6 +158,34 @@ TEST_F(QueryTest, IndexScanStopsEarly) {
   EXPECT_LT(stats.index_entries_scanned, 200u);
 }
 
+// A failed index walk still reports what it read: the callback fails at
+// its 500th match, and the caller's stats carry those 500 matches and
+// the entries and heap fetches behind them.
+TEST_F(QueryTest, FailedIndexScanReportsItsStats) {
+  auto index = table_->GetIndex("ptdv");
+  ASSERT_TRUE(index.ok());
+  IndexScanSpec spec;
+  spec.index = *index;
+  spec.lower = IndexKey::LowerBound(
+      {-std::numeric_limits<double>::infinity(),
+       -std::numeric_limits<double>::infinity()});
+  int seen = 0;
+  ScanStats stats;
+  Status status = IndexScan(*table_, spec, Predicate::True(),
+                            [&](const char*, RecordId) -> Status {
+                              if (++seen >= 500) {
+                                return Status::Internal("stop");
+                              }
+                              return Status::OK();
+                            },
+                            &stats);
+  EXPECT_TRUE(status.IsInternal());
+  EXPECT_EQ(seen, 500);
+  EXPECT_EQ(stats.rows_matched, 500u);
+  EXPECT_GE(stats.heap_fetches, 500u);
+  EXPECT_GE(stats.index_entries_scanned, 500u);
+}
+
 TEST_F(QueryTest, SeqScanEarlyTermination) {
   int seen = 0;
   Status status = SeqScan(*table_, Predicate::True(),

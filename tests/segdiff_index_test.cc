@@ -389,16 +389,21 @@ TEST_F(SegDiffIndexTest, AutoSearchRunsOnePassPerTable) {
 
 // A quarantined columnar segment is met once by the pass over its
 // table: the kAuto search is flagged partial, loses exactly that
-// segment's rows, and returns a subset of a clean copy's pairs.
+// segment's rows, and returns a subset of a clean copy's pairs. Repair
+// drops rows by the same rule: its copy loses exactly that segment, and
+// answers what the partial search answered.
 TEST_F(SegDiffIndexTest, AutoSearchCountsQuarantinedSegmentOnce) {
   auto source = Build(SegDiffOptions{});
   const std::string clean_path = UniqueTestPath("segdiff_index", "_clean.db");
   const std::string damaged_path =
       UniqueTestPath("segdiff_index", "_damaged.db");
+  const std::string repaired_path =
+      UniqueTestPath("segdiff_index", "_repaired.db");
   auto clean = CompactAndOpen(source.get(), clean_path);
   ASSERT_NE(clean, nullptr);
   PageId victim = kInvalidPageId;
   uint64_t victim_rows = 0;
+  uint64_t victim_pages = 0;
   {
     auto damaged = CompactAndOpen(source.get(), damaged_path);
     ASSERT_NE(damaged, nullptr);
@@ -409,6 +414,7 @@ TEST_F(SegDiffIndexTest, AutoSearchCountsQuarantinedSegmentOnce) {
     ASSERT_GT(columnar->segment_count(), 0u);
     victim = columnar->meta().segments[0].first_page;
     victim_rows = columnar->meta().segments[0].rows;
+    victim_pages = columnar->meta().segments[0].pages;
   }
   {
     // Flip one bit inside the segment's first page.
@@ -445,10 +451,27 @@ TEST_F(SegDiffIndexTest, AutoSearchCountsQuarantinedSegmentOnce) {
   ASSERT_FALSE(strict.ok());
   EXPECT_TRUE(strict.status().IsCorruption());
 
+  RemoveStoreFiles(repaired_path);
+  RepairReport report;
+  Status repair = (*damaged)->Repair(repaired_path, &report);
+  ASSERT_TRUE(repair.ok()) << repair.ToString();
+  EXPECT_EQ(report.rows_lost, stats.scan.rows_quarantined);
+  EXPECT_EQ(report.pages_skipped, victim_pages);
+  auto repaired = SegDiffIndex::Open(repaired_path, reopen);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  SearchStats repaired_stats;
+  auto salvaged =
+      (*repaired)->SearchDrops(4 * 3600.0, -1.0, automatic, &repaired_stats);
+  ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
+  EXPECT_FALSE(repaired_stats.partial);
+  EXPECT_EQ(*salvaged, *partial);
+
+  repaired->reset();
   damaged->reset();
   clean.reset();
   RemoveStoreFiles(clean_path);
   RemoveStoreFiles(damaged_path);
+  RemoveStoreFiles(repaired_path);
 }
 
 }  // namespace

@@ -67,8 +67,7 @@ TEST_F(StorageEdgeTest, HeapRecordExactlyFillsPage) {
   }
   EXPECT_EQ(heap->meta().page_count, 10u);
   int seen = 0;
-  ASSERT_TRUE(heap->Scan([&](const char* data, RecordId, bool* keep) {
-                    *keep = true;
+  ASSERT_TRUE(heap->Scan([&](const char* data, RecordId) {
                     EXPECT_EQ(data[0], static_cast<char>('a' + seen));
                     EXPECT_EQ(data[record_bytes - 1], 'x');
                     ++seen;

@@ -9,6 +9,7 @@
 #include "test_paths.h"
 
 #include "common/random.h"
+#include "query/executor.h"
 #include "storage/buffer_pool.h"
 #include "storage/db.h"
 #include "storage/heap_file.h"
@@ -208,8 +209,7 @@ TEST_F(StorageTest, HeapFileAppendScanAcrossPages) {
   EXPECT_EQ(heap->meta().record_count, static_cast<uint64_t>(n));
   EXPECT_GT(heap->meta().page_count, 4u);
   int seen = 0;
-  ASSERT_TRUE(heap->Scan([&](const char* record, RecordId, bool* keep) {
-                    *keep = true;
+  ASSERT_TRUE(heap->Scan([&](const char* record, RecordId) {
                     char expect[64];
                     std::snprintf(expect, sizeof(expect), "rec-%d", seen);
                     EXPECT_STREQ(record, expect);
@@ -249,12 +249,13 @@ TEST_F(StorageTest, HeapFileScanEarlyStop) {
     char record[8] = {};
     ASSERT_TRUE(heap->Append(record).ok());
   }
+  // A callback stops the walk by failing it; the walk returns that
+  // status without visiting another record.
   int visits = 0;
-  ASSERT_TRUE(heap->Scan([&](const char*, RecordId, bool* keep) {
-                    *keep = ++visits < 10;
-                    return Status::OK();
-                  })
-                  .ok());
+  Status status = heap->Scan([&](const char*, RecordId) {
+    return ++visits < 10 ? Status::OK() : Status::Internal("stop");
+  });
+  EXPECT_TRUE(status.IsInternal());
   EXPECT_EQ(visits, 10);
 }
 
@@ -341,14 +342,13 @@ TEST_F(StorageTest, DatabaseReopenRestoresEverything) {
     EXPECT_TRUE((*index)->CheckInvariants().ok());
     // Contents survived.
     int count = 0;
-    ASSERT_TRUE((*table)
-                    ->Scan([&](const char* record, RecordId, bool* keep) {
-                      *keep = true;
-                      EXPECT_DOUBLE_EQ(DecodeDoubleColumn(record, 1),
-                                       DecodeDoubleColumn(record, 0) * 2.0);
-                      ++count;
-                      return Status::OK();
-                    })
+    ASSERT_TRUE(SeqScan(**table, Predicate::True(),
+                        [&](const char* record, RecordId) {
+                          EXPECT_DOUBLE_EQ(DecodeDoubleColumn(record, 1),
+                                           DecodeDoubleColumn(record, 0) * 2.0);
+                          ++count;
+                          return Status::OK();
+                        })
                     .ok());
     EXPECT_EQ(count, 300);
     // Appending after reopen also works at the table level.
@@ -465,12 +465,11 @@ TEST_F(StorageTest, DatabaseDropCachesKeepsData) {
   ASSERT_TRUE((*db)->DropCaches().ok());
   EXPECT_EQ((*db)->buffer_pool()->cached_pages(), 0u);
   double sum = 0;
-  ASSERT_TRUE((*table)
-                  ->Scan([&](const char* record, RecordId, bool* keep) {
-                    *keep = true;
-                    sum += DecodeDoubleColumn(record, 0);
-                    return Status::OK();
-                  })
+  ASSERT_TRUE(SeqScan(**table, Predicate::True(),
+                      [&](const char* record, RecordId) {
+                        sum += DecodeDoubleColumn(record, 0);
+                        return Status::OK();
+                      })
                   .ok());
   EXPECT_DOUBLE_EQ(sum, 4999.0 * 5000.0 / 2.0);
 }
@@ -497,12 +496,11 @@ TEST_F(StorageTest, DeleteWhereRewritesHeapAndIndexes) {
   ASSERT_TRUE(index.ok());
   EXPECT_EQ((*index)->entry_count(), 700u);
   EXPECT_TRUE((*index)->CheckInvariants().ok());
-  ASSERT_TRUE((*table)
-                  ->Scan([&](const char* record, RecordId, bool* keep) {
-                    *keep = true;
-                    EXPECT_GE(DecodeDoubleColumn(record, 0), 3.0);
-                    return Status::OK();
-                  })
+  ASSERT_TRUE(SeqScan(**table, Predicate::True(),
+                      [&](const char* record, RecordId) {
+                        EXPECT_GE(DecodeDoubleColumn(record, 0), 3.0);
+                        return Status::OK();
+                      })
                   .ok());
   // Deletions survive checkpoint + reopen.
   ASSERT_TRUE((*db)->Checkpoint().ok());
@@ -548,12 +546,11 @@ TEST_F(StorageTest, InMemoryDatabase) {
   EXPECT_EQ((*table)->row_count(), 2000u);
   ASSERT_TRUE((*db)->DropCaches().ok());  // survives pool eviction
   double sum = 0;
-  ASSERT_TRUE((*table)
-                  ->Scan([&](const char* record, RecordId, bool* keep) {
-                    *keep = true;
-                    sum += DecodeDoubleColumn(record, 0);
-                    return Status::OK();
-                  })
+  ASSERT_TRUE(SeqScan(**table, Predicate::True(),
+                      [&](const char* record, RecordId) {
+                        sum += DecodeDoubleColumn(record, 0);
+                        return Status::OK();
+                      })
                   .ok());
   EXPECT_DOUBLE_EQ(sum, 1999.0 * 2000.0 / 2.0);
   // :memory: cannot be opened without create.

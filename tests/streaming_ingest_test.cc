@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "table_records.h"
 #include "test_paths.h"
 
 #include "common/coding.h"
@@ -34,22 +35,6 @@ Series MakeSeries(int num_days, uint64_t seed = 20080325) {
   auto data = GenerateCadSeries(gen);
   EXPECT_TRUE(data.ok()) << data.status().ToString();
   return std::move(data->series);
-}
-
-/// Raw records of one table, in heap (= insertion) order.
-std::vector<std::string> TableRecords(Database* db, const std::string& name) {
-  std::vector<std::string> records;
-  auto table = db->GetTable(name);
-  EXPECT_TRUE(table.ok()) << table.status().ToString();
-  const size_t bytes = (*table)->schema().num_columns() * 8;
-  Status scan = (*table)->Scan(
-      [&](const char* record, RecordId, bool* keep_going) -> Status {
-        *keep_going = true;
-        records.emplace_back(record, bytes);
-        return Status::OK();
-      });
-  EXPECT_TRUE(scan.ok()) << scan.ToString();
-  return records;
 }
 
 const char* const kSegDiffTables[] = {"segments", "drop1", "drop2", "drop3",

@@ -49,9 +49,10 @@
 //                         InvalidArgument, as on a --no-index store)
 //   segdiff_cli repair   --db store.db --out repaired.db
 //                        (salvages everything still readable into a
-//                         fresh store: corrupt pages and columnar
-//                         segments are skipped and counted, every
-//                         surviving row is copied into columnar
+//                         fresh store: corrupt pages are skipped and
+//                         counted — a corrupt columnar segment as its
+//                         page span, as a partial search counts it —
+//                         every surviving row is copied into columnar
 //                         segments without indexes, as compact does.
 //                         The damaged source is never written to)
 //   segdiff_cli transect build  --dir transect/ --sensors N [--days 7]
@@ -116,6 +117,7 @@
 #include <string>
 #include <vector>
 
+#include "query/executor.h"
 #include "query/scan_kernel.h"
 #include "segdiff/segdiff_index.h"
 #include "segdiff/transect_index.h"
@@ -625,18 +627,7 @@ int CmdRepair(const Flags& flags) {
     (*store)->db()->Abandon();
   } else {
     // The engine state is unreadable; salvage at the database layer.
-    // If even WAL replay fails, retry without it — the data file alone
-    // may still hold most of the rows.
-    DatabaseOptions raw;
-    raw.create_if_missing = false;
-    auto database = Database::Open(db, raw);
-    if (!database.ok()) {
-      raw.replay_wal = false;
-      database = Database::Open(db, raw);
-    }
-    if (!database.ok()) return Fail(database.status());
-    (*database)->Abandon();
-    repaired = (*database)->Repair(out, &report);
+    repaired = Database::RepairFile(db, out, DatabaseOptions{}, &report);
   }
   if (!repaired.ok()) return Fail(repaired);
   std::printf("repaired %s -> %s\n", db.c_str(), out.c_str());
@@ -645,14 +636,10 @@ int CmdRepair(const Flags& flags) {
               report.tables == 1 ? "" : "s",
               static_cast<unsigned long long>(report.rows_salvaged),
               report.rows_salvaged == 1 ? "" : "s");
-  if (report.pages_skipped > 0 || report.segments_skipped > 0 ||
-      report.rows_lost > 0) {
-    std::printf("  skipped %llu corrupt page%s and %llu corrupt columnar "
-                "segment%s (>= %llu row%s lost)\n",
+  if (report.pages_skipped > 0 || report.rows_lost > 0) {
+    std::printf("  skipped %llu corrupt page%s (>= %llu row%s lost)\n",
                 static_cast<unsigned long long>(report.pages_skipped),
                 report.pages_skipped == 1 ? "" : "s",
-                static_cast<unsigned long long>(report.segments_skipped),
-                report.segments_skipped == 1 ? "" : "s",
                 static_cast<unsigned long long>(report.rows_lost),
                 report.rows_lost == 1 ? "" : "s");
   } else {
@@ -976,15 +963,12 @@ int CmdTransectRepair(const Flags& flags) {
               report->sensors_checked, report->sensors_repaired,
               report->sensors_failed);
   if (report->sensors_repaired > 0) {
-    std::printf("  salvaged %llu row%s; skipped %llu corrupt page%s and "
-                "%llu corrupt segment%s (>= %llu row%s lost)\n",
+    std::printf("  salvaged %llu row%s; skipped %llu corrupt page%s "
+                "(>= %llu row%s lost)\n",
                 static_cast<unsigned long long>(report->totals.rows_salvaged),
                 report->totals.rows_salvaged == 1 ? "" : "s",
                 static_cast<unsigned long long>(report->totals.pages_skipped),
                 report->totals.pages_skipped == 1 ? "" : "s",
-                static_cast<unsigned long long>(
-                    report->totals.segments_skipped),
-                report->totals.segments_skipped == 1 ? "" : "s",
                 static_cast<unsigned long long>(report->totals.rows_lost),
                 report->totals.rows_lost == 1 ? "" : "s");
   }
@@ -1063,13 +1047,14 @@ int CmdVerify(const Flags& flags) {
   int failures = 0;
   int transient_failures = 0;
   for (const auto& table : (*database)->tables()) {
+    // A row callback (not a count-only scan) makes the scan decode every
+    // column of every columnar segment.
     uint64_t scanned = 0;
-    Status scan = table->Scan(
-        [&scanned](const char*, RecordId, bool* keep_going) -> Status {
-          *keep_going = true;
-          ++scanned;
-          return Status::OK();
-        });
+    Status scan = SeqScan(*table, Predicate::True(),
+                          [&scanned](const char*, RecordId) -> Status {
+                            ++scanned;
+                            return Status::OK();
+                          });
     if (!scan.ok()) {
       std::printf("  table %-10s UNREADABLE: %s\n", table->name().c_str(),
                   scan.ToString().c_str());
