@@ -16,9 +16,10 @@
 #      crash and passes a full checksum + log scrub; plus a fixed-seed
 #      chaos smoke (25 fault cycles, SEGDIFF_FAULT_SEED=20080325), an
 #      ENOSPC smoke (full disk => read-only degraded mode, searches
-#      still served), and a fixed-seed transect chaos smoke (crash
+#      still served), a fixed-seed transect chaos smoke (crash
 #      mid-rebalance, bitrot isolation + repair, eviction-error
-#      surfacing)
+#      surfacing), and a reads-write-nothing smoke (transect searches
+#      and stats under store-cache churn leave every file as it was)
 #   4. an AddressSanitizer + UndefinedBehaviorSanitizer build (any UBSan
 #      finding aborts its test) running the streaming-ingest and storage
 #      suites (the subsystems that serialize/restore raw state blobs),
@@ -232,6 +233,36 @@ fi
 echo "wal smoke: recovered (${BASE_SEGMENTS} -> ${AFTER_SEGMENTS} segments)," \
      "scrub clean"
 rm -rf "${WAL_WORK}"
+
+echo "== tier-1: reads-write-nothing smoke (transect churn, WAL on) =="
+# Searches and stats only read a transect. With a store cache of 2,
+# every store they touch is opened and later evicted (checkpoint +
+# close), and none of that may write: the file set and every file's
+# sha256 must be exactly as the build left them.
+RO_WORK="build/readonly_smoke"
+rm -rf "${RO_WORK}"; mkdir -p "${RO_WORK}"
+RO_DIR="${RO_WORK}/transect"
+./build/tools/segdiff_cli transect build --dir "${RO_DIR}" --sensors 16 \
+  --shard-sensors 4 --days 3
+ro_listing() {
+  (cd "${RO_DIR}" && find . | LC_ALL=C sort && \
+   find . -type f | LC_ALL=C sort | xargs sha256sum)
+}
+RO_BEFORE="$(ro_listing)"
+./build/tools/segdiff_cli transect search --dir "${RO_DIR}" --max-open 2 \
+  --t-hours 1 --v -1
+./build/tools/segdiff_cli transect search --dir "${RO_DIR}" --max-open 2 \
+  --t-hours 1 --v 1 --jump
+./build/tools/segdiff_cli transect stats --dir "${RO_DIR}" --max-open 2
+RO_AFTER="$(ro_listing)"
+if [[ "${RO_BEFORE}" != "${RO_AFTER}" ]]; then
+  echo "reads-write-nothing smoke: transect files changed by reads:"
+  diff <(echo "${RO_BEFORE}") <(echo "${RO_AFTER}") || true
+  exit 1
+fi
+echo "reads-write-nothing smoke: $(find "${RO_DIR}" -type f | wc -l)" \
+     "files unchanged"
+rm -rf "${RO_WORK}"
 
 if [[ "${RUN_ASAN}" == "1" ]]; then
   echo "== asan: configure + build (streaming + storage + scan + sql + fault suites) =="

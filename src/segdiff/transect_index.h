@@ -136,10 +136,11 @@ struct TransectRepairReport {
 
 /// Deployment-level configuration on top of the per-store options.
 struct TransectOptions {
-  /// Options applied to every per-sensor store. For large transects,
-  /// size store.buffer_pool_pages down (each open store owns its own
-  /// pool) — the 4096-page per-store default is tuned for a handful of
-  /// stores, not 100k.
+  /// Options applied to every per-sensor store. Each open store owns
+  /// its own buffer pool, but a pool allocates its frames on first use,
+  /// so store.buffer_pool_pages caps a store's cache rather than
+  /// reserving it: a store that reads a few dozen pages holds a few
+  /// dozen frames.
   SegDiffOptions store;
   /// Sensors per shard directory (consistent placement). <= 0 = the
   /// default, 256. Fixed at catalog creation; reopens adopt the

@@ -62,9 +62,10 @@ BufferPool::BufferPool(Pager* pager, size_t capacity_pages) : pager_(pager) {
   frames_.resize(capacity_pages);
   shards_ = std::vector<Shard>(num_shards);
   // Deal the frames out round-robin; each shard's free list is its whole
-  // slice of the pool.
+  // slice of the pool. Buffers come later, in GrabFrame, on first use: a
+  // store that touches a few dozen pages should not pay for a pool sized
+  // for its whole file on every open and close.
   for (size_t i = 0; i < capacity_pages; ++i) {
-    frames_[i].data = std::shared_ptr<char[]>(new char[kPageSize]);
     shards_[i % num_shards].free_frames.push_back(i);
   }
   for (Shard& shard : shards_) {
@@ -138,6 +139,11 @@ Result<size_t> BufferPool::GrabFrame(Shard& shard) {
   if (!shard.free_frames.empty()) {
     const size_t idx = shard.free_frames.back();
     shard.free_frames.pop_back();
+    Frame& frame = frames_[idx];
+    if (frame.data == nullptr) {
+      frame.data = std::shared_ptr<char[]>(new char[kPageSize]);
+      ++shard.stats.frames_allocated;
+    }
     return idx;
   }
   if (shard.lru.empty()) {
@@ -417,6 +423,19 @@ BufferPoolStats BufferPool::stats() const {
     total.dirty_writebacks += shard.stats.dirty_writebacks;
     total.cow_copies += shard.stats.cow_copies;
     total.read_failures += shard.stats.read_failures;
+    total.frames_allocated += shard.stats.frames_allocated;
+  }
+  return total;
+}
+
+size_t BufferPool::dirty_pages() const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (const auto& [page_id, idx] : shard.page_table) {
+      (void)page_id;
+      total += frames_[idx].dirty ? 1 : 0;
+    }
   }
   return total;
 }

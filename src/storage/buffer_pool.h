@@ -144,9 +144,14 @@ struct BufferPoolStats {
   uint64_t dirty_writebacks = 0;
   uint64_t cow_copies = 0;  ///< page versions preserved for snapshots
   uint64_t read_failures = 0;  ///< miss-path reads that failed (IO/corrupt)
+  /// Frames holding a page buffer. A buffer is allocated on its frame's
+  /// first use and kept for the pool's life, so this grows with the
+  /// pages the pool has held, up to capacity().
+  uint64_t frames_allocated = 0;
 };
 
-/// Fixed-capacity LRU page cache, sharded for concurrent readers.
+/// Fixed-capacity LRU page cache, sharded for concurrent readers. A
+/// frame's buffer is allocated the first time the frame is used.
 class BufferPool {
  public:
   /// Shards with fewer than this many frames are not worth striping;
@@ -222,6 +227,8 @@ class BufferPool {
   BufferPoolStats stats() const;
   size_t capacity() const { return frames_.size(); }
   size_t cached_pages() const;
+  /// Cached pages modified since they were last written back.
+  size_t dirty_pages() const;
   size_t num_shards() const { return shards_.size(); }
 
  private:

@@ -101,7 +101,7 @@ class Reader {
 
 }  // namespace
 
-Status WriteCatalog(BufferPool* pool, const CatalogData& catalog) {
+std::string EncodeCatalog(const CatalogData& catalog) {
   const std::vector<TableMeta>& tables = catalog.tables;
   std::string payload;
   AppendU32(&payload, kCatalogMagic);
@@ -150,7 +150,10 @@ Status WriteCatalog(BufferPool* pool, const CatalogData& catalog) {
     AppendU32(&payload, static_cast<uint32_t>(blob.size()));
     payload.append(blob);
   }
+  return payload;
+}
 
+Status WriteCatalog(BufferPool* pool, const std::string& payload) {
   // Spill the payload over the chain, reusing pages already in the chain.
   size_t offset = 0;
   PageId current = kCatalogRootPage;
@@ -185,7 +188,7 @@ Status WriteCatalog(BufferPool* pool, const CatalogData& catalog) {
   return Status::OK();
 }
 
-Result<CatalogData> ReadCatalog(BufferPool* pool) {
+Result<CatalogData> ReadCatalog(BufferPool* pool, std::string* raw) {
   std::string payload;
   PageId current = kCatalogRootPage;
   while (current != kInvalidPageId && current != 0) {
@@ -196,6 +199,9 @@ Result<CatalogData> ReadCatalog(BufferPool* pool) {
     }
     payload.append(page.data() + kChainHeaderBytes, chunk);
     current = DecodeFixed64(page.data());
+  }
+  if (raw != nullptr) {
+    *raw = payload;
   }
   CatalogData catalog;
   std::vector<TableMeta>& tables = catalog.tables;

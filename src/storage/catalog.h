@@ -60,13 +60,18 @@ struct CatalogData {
   std::map<std::string, std::string> blobs;
 };
 
-/// Writes the catalog payload into the chain rooted at page 1, allocating
+/// Serializes the catalog into its payload. Deterministic: equal catalogs
+/// encode to equal bytes, so a checkpoint can compare payloads to tell
+/// whether the catalog changed.
+std::string EncodeCatalog(const CatalogData& catalog);
+
+/// Writes an encoded payload into the chain rooted at page 1, allocating
 /// continuation pages as needed (pages are reused across checkpoints).
-Status WriteCatalog(BufferPool* pool, const CatalogData& catalog);
+Status WriteCatalog(BufferPool* pool, const std::string& payload);
 
 /// Reads the catalog; an all-zero page 1 yields an empty catalog (fresh
-/// db).
-Result<CatalogData> ReadCatalog(BufferPool* pool);
+/// db). `raw`, when given, receives the payload exactly as stored.
+Result<CatalogData> ReadCatalog(BufferPool* pool, std::string* raw = nullptr);
 
 }  // namespace segdiff
 

@@ -99,7 +99,9 @@ Result<std::unique_ptr<Database>> Database::Open(
     }
   }
 
-  SEGDIFF_ASSIGN_OR_RETURN(CatalogData catalog, ReadCatalog(db->pool_.get()));
+  SEGDIFF_ASSIGN_OR_RETURN(
+      CatalogData catalog,
+      ReadCatalog(db->pool_.get(), &db->catalog_payload_));
   db->meta_ = std::move(catalog.blobs);
   for (TableMeta& meta : catalog.tables) {
     SEGDIFF_ASSIGN_OR_RETURN(
@@ -342,11 +344,6 @@ Status Database::Checkpoint() {
 }
 
 Status Database::CheckpointImpl() {
-  // Fuzzy checkpoint: the WAL tail is forced durable first, so the
-  // applied LSN recorded below can never run ahead of the log.
-  if (wal_ != nullptr) {
-    SEGDIFF_RETURN_IF_ERROR(wal_->Sync());
-  }
   CatalogData catalog;
   catalog.tables.reserve(tables_.size());
   for (const auto& table : tables_) {
@@ -373,7 +370,24 @@ Status Database::CheckpointImpl() {
           table->zone_map()->Serialize();
     }
   }
-  SEGDIFF_RETURN_IF_ERROR(WriteCatalog(pool_.get(), catalog));
+  std::string payload = EncodeCatalog(catalog);
+  // Nothing to persist: no dirty page, no write the file has not synced,
+  // the catalog as stored, and (WAL on) a log with no record past the
+  // applied LSN — so no undrained recovered backlog either, since those
+  // records lie past it — and nothing to trim or retry. The files
+  // already hold this exact state, so the checkpoint does no IO at all.
+  if (payload == catalog_payload_ && !pager_->has_unsynced_writes() &&
+      pool_->dirty_pages() == 0 &&
+      (wal_ == nullptr || wal_->CleanAt(pager_->applied_lsn()))) {
+    return Status::OK();
+  }
+  // Fuzzy checkpoint: the WAL tail is forced durable first, so the
+  // applied LSN recorded below can never run ahead of the log.
+  if (wal_ != nullptr) {
+    SEGDIFF_RETURN_IF_ERROR(wal_->Sync());
+  }
+  SEGDIFF_RETURN_IF_ERROR(WriteCatalog(pool_.get(), payload));
+  catalog_payload_ = std::move(payload);
   SEGDIFF_RETURN_IF_ERROR(pool_->FlushAll());
   // The applied LSN advances — and the log truncates — only when the
   // recovered engine backlog has been drained; otherwise the un-replayed

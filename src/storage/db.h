@@ -16,7 +16,11 @@
 //     byte-deterministic, so replaying twice yields identical files;
 //   - a failed Open is side-effect-free: recovery replays into the
 //     buffer pool only (nothing is written, synced, or truncated until
-//     the first successful Checkpoint or page steal).
+//     the first successful Checkpoint or page steal);
+//   - reads write nothing: a checkpoint that finds nothing to persist
+//     (see Checkpoint) does no IO, so opening a store, reading it and
+//     closing it leaves its files byte-identical and creates no WAL
+//     sidecar.
 //
 // Concurrency: one writer (the ingest path) plus any number of readers
 // holding DatabaseSnapshots (storage/snapshot.h). Writers and snapshot
@@ -178,7 +182,10 @@ class Database {
   /// is the fuzzy checkpoint described in the file comment; the log is
   /// truncated only when the recovered observation backlog (see
   /// TakeRecoveredOps) has been drained, so un-replayed engine records
-  /// are never discarded.
+  /// are never discarded. Does no IO at all when there is nothing to
+  /// persist: no dirty page, no unsynced pager write, an encoded
+  /// catalog equal to the stored one, and (WAL on) a log that
+  /// Wal::CleanAt the applied LSN.
   Status Checkpoint();
 
   /// Checkpoint() iff the WAL has grown past kWalAutoCheckpointBytes;
@@ -300,6 +307,9 @@ class Database {
   std::unique_ptr<BufferPool> pool_;
   std::vector<std::unique_ptr<Table>> tables_;
   std::map<std::string, std::string> meta_;  ///< named catalog blobs
+  /// The catalog payload as last read from or written to page 1's chain;
+  /// a checkpoint whose encoded catalog equals it need not rewrite it.
+  std::string catalog_payload_;
   std::vector<WalRecord> recovered_ops_;  ///< engine records to drain
   uint64_t recovered_count_ = 0;          ///< records replayed at Open
   bool opened_ = false;     ///< Open() completed successfully

@@ -40,6 +40,7 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
     // Fresh file: write the header page.
     std::unique_ptr<Pager> pager(
         new Pager(path, std::move(file), 1, vfs, /*created=*/!existed));
+    pager->unsynced_writes_.store(true);
     Status status = pager->WriteHeader();
     if (!status.ok()) {
       return status;
@@ -67,8 +68,8 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
   if (page_count * kPageSize > size) {
     return Status::Corruption("header page count exceeds file: " + path);
   }
-  // Checked before any Pager exists: ~Pager rewrites the header, which
-  // would stamp a fresh trailer over the damage this check reports.
+  // Checked before any Pager exists, so a damaged header fails the open
+  // with the file untouched.
   SEGDIFF_RETURN_IF_ERROR(VerifyPageBuffer(path, 0, header));
   std::unique_ptr<Pager> pager(
       new Pager(path, std::move(file), page_count, vfs, /*created=*/false));
@@ -76,13 +77,6 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path,
   // applied" — exactly right.
   pager->applied_lsn_.store(DecodeFixed64(header + 16));
   return pager;
-}
-
-Pager::~Pager() {
-  if (file_ != nullptr) {
-    // Best-effort header persistence on close.
-    WriteHeader();
-  }
 }
 
 void Pager::SetSimulatedReadLatency(uint64_t seq_ns, uint64_t random_ns) {
@@ -185,6 +179,7 @@ Status Pager::WritePage(PageId id, const char* buf) {
   char page[kPageSize];
   std::memcpy(page, buf, kPageCapacity);
   StampTrailer(page);
+  unsynced_writes_.store(true);
   return file_->Write(id * kPageSize, page, kPageSize);
 }
 
@@ -204,6 +199,7 @@ Result<PageId> Pager::AllocateExtent(size_t n) {
     std::memcpy(zero.data() + i * kPageSize + kPageCapacity,
                 zero.data() + kPageCapacity, kPageTrailerBytes);
   }
+  unsynced_writes_.store(true);
   Status status = file_->Write(id * kPageSize, zero.data(), zero.size());
   if (!status.ok()) {
     // No-space (or any failed) extension must not leave a half-grown
@@ -230,16 +226,24 @@ Status Pager::WriteHeader() {
 }
 
 Status Pager::Sync() {
-  SEGDIFF_RETURN_IF_ERROR(WriteHeader());
-  SEGDIFF_RETURN_IF_ERROR(file_->Sync());
-  if (needs_dir_sync_) {
-    // First sync after creating the file: persist the directory entry
-    // too, or a crash here could lose the whole store on some file
-    // systems even though the data was fsynced.
-    SEGDIFF_RETURN_IF_ERROR(vfs_->SyncDir(path_));
-    needs_dir_sync_ = false;
+  // Cleared before the fsync, so a write racing it sets the flag again.
+  unsynced_writes_.store(false);
+  Status status = [this] {
+    SEGDIFF_RETURN_IF_ERROR(WriteHeader());
+    SEGDIFF_RETURN_IF_ERROR(file_->Sync());
+    if (needs_dir_sync_) {
+      // First sync after creating the file: persist the directory entry
+      // too, or a crash here could lose the whole store on some file
+      // systems even though the data was fsynced.
+      SEGDIFF_RETURN_IF_ERROR(vfs_->SyncDir(path_));
+      needs_dir_sync_ = false;
+    }
+    return Status::OK();
+  }();
+  if (!status.ok()) {
+    unsynced_writes_.store(true);
   }
-  return Status::OK();
+  return status;
 }
 
 Result<ScrubReport> Pager::Scrub() {

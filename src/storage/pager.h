@@ -13,7 +13,10 @@
 //     silently wrong query result.
 //   - Sync() persists the header and fsyncs; after creating a file it
 //     also fsyncs the parent directory once, so a crash right after
-//     Create cannot lose the store's directory entry.
+//     Create cannot lose the store's directory entry. Sync is the only
+//     writer of the header of an existing file: destroying a Pager
+//     writes nothing, so the page count and applied LSN on disk move
+//     only at a checkpoint.
 // A header naming any other version (such as the trailer-less v1)
 // fails Open with Corruption("unsupported version N"), and a header
 // whose own checksum fails fails it with Corruption naming page 0; in
@@ -67,7 +70,6 @@ class Pager {
                                              bool create,
                                              Vfs* vfs = nullptr);
 
-  ~Pager();
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
 
@@ -119,6 +121,12 @@ class Pager {
   /// also fsyncs the parent directory (once).
   Status Sync();
 
+  /// True when the file has been written (a page, an extent, or the
+  /// header of a fresh file) since the last successful Sync: a
+  /// checkpoint that finds this false, and nothing else to persist,
+  /// skips its IO.
+  bool has_unsynced_writes() const { return unsynced_writes_.load(); }
+
   /// Walks every page and verifies its checksum, collecting (not
   /// failing on) unreadable pages. Reads bypass simulated latency and
   /// always verify, regardless of set_verify_checksums. Corrupt pages
@@ -167,6 +175,7 @@ class Pager {
   Vfs* vfs_;  ///< non-owning; outlives the pager
   std::atomic<uint64_t> page_count_{0};
   std::atomic<uint64_t> applied_lsn_{0};
+  std::atomic<bool> unsynced_writes_{false};  ///< see has_unsynced_writes
   bool verify_checksums_ = true;
   /// The file was created by this pager and its directory entry has not
   /// been fsynced yet; cleared by the first successful Sync.

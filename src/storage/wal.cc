@@ -510,6 +510,12 @@ Status Wal::Reset(uint64_t new_start_lsn) {
   return Status::OK();
 }
 
+bool Wal::CleanAt(uint64_t applied_lsn) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return buffered_lsn_.load() == applied_lsn && !need_truncate_ &&
+         flush_error_.ok();
+}
+
 uint64_t Wal::SizeBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr && pending_.empty() && inflight_bytes_ == 0) return 0;

@@ -214,6 +214,10 @@ class Wal {
   /// trimming them is correct — but the count is reported (stats, scrub)
   /// so a crash's footprint is visible instead of silently vanishing.
   uint64_t trimmed_tail_bytes() const { return trimmed_tail_bytes_; }
+  /// True when a checkpoint through `applied_lsn` would leave the log as
+  /// it is: no record past it, no torn tail still on disk (the first
+  /// flush or Reset trims it), and no failed flush or Reset to retry.
+  bool CleanAt(uint64_t applied_lsn) const;
   /// Bytes the log occupies (durable tail + buffered records).
   uint64_t SizeBytes() const;
   WalStats stats() const;

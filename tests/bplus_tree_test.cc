@@ -181,6 +181,8 @@ TEST_F(BPlusTreeTest, PersistsAcrossAttach) {
       ASSERT_TRUE(tree->Insert(key).ok());
     }
     ASSERT_TRUE(pool_->FlushAll().ok());
+    // Only Sync persists the header's page count.
+    ASSERT_TRUE(pager_->Sync().ok());
   }
   // Reopen file cold.
   pool_.reset();

@@ -2,7 +2,10 @@
 #   cmake -DCLI=<path-to-segdiff_cli> -DWORK=<scratch-dir> -P cli_test.cmake
 # Exercises generate -> segment -> build -> append -> search -> stats ->
 # sql -> compact -> verify and checks both exit codes and key output
-# markers; then the transect workflow (build -> search -> stats ->
+# markers, and that the commands which only read a store (search, stats,
+# sql SELECT, compact's source, verify) leave its bytes and its WAL
+# sidecar exactly as they were, on a WAL store and on one built with
+# --no-wal (which must gain no sidecar); then the transect workflow (build -> search -> stats ->
 # verify -> rebalance) including the damaged-transect contract: a
 # corrupt sensor store must flip stats/verify to exit 2 with the sensor
 # counted in the health block, searches must isolate it with a loud
@@ -18,7 +21,12 @@ set(CSV2 ${WORK}/cli_more.csv)
 set(DB ${WORK}/cli_store.db)
 set(SEGMENTS ${WORK}/cli_segments.csv)
 set(COMPACT ${WORK}/cli_compact.db)
-file(REMOVE ${CSV} ${CSV2} ${DB} ${SEGMENTS} ${COMPACT} ${WORK}/missing.db)
+set(NOWAL ${WORK}/cli_nowal.db)
+set(NOWAL_COMPACT ${WORK}/cli_nowal_compact.db)
+set(STORES ${DB} ${COMPACT} ${NOWAL} ${NOWAL_COMPACT})
+list(TRANSFORM STORES APPEND .wal OUTPUT_VARIABLE SIDECARS)
+file(REMOVE ${CSV} ${CSV2} ${SEGMENTS} ${STORES} ${SIDECARS}
+     ${WORK}/missing.db)
 
 function(run_cli expect_substring)
   execute_process(COMMAND ${CLI} ${ARGN}
@@ -35,6 +43,33 @@ function(run_cli expect_substring)
   endif()
 endfunction()
 
+# Like run_cli, for a command that only reads the store `db`: its bytes
+# and its WAL sidecar's (or the sidecar's absence) must be unchanged.
+function(run_cli_read_only db expect_substring)
+  set(before "")
+  foreach(file ${db} ${db}.wal)
+    set(hash absent)
+    if(EXISTS ${file})
+      file(SHA256 ${file} hash)
+    endif()
+    list(APPEND before ${hash})
+  endforeach()
+  run_cli("${expect_substring}" ${ARGN})
+  set(after "")
+  foreach(file ${db} ${db}.wal)
+    set(hash absent)
+    if(EXISTS ${file})
+      file(SHA256 ${file} hash)
+    endif()
+    list(APPEND after ${hash})
+  endforeach()
+  if(NOT before STREQUAL after)
+    list(JOIN ARGN " " command)
+    message(FATAL_ERROR "segdiff_cli ${command} wrote to ${db} "
+                        "(sha256 of store;sidecar: ${before} -> ${after})")
+  endif()
+endfunction()
+
 run_cli("wrote [0-9]+ observations"
         generate --out ${CSV} --days 5 --seed 42)
 run_cli("segments \\(r=" segment --csv ${CSV} --eps 0.2 --out ${SEGMENTS})
@@ -47,18 +82,36 @@ run_cli("wrote [0-9]+ observations"
         generate --out ${CSV2} --days 3 --seed 42 --start-day 6)
 run_cli("appended [0-9]+ observations .*eps=0.2"
         append --csv ${CSV2} --db ${DB} --smooth)
-run_cli("periods with a drop" search --db ${DB} --t-hours 1 --v -3)
-run_cli("pages: [0-9]+ scanned, [0-9]+ pruned"
-        search --db ${DB} --t-hours 1 --v -3 --stats)
-run_cli("kernel: " search --db ${DB} --t-hours 1 --v -3 --stats)
-run_cli("periods with a jump"
-        search --db ${DB} --t-hours 2 --v 2 --jump --mode index)
-run_cli("feature rows" stats --db ${DB})
-run_cli("count" sql --db ${DB} --query
-        "SELECT COUNT(*) FROM drop2 WHERE dt1 <= 3600 AND dv1 <= -3")
-run_cli("compacted" compact --db ${DB} --out ${COMPACT})
+if(NOT EXISTS ${DB}.wal)
+  message(FATAL_ERROR "the WAL store ${DB} has no sidecar")
+endif()
+# The same read-only commands on the WAL store (${DB}) and on a --no-wal
+# store of the first CSV.
+run_cli("built .*feature rows"
+        build --csv ${CSV} --db ${NOWAL} --eps 0.2 --smooth --no-wal)
+if(EXISTS ${NOWAL}.wal)
+  message(FATAL_ERROR "build --no-wal created ${NOWAL}.wal")
+endif()
+function(run_read_only_commands store compact_out)
+  run_cli_read_only(${store} "periods with a drop"
+                    search --db ${store} --t-hours 1 --v -3)
+  run_cli_read_only(${store} "pages: [0-9]+ scanned, [0-9]+ pruned"
+                    search --db ${store} --t-hours 1 --v -3 --stats)
+  run_cli_read_only(${store} "kernel: "
+                    search --db ${store} --t-hours 1 --v -3 --stats)
+  run_cli_read_only(${store} "periods with a jump"
+                    search --db ${store} --t-hours 2 --v 2 --jump
+                    --mode index)
+  run_cli_read_only(${store} "feature rows" stats --db ${store})
+  run_cli_read_only(${store} "count" sql --db ${store} --query
+      "SELECT COUNT(*) FROM drop2 WHERE dt1 <= 3600 AND dv1 <= -3")
+  run_cli_read_only(${store} "compacted"
+                    compact --db ${store} --out ${compact_out})
+  run_cli_read_only(${store} "verify: ok" verify --db ${store} --scrub)
+endfunction()
+run_read_only_commands(${DB} ${COMPACT})
+run_read_only_commands(${NOWAL} ${NOWAL_COMPACT})
 run_cli("periods with a drop" search --db ${COMPACT} --t-hours 1 --v -3)
-run_cli("verify: ok" verify --db ${DB} --scrub)
 run_cli("0 corrupt" verify --db ${COMPACT} --scrub)
 
 # Like run_cli, but for commands whose exit code is part of the
@@ -136,5 +189,5 @@ if(code EQUAL 0)
   message(FATAL_ERROR "unknown command unexpectedly succeeded")
 endif()
 
-file(REMOVE ${CSV} ${CSV2} ${DB} ${SEGMENTS} ${COMPACT})
+file(REMOVE ${CSV} ${CSV2} ${SEGMENTS} ${STORES} ${SIDECARS})
 message(STATUS "segdiff_cli workflow OK")

@@ -548,7 +548,7 @@ TEST_F(ColumnarDifferentialTest, CatalogIndexOnColumnarTableIsRefused) {
     ASSERT_TRUE(tree.ok()) << tree.status().ToString();
     catalog->tables[0].indexes.push_back(
         IndexMeta{"ix", {0, 1}, tree->meta_page()});
-    ASSERT_TRUE(WriteCatalog(&pool, *catalog).ok());
+    ASSERT_TRUE(WriteCatalog(&pool, EncodeCatalog(*catalog)).ok());
     ASSERT_TRUE(pool.FlushAll().ok());
     ASSERT_TRUE((*pager)->Sync().ok());
   }

@@ -16,8 +16,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -36,11 +38,14 @@
 #include "query/executor.h"
 #include "segdiff/exh_index.h"
 #include "segdiff/segdiff_index.h"
+#include "segdiff/transect_index.h"
 #include "storage/buffer_pool.h"
+#include "storage/catalog.h"
 #include "storage/db.h"
 #include "storage/fault_vfs.h"
 #include "storage/pager.h"
 #include "storage/wal.h"
+#include "storage/zone_map.h"
 #include "ts/generator.h"
 
 namespace segdiff {
@@ -888,6 +893,397 @@ TEST_F(FaultInjectionTest, DamagedHeaderFailsEveryOpenUntouched) {
         << "open " << attempt << " created a WAL sidecar";
   }
   std::remove(Wal::PathFor(path_).c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Reads write nothing (DESIGN.md §13): opening a store, searching it,
+// sizing and scrubbing it, then checkpointing and closing it — or
+// evicting it from a transect's store cache — issues no write, fsync or
+// directory sync, leaves every file byte-identical and creates no WAL
+// sidecar. The negative cases show cleanliness is not over-detected: a
+// checkpoint with something to persist still runs, or a crash would
+// lose it.
+
+/// Every regular file under `root`: relative path -> contents.
+std::map<std::string, std::string> FileTree(const std::string& root) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[std::filesystem::relative(entry.path(), root).string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+void ExpectSameFiles(const std::map<std::string, std::string>& before,
+                     const std::map<std::string, std::string>& after) {
+  for (const auto& [name, bytes] : after) {
+    auto it = before.find(name);
+    if (it == before.end()) {
+      ADD_FAILURE() << name << " appeared";
+    } else {
+      EXPECT_TRUE(it->second == bytes) << name << " changed";
+    }
+  }
+  for (const auto& [name, bytes] : before) {
+    EXPECT_EQ(after.count(name), 1u) << name << " vanished";
+  }
+}
+
+class ReadsWriteNothingTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    dir_ = UniqueTestPath("reads_write_nothing", "");
+    Cleanup();
+    ASSERT_TRUE(std::filesystem::create_directories(dir_));
+  }
+  void TearDown() override { Cleanup(); }
+  void Cleanup() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  /// WAL per the test parameter. A small pool, so the stores' own pages
+  /// do not all fit and reads evict.
+  SegDiffOptions Options(Vfs* vfs) const {
+    SegDiffOptions options;
+    options.vfs = vfs;
+    options.wal = GetParam();
+    options.buffer_pool_pages = 32;
+    return options;
+  }
+
+  std::string dir_;
+};
+
+/// Runs drops and jumps in kAuto and per-corner kSeqScan, serial and on
+/// 4 threads; returns the total number of results.
+template <typename Store>
+size_t SearchEveryWay(Store* store) {
+  size_t results = 0;
+  for (QueryMode mode : {QueryMode::kAuto, QueryMode::kSeqScan}) {
+    for (size_t threads : {size_t{0}, size_t{4}}) {
+      SearchOptions options;
+      options.mode = mode;
+      options.num_threads = threads;
+      SearchStats stats;
+      auto drops = store->SearchDrops(3600.0, -1.0, options, &stats);
+      EXPECT_TRUE(drops.ok()) << drops.status().ToString();
+      auto jumps = store->SearchJumps(3600.0, 1.0, options, &stats);
+      EXPECT_TRUE(jumps.ok()) << jumps.status().ToString();
+      if (drops.ok() && jumps.ok()) results += drops->size() + jumps->size();
+    }
+  }
+  return results;
+}
+
+TEST_P(ReadsWriteNothingTest, OpenSearchScrubCloseDoesNoIo) {
+  const std::string row_path = dir_ + "/row.db";
+  const std::string col_path = dir_ + "/col.db";
+  const std::string exh_path = dir_ + "/exh.db";
+  const std::string transect_dir = dir_ + "/transect";
+  constexpr int kSensors = 4;
+  ExhOptions exh_options;
+  exh_options.window_s = 7200.0;
+  exh_options.wal = GetParam();
+  TransectOptions transect_options;
+  transect_options.store = Options(nullptr);
+  transect_options.sensors_per_shard = 2;
+  transect_options.max_open_stores = 2;  // every cold touch evicts
+  {
+    const Series series = MakeSeries(2);
+    auto row = SegDiffIndex::Open(row_path, Options(nullptr));
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ASSERT_TRUE((*row)->IngestSeries(series).ok());
+    ASSERT_TRUE((*row)->Compact(col_path).ok());
+    auto exh = ExhIndex::Open(exh_path, exh_options);
+    ASSERT_TRUE(exh.ok()) << exh.status().ToString();
+    ASSERT_TRUE((*exh)->IngestSeries(MakeSeries(1)).ok());
+    CadGeneratorOptions gen;
+    gen.num_days = 1;
+    auto data = GenerateCadTransect(gen, kSensors);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    std::vector<Series> all_series;
+    for (auto& sensor : *data) all_series.push_back(std::move(sensor.series));
+    auto transect =
+        TransectIndex::Open(transect_dir, kSensors, transect_options);
+    ASSERT_TRUE(transect.ok()) << transect.status().ToString();
+    ASSERT_TRUE((*transect)->IngestAllSensors(all_series).ok());
+    ASSERT_TRUE((*transect)->Checkpoint().ok());
+  }
+  const std::map<std::string, std::string> before = FileTree(dir_);
+  ASSERT_EQ(before.count("row.db.wal"), GetParam() ? 1u : 0u);
+  ASSERT_EQ(before.count("col.db.wal"), 0u);  // compaction runs WAL-off
+
+  FaultInjectionVfs vfs;
+  auto read_store = [&](auto* store) {
+    EXPECT_GT(SearchEveryWay(store), 0u);
+    EXPECT_GT(store->GetSizes().feature_rows, 0u);
+    auto scrub = store->db()->Scrub();
+    ASSERT_TRUE(scrub.ok()) << scrub.status().ToString();
+    EXPECT_TRUE(scrub->clean());
+    EXPECT_TRUE(store->Checkpoint().ok());  // as a store-cache eviction does
+  };
+  for (const std::string& path : {row_path, col_path}) {
+    SegDiffOptions options = Options(&vfs);
+    options.create_if_missing = false;
+    auto store = SegDiffIndex::Open(path, options);
+    ASSERT_TRUE(store.ok()) << path << ": " << store.status().ToString();
+    read_store(store->get());
+  }
+  {
+    exh_options.vfs = &vfs;
+    auto store = ExhIndex::Open(exh_path, exh_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    read_store(store->get());
+  }
+  {
+    transect_options.store.vfs = &vfs;
+    transect_options.store.create_if_missing = false;
+    auto transect = TransectIndex::Open(transect_dir, 0, transect_options);
+    ASSERT_TRUE(transect.ok()) << transect.status().ToString();
+    for (size_t threads : {size_t{0}, size_t{4}}) {
+      SearchOptions options;
+      options.mode = QueryMode::kAuto;
+      options.num_threads = threads;
+      TransectSearchStats stats;
+      auto drops = (*transect)->SearchDrops(3600.0, -1.0, options, &stats);
+      ASSERT_TRUE(drops.ok()) << drops.status().ToString();
+      EXPECT_EQ(stats.sensors_failed + stats.sensors_skipped, 0u);
+      auto jumps = (*transect)->SearchJumps(3600.0, 1.0, options, &stats);
+      ASSERT_TRUE(jumps.ok()) << jumps.status().ToString();
+      EXPECT_FALSE(drops->empty() && jumps->empty());
+    }
+    auto sizes = (*transect)->GetSizes();
+    ASSERT_TRUE(sizes.ok()) << sizes.status().ToString();
+    auto health = (*transect)->Verify();
+    ASSERT_TRUE(health.ok()) << health.status().ToString();
+    EXPECT_EQ(health->sensors_scanned, kSensors);
+    EXPECT_EQ(health->sensors_corrupt, 0);
+    EXPECT_TRUE((*transect)->Checkpoint().ok());
+    EXPECT_GT((*transect)->store_stats().evictions, 0u);
+    EXPECT_EQ((*transect)->store_stats().eviction_failures, 0u);
+  }
+
+  const FaultInjectionVfs::Counters counters = vfs.counters();
+  EXPECT_GT(counters.reads, 0u);
+  EXPECT_EQ(counters.writes, 0u);
+  EXPECT_EQ(counters.syncs, 0u);
+  EXPECT_EQ(counters.dir_syncs, 0u);
+  ExpectSameFiles(before, FileTree(dir_));
+}
+
+INSTANTIATE_TEST_SUITE_P(Wal, ReadsWriteNothingTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "WalOn" : "WalOff";
+                         });
+
+class CleanCheckpointTest : public FaultInjectionTest {
+ protected:
+  void TearDown() override {
+    std::remove(Wal::PathFor(path_).c_str());
+    FaultInjectionTest::TearDown();
+  }
+  static SegDiffOptions Options(Vfs* vfs) {
+    SegDiffOptions options;
+    options.vfs = vfs;
+    options.wal = false;  // nothing but the close checkpoint persists
+    return options;
+  }
+};
+
+// Without a WAL, an appended observation is only in memory until the
+// close checkpoint writes it: the close must not mistake the store for
+// clean. Round 0 appends one observation and does not flush: the
+// segmenter only buffers it, so no page changes and the ingest-state
+// blob alone records it. Round 1 appends and flushes one more, which
+// writes feature rows.
+TEST_F(CleanCheckpointTest, FlushedObservationSurvivesCloseAndCrash) {
+  const Series series = MakeSeries(1);
+  const size_t head = series.size() - 2;
+  {
+    auto store = SegDiffIndex::Open(path_, Options(nullptr));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (size_t i = 0; i < head; ++i) {
+      ASSERT_TRUE(
+          (*store)->AppendObservation(series[i].t, series[i].v).ok());
+    }
+    ASSERT_TRUE((*store)->FlushPending().ok());
+  }
+  FaultInjectionVfs vfs;
+  for (size_t round = 0; round < 2; ++round) {
+    const size_t next = head + round;
+    {
+      auto store = SegDiffIndex::Open(path_, Options(&vfs));
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      ASSERT_EQ((*store)->num_observations(), next);
+      ASSERT_TRUE(
+          (*store)->AppendObservation(series[next].t, series[next].v).ok());
+      if (round == 0) {
+        EXPECT_EQ((*store)->db()->buffer_pool()->dirty_pages(), 0u);
+        EXPECT_FALSE((*store)->db()->pager()->has_unsynced_writes());
+      } else {
+        ASSERT_TRUE((*store)->FlushPending().ok());
+      }
+    }
+    EXPECT_GT(vfs.counters().syncs, 0u) << "round " << round;
+    ASSERT_TRUE(vfs.Crash().ok());
+    vfs.Reset();
+  }
+  auto store = SegDiffIndex::Open(path_, Options(&vfs));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->num_observations(), series.size());
+}
+
+// A torn log tail — an unacknowledged frame a crash cut short — is all
+// a reopened WAL store may have left to persist: its close still trims
+// it, so the next open finds a whole log.
+TEST_F(CleanCheckpointTest, TornWalTailIsTrimmedAtClose) {
+  SegDiffOptions options = Options(nullptr);
+  options.wal = true;
+  {
+    auto store = SegDiffIndex::Open(path_, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->IngestSeries(MakeSeries(1)).ok());
+  }
+  {
+    auto file = Vfs::Default()->OpenFile(Wal::PathFor(path_), false);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    auto size = (*file)->Size();
+    ASSERT_TRUE(size.ok());
+    const char junk[7] = {'\x13', '\x37', '\x00', '\xff', '\x42', '\x42',
+                          '\x42'};
+    ASSERT_TRUE((*file)->Write(*size, junk, sizeof(junk)).ok());
+  }
+  ASSERT_TRUE(Wal::Scrub(Vfs::Default(), path_).torn_tail);
+  {
+    auto store = SegDiffIndex::Open(path_, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    const WalInfo wal = (*store)->db()->GetWalInfo();
+    EXPECT_EQ(wal.recovered_records, 0u);
+    EXPECT_EQ(wal.trimmed_tail_bytes, 7u);
+  }
+  const WalScrubReport healed = Wal::Scrub(Vfs::Default(), path_);
+  EXPECT_TRUE(healed.clean()) << healed.message;
+  EXPECT_FALSE(healed.torn_tail) << healed.message;
+}
+
+// A dirty page stolen by the buffer pool leaves no dirty frame and no
+// catalog change behind, only a data-file write the pager has not
+// synced: the close checkpoint must still fsync it.
+TEST_F(CleanCheckpointTest, StolenPageIsSyncedAtClose) {
+  DatabaseOptions options;
+  options.wal = false;
+  PageId spare = kInvalidPageId;
+  {
+    auto db = Database::Open(path_, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto schema = DoubleSchema({"a"});
+    ASSERT_TRUE(schema.ok());
+    auto table = (*db)->CreateTable("t", *schema);
+    ASSERT_TRUE(table.ok());
+    for (int i = 0; i < 8000; ++i) {
+      ASSERT_TRUE((*table)->InsertDoubles({double(i)}).ok());
+    }
+    auto page = (*db)->buffer_pool()->AllocatePinned();
+    ASSERT_TRUE(page.ok());
+    spare = page->page_id();
+  }
+  FaultInjectionVfs vfs;
+  options.vfs = &vfs;
+  options.create_if_missing = false;
+  options.buffer_pool_pages = 2;
+  {
+    auto db = Database::Open(path_, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    BufferPool* pool = (*db)->buffer_pool();
+    {
+      auto page = pool->FetchMut(spare);
+      ASSERT_TRUE(page.ok()) << page.status().ToString();
+      std::memcpy(page->data(), "stolen", 6);
+      page->MarkDirty();
+    }
+    // Scanning the table cycles every page through the 2-frame pool,
+    // stealing the dirty spare page on the way.
+    auto table = (*db)->GetTable("t");
+    ASSERT_TRUE(table.ok());
+    uint64_t rows = 0;
+    ASSERT_TRUE(SeqScan(**table, Predicate::True(),
+                        [&rows](const char*, RecordId) -> Status {
+                          ++rows;
+                          return Status::OK();
+                        })
+                    .ok());
+    ASSERT_EQ(rows, 8000u);
+    ASSERT_EQ(pool->dirty_pages(), 0u);
+    ASSERT_GT(pool->stats().dirty_writebacks, 0u);
+    ASSERT_TRUE((*db)->pager()->has_unsynced_writes());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  EXPECT_GT(vfs.counters().syncs, 0u);
+  ASSERT_TRUE(vfs.Crash().ok());
+  vfs.Reset();
+  auto pager = Pager::Open(path_, /*create=*/false, &vfs);
+  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+  char buf[kPageSize];
+  ASSERT_TRUE((*pager)->ReadPage(spare, buf).ok());
+  EXPECT_EQ(std::string(buf, 6), "stolen");
+}
+
+// A zone-map blob that was dropped from the catalog is rebuilt by the
+// first search; the close must persist the rebuilt map, after which the
+// store is clean again.
+TEST_F(CleanCheckpointTest, RebuiltZoneMapIsPersisted) {
+  const std::string key = std::string(kZoneMapBlobPrefix) + "drop1";
+  auto catalog_blobs = [this]() -> std::map<std::string, std::string> {
+    auto pager = Pager::Open(path_, /*create=*/false);
+    EXPECT_TRUE(pager.ok()) << pager.status().ToString();
+    if (!pager.ok()) return {};
+    BufferPool pool(pager->get(), 16);
+    auto catalog = ReadCatalog(&pool);
+    EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
+    if (!catalog.ok()) return {};
+    return catalog->blobs;
+  };
+  {
+    auto store = SegDiffIndex::Open(path_, Options(nullptr));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->IngestSeries(MakeSeries(2)).ok());
+  }
+  const std::map<std::string, std::string> built = catalog_blobs();
+  ASSERT_EQ(built.count(key), 1u);
+  {
+    auto pager = Pager::Open(path_, /*create=*/false);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    BufferPool pool(pager->get(), 16);
+    auto catalog = ReadCatalog(&pool);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    catalog->blobs.erase(key);
+    ASSERT_TRUE(WriteCatalog(&pool, EncodeCatalog(*catalog)).ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
+  }
+  ASSERT_EQ(catalog_blobs().count(key), 0u);
+  FaultInjectionVfs vfs;
+  for (int round = 0; round < 2; ++round) {
+    vfs.Reset();
+    {
+      auto store = SegDiffIndex::Open(path_, Options(&vfs));
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto drops = (*store)->SearchDrops(3600.0, -1.0);
+      ASSERT_TRUE(drops.ok()) << drops.status().ToString();
+    }
+    if (round == 0) {
+      EXPECT_GT(vfs.counters().syncs, 0u) << "rebuilt map not persisted";
+    } else {
+      EXPECT_EQ(vfs.counters().writes, 0u) << "persisted map read back dirty";
+    }
+  }
+  const std::map<std::string, std::string> rebuilt = catalog_blobs();
+  ASSERT_EQ(rebuilt.count(key), 1u);
+  EXPECT_EQ(rebuilt.at(key), built.at(key));
 }
 
 // ---------------------------------------------------------------------------

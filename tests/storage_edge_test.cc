@@ -129,19 +129,26 @@ TEST_F(StorageEdgeTest, Arity3IndexRangeScan) {
 }
 
 TEST_F(StorageEdgeTest, PagerHeaderSurvivesWithoutExplicitSync) {
-  // The destructor persists the page count best-effort.
-  {
+  // Only Sync writes the header: the destructor leaves the last synced
+  // header as it was, so pages allocated after it stay uncounted (and
+  // readable again only once a Sync counts them).
+  auto allocate = [this](int n) {
     BufferPool pool(pager_.get(), 8);
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < n; ++i) {
       auto handle = pool.AllocatePinned();
       ASSERT_TRUE(handle.ok());
     }
-  }
-  const uint64_t pages = pager_->page_count();
-  pager_.reset();  // destructor writes the header
+  };
+  allocate(5);
+  ASSERT_TRUE(pager_->Sync().ok());
+  const uint64_t synced_pages = pager_->page_count();
+  allocate(3);
+  EXPECT_TRUE(pager_->has_unsynced_writes());
+  pager_.reset();  // writes nothing
   auto reopened = Pager::Open(path_, false);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->page_count(), pages);
+  EXPECT_EQ((*reopened)->page_count(), synced_pages);
+  EXPECT_FALSE((*reopened)->has_unsynced_writes());
 }
 
 }  // namespace

@@ -162,6 +162,31 @@ TEST_F(StorageTest, BufferPoolExhaustsWhenAllPinned) {
   EXPECT_TRUE(h3.status().IsInternal());
 }
 
+// A frame's 8 KiB buffer is allocated on its first use, not when the
+// pool is built: a 4096-frame pool that served N distinct pages holds N
+// buffers, and re-reading, dropping and refetching them allocates none.
+TEST_F(StorageTest, BufferPoolAllocatesFramesOnFirstUse) {
+  auto pager = Pager::Open(path_, true);
+  ASSERT_TRUE(pager.ok());
+  constexpr uint64_t kServed = 40;
+  auto first = (*pager)->AllocateExtent(kServed);
+  ASSERT_TRUE(first.ok());
+  BufferPool pool(pager->get(), 4096);
+  EXPECT_EQ(pool.stats().frames_allocated, 0u);
+  auto fetch_all = [&] {
+    for (PageId id = *first; id < *first + kServed; ++id) {
+      ASSERT_TRUE(pool.Fetch(id).ok());
+    }
+  };
+  fetch_all();
+  fetch_all();
+  EXPECT_EQ(pool.stats().frames_allocated, kServed);
+  ASSERT_TRUE(pool.DropAll().ok());
+  fetch_all();
+  EXPECT_EQ(pool.stats().frames_allocated, kServed);
+  EXPECT_EQ(pool.capacity(), 4096u);
+}
+
 TEST_F(StorageTest, SchemaValidation) {
   EXPECT_TRUE(DoubleSchema({}).status().IsInvalidArgument());
   EXPECT_TRUE(DoubleSchema({"a", "a"}).status().IsInvalidArgument());

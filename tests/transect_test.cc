@@ -1,6 +1,7 @@
 // Tests for TransectIndex (multi-sensor SegDiff) plus extent-allocation
 // and simulated-latency behaviour of the storage layer.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -188,20 +189,28 @@ TEST_F(ExtentTest, SimulatedLatencyDistinguishesAccessPatterns) {
   pager_->SetSimulatedReadLatency(/*seq_ns=*/1000, /*random_ns=*/200000);
   char buf[kPageSize];
 
-  Stopwatch seq_watch;
-  for (PageId page : pages) {
-    ASSERT_TRUE(pager_->ReadPage(page, buf).ok());
-  }
-  const double seq_seconds = seq_watch.ElapsedSeconds();
+  // Each pattern is timed three times and the fastest pass counts: the
+  // passes are wall-clock, so a single preemption must not decide.
+  double seq_seconds = 0.0;
+  double random_seconds = 0.0;
+  for (int pass = 0; pass < 3; ++pass) {
+    Stopwatch seq_watch;
+    for (PageId page : pages) {
+      ASSERT_TRUE(pager_->ReadPage(page, buf).ok());
+    }
+    const double seq = seq_watch.ElapsedSeconds();
 
-  Stopwatch random_watch;
-  for (size_t i = 0; i < pages.size(); i += 2) {
-    ASSERT_TRUE(pager_->ReadPage(pages[i], buf).ok());
+    Stopwatch random_watch;
+    for (size_t i = 0; i < pages.size(); i += 2) {
+      ASSERT_TRUE(pager_->ReadPage(pages[i], buf).ok());
+    }
+    for (size_t i = 1; i < pages.size(); i += 2) {
+      ASSERT_TRUE(pager_->ReadPage(pages[i], buf).ok());
+    }
+    const double random = random_watch.ElapsedSeconds();
+    seq_seconds = pass == 0 ? seq : std::min(seq_seconds, seq);
+    random_seconds = pass == 0 ? random : std::min(random_seconds, random);
   }
-  for (size_t i = 1; i < pages.size(); i += 2) {
-    ASSERT_TRUE(pager_->ReadPage(pages[i], buf).ok());
-  }
-  const double random_seconds = random_watch.ElapsedSeconds();
   // 64 mostly-sequential reads ~ 64us + one seek; 64 strided reads pay
   // the 200us penalty every time.
   EXPECT_GT(random_seconds, 5 * seq_seconds);
