@@ -106,32 +106,28 @@ void FeatureStore::SaveState() {
   w.U32(engine_.state_magic);
   w.U32(kIngestStateVersion);
   engine_.save_state(observations_, &w);
-  // Suspended: the blob must reach the catalog only via Checkpoint,
-  // which flushes the tables it describes in the same operation. A
-  // kPutMeta WAL record would let recovery restore an engine state
-  // newer than the checkpointed tables and then skip re-deriving (via
-  // DrainRecoveredOps) exactly the rows that reverted with the data
-  // file. The state is redundant with the observation log, so losing
-  // the un-checkpointed blob costs nothing.
-  Wal::Suspend suspend(db_->wal());
-  // Suspended appends are no-ops, so this PutMeta cannot fail.
+  // The blob reaches the disk only via Checkpoint, which flushes the
+  // tables it describes in the same operation (PutMeta is never
+  // WAL-logged). A logged blob would let recovery restore an engine
+  // state newer than the checkpointed tables and then skip re-deriving
+  // (via DrainRecoveredOps) exactly the rows that reverted with the
+  // data file. The state is redundant with the observation log, so
+  // losing the un-checkpointed blob costs nothing. Only a degraded
+  // store refuses the update, and it persists nothing anyway.
   (void)db_->PutMeta(engine_.state_key, w.Take());
 }
 
 Status FeatureStore::DrainRecoveredOps() {
-  if (!db_->HasRecoveredOps()) {
-    return Status::OK();
-  }
-  std::vector<WalRecord> ops = db_->TakeRecoveredOps();
-  // Replay through the engine, suspended so nothing is logged twice.
-  // The restored blob is checkpoint-consistent with the tables
-  // (SaveState never WAL-logs it), so the backlog normally applies in
-  // full. Anything the engine rejects by its strictly-increasing-
-  // timestamp rule — a stale append (logged before the engine saw it)
-  // or an observation the restored state already covers — is skipped,
-  // which keeps the replay idempotent.
-  Wal::Suspend suspend(db_->wal());
-  for (const WalRecord& op : ops) {
+  // Replay through the engine's apply and flush steps, which log
+  // nothing (Append and Flush log the records; engine stores log no
+  // rows), so nothing is logged twice. The restored blob is
+  // checkpoint-consistent with the tables (SaveState never WAL-logs
+  // it), so the backlog normally applies in full. Anything the engine
+  // rejects by its strictly-increasing-timestamp rule — a stale append
+  // (logged before the engine saw it) or an observation the restored
+  // state already covers — is skipped, which keeps the replay
+  // idempotent.
+  for (const WalRecord& op : db_->TakeRecoveredOps()) {
     if (op.type == WalRecordType::kFlush) {
       if (engine_.flush) {
         SEGDIFF_RETURN_IF_ERROR(engine_.flush());

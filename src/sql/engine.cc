@@ -496,7 +496,7 @@ Result<QueryResult> Engine::ExecuteDelete(const DeleteStmt& stmt) {
   SEGDIFF_ASSIGN_OR_RETURN(result.rows_affected,
                            table->DeleteWhere(predicate));
   if (db_->wal() != nullptr) {
-    // DeleteWhere rewrites the heap in place under Wal::Suspend, which
+    // DeleteWhere rewrites the heap without logging the rewrite, which
     // invalidates the ordinals of every logged row append; checkpoint
     // (flush + log truncate) before anything else can crash-recover
     // against the compacted table.

@@ -8,13 +8,6 @@
 #include "query/executor.h"
 
 namespace segdiff {
-namespace {
-
-bool IsLogicalRecord(WalRecordType type) {
-  return type != WalRecordType::kUndoImage;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Database>> Database::Open(
     const std::string& path, const DatabaseOptions& options) {
@@ -62,10 +55,6 @@ Result<std::unique_ptr<Database>> Database::Open(
     db->recovered_count_ = recovered.size();
   }
 
-  bool has_logical = false;
-  for (const WalRecord& record : recovered) {
-    has_logical = has_logical || IsLogicalRecord(record.type);
-  }
   if (!recovered.empty()) {
     // Undo rollback: every page written to the data file since the last
     // completed checkpoint (a steal or a checkpoint flush the crash
@@ -135,32 +124,17 @@ Result<std::unique_ptr<Database>> Database::Open(
                                                      : ++it;
   }
 
-  if (has_logical) {
-    SEGDIFF_RETURN_IF_ERROR(db->ReplayWal(std::move(recovered)));
-  }
+  SEGDIFF_RETURN_IF_ERROR(db->ReplayWal(std::move(recovered)));
   db->opened_ = true;
   return db;
 }
 
 Status Database::ReplayWal(std::vector<WalRecord> records) {
-  // Replay re-runs the original mutations through the normal code
-  // paths, suspended so nothing is logged twice. Everything lands in
+  // Replay re-runs the original mutations through unlogged paths
+  // (InsertEncoded), so nothing is logged twice. Everything lands in
   // the buffer pool only; the file advances at the next checkpoint.
-  Wal::Suspend suspend(wal_.get());
   for (WalRecord& record : records) {
     switch (record.type) {
-      case WalRecordType::kPutMeta: {
-        SEGDIFF_ASSIGN_OR_RETURN(WalMetaUpdate update,
-                                 DecodeWalPutMeta(record.payload));
-        meta_[std::move(update.name)] = std::move(update.blob);
-        break;
-      }
-      case WalRecordType::kEraseMeta: {
-        SEGDIFF_ASSIGN_OR_RETURN(std::string name,
-                                 DecodeWalEraseMeta(record.payload));
-        meta_.erase(name);
-        break;
-      }
       case WalRecordType::kRowAppend: {
         SEGDIFF_ASSIGN_OR_RETURN(WalRowAppend append,
                                  DecodeWalRowAppend(record.payload));
@@ -296,16 +270,6 @@ Status Database::PutMeta(const std::string& name, std::string blob) {
   if (degraded()) {
     return DegradedError();
   }
-  if (wal_ != nullptr) {
-    // Log-before-apply: if the record cannot be logged (sticky flush
-    // failure), refuse the update instead of applying state that could
-    // be acknowledged but lost.
-    Status status = wal_->AppendPutMeta(name, blob).status();
-    if (!status.ok()) {
-      NoteStorageFailure(status);
-      return status;
-    }
-  }
   meta_[name] = std::move(blob);
   return Status::OK();
 }
@@ -321,13 +285,6 @@ Result<std::string> Database::GetMeta(const std::string& name) const {
 Result<bool> Database::EraseMeta(const std::string& name) {
   if (degraded()) {
     return DegradedError();
-  }
-  if (wal_ != nullptr) {
-    Status status = wal_->AppendEraseMeta(name).status();
-    if (!status.ok()) {
-      NoteStorageFailure(status);
-      return status;
-    }
   }
   return meta_.erase(name) != 0;
 }
@@ -386,8 +343,13 @@ Status Database::CheckpointImpl() {
   if (wal_ != nullptr) {
     SEGDIFF_RETURN_IF_ERROR(wal_->Sync());
   }
-  SEGDIFF_RETURN_IF_ERROR(WriteCatalog(pool_.get(), payload));
-  catalog_payload_ = std::move(payload);
+  // The chain is rewritten only when the catalog changed: an unchanged
+  // one would cost a dirty page, a write and (WAL on) an undo image per
+  // chain page for identical bytes.
+  if (payload != catalog_payload_) {
+    SEGDIFF_RETURN_IF_ERROR(WriteCatalog(pool_.get(), payload));
+    catalog_payload_ = std::move(payload);
+  }
   SEGDIFF_RETURN_IF_ERROR(pool_->FlushAll());
   // The applied LSN advances — and the log truncates — only when the
   // recovered engine backlog has been drained; otherwise the un-replayed

@@ -5,14 +5,15 @@
 // SegDiff/Exh features in.
 //
 // Durability model (WAL mode, the default):
-//   - every logical mutation (row insert / engine observation / meta
-//     blob update) is logged before its pages are touched; the log is
-//     fsynced in group-commit batches (see storage/wal.h);
-//   - Checkpoint() is fuzzy: it syncs the log, writes the catalog and
-//     all dirty pages, stamps the pager header with the applied LSN,
-//     fsyncs the data file, then truncates the log to a fresh
-//     generation. A crash at any point replays the log tail past the
-//     header's applied LSN on the next Open — replay is idempotent and
+//   - every logical mutation (raw row insert / engine observation) is
+//     logged before its pages are touched; the log is fsynced in
+//     group-commit batches (see storage/wal.h). Meta blobs are not
+//     logged: they persist with the next checkpoint;
+//   - Checkpoint() is fuzzy: it syncs the log, writes the catalog (when
+//     it changed) and all dirty pages, stamps the pager header with the
+//     applied LSN, fsyncs the data file, then truncates the log to a
+//     fresh generation. A crash at any point replays the log tail past
+//     the header's applied LSN on the next Open — replay is idempotent and
 //     byte-deterministic, so replaying twice yields identical files;
 //   - a failed Open is side-effect-free: recovery replays into the
 //     buffer pool only (nothing is written, synced, or truncated until
@@ -162,30 +163,30 @@ class Database {
     return tables_;
   }
 
-  /// Stores a named opaque blob in the catalog (persisted at the next
-  /// Checkpoint; in WAL mode also logged, so it survives a crash that
-  /// precedes the checkpoint). Engines use this for state that must
-  /// ride along with the tables — e.g. resumable ingest state. When
-  /// the WAL append fails (sticky flush failure), the update is NOT
-  /// applied and the error is returned — durability being broken
-  /// surfaces here, not at the next Checkpoint.
+  /// Stores a named opaque blob in the in-memory catalog; it persists
+  /// with the next Checkpoint, atomically with the tables, and is never
+  /// WAL-logged (a crash before that checkpoint loses it). Engines use
+  /// this for state that must ride along with the tables — e.g.
+  /// resumable ingest state. A degraded store refuses the update.
   Status PutMeta(const std::string& name, std::string blob);
 
   /// The named blob, or NotFound.
   Result<std::string> GetMeta(const std::string& name) const;
 
-  /// Removes the named blob; returns whether it existed, or the WAL
-  /// append error (in which case nothing was erased).
+  /// Removes the named blob from the in-memory catalog (persisted like
+  /// PutMeta); returns whether it existed, or the degraded-mode error
+  /// (in which case nothing was erased).
   Result<bool> EraseMeta(const std::string& name);
 
   /// Persists catalog + all dirty pages + file header. In WAL mode this
   /// is the fuzzy checkpoint described in the file comment; the log is
   /// truncated only when the recovered observation backlog (see
   /// TakeRecoveredOps) has been drained, so un-replayed engine records
-  /// are never discarded. Does no IO at all when there is nothing to
-  /// persist: no dirty page, no unsynced pager write, an encoded
-  /// catalog equal to the stored one, and (WAL on) a log that
-  /// Wal::CleanAt the applied LSN.
+  /// are never discarded. The catalog chain is rewritten only when its
+  /// encoded payload differs from the stored one. Does no IO at all
+  /// when there is nothing to persist: no dirty page, no unsynced pager
+  /// write, an encoded catalog equal to the stored one, and (WAL on) a
+  /// log that Wal::CleanAt the applied LSN.
   Status Checkpoint();
 
   /// Checkpoint() iff the WAL has grown past kWalAutoCheckpointBytes;
@@ -207,11 +208,10 @@ class Database {
 
   /// Recovered kObservation/kFlush records awaiting replay through the
   /// owning engine's ingest pipeline (the records' redo semantics live
-  /// there, not here). The engine drains them immediately after attach,
-  /// under Wal::Suspend. Until drained (non-empty return not yet
-  /// taken), Checkpoint keeps the log intact.
+  /// there, not here). The engine drains them immediately after attach;
+  /// its apply and flush steps log nothing. Until drained (non-empty
+  /// return not yet taken), Checkpoint keeps the log intact.
   std::vector<WalRecord> TakeRecoveredOps();
-  bool HasRecoveredOps() const { return !recovered_ops_.empty(); }
 
   /// Rewrites every table into a fresh database file at
   /// `destination_path` (which must not exist), reclaiming the garbage
@@ -285,8 +285,9 @@ class Database {
  private:
   Database() = default;
 
-  /// Applies the WAL tail to the in-memory state (pages, tables, meta
-  /// blobs); kObservation/kFlush records are set aside for the engine.
+  /// Applies the WAL tail's kRowAppend records to the in-memory tables
+  /// (unlogged); kObservation/kFlush records are set aside for the
+  /// engine, and undo images were already applied by Open.
   Status ReplayWal(std::vector<WalRecord> records);
 
   /// Checkpoint body (Checkpoint() wraps it with the degraded-mode gate

@@ -62,7 +62,7 @@ Result<IndexKey> Table::MakeKey(const TableIndex& index, const char* record,
 
 Result<RecordId> Table::Insert(const Row& row) {
   SEGDIFF_RETURN_IF_ERROR(EncodeRow(schema_, row, encode_buf_.data()));
-  return InsertEncoded(encode_buf_.data());
+  return InsertLogged(encode_buf_.data());
 }
 
 Result<RecordId> Table::InsertDoubles(const std::vector<double>& values) {
@@ -72,10 +72,10 @@ Result<RecordId> Table::InsertDoubles(const std::vector<double>& values) {
   for (size_t i = 0; i < values.size(); ++i) {
     EncodeDouble(encode_buf_.data() + 8 * i, values[i]);
   }
-  return InsertEncoded(encode_buf_.data());
+  return InsertLogged(encode_buf_.data());
 }
 
-Result<RecordId> Table::InsertEncoded(const char* record) {
+Result<RecordId> Table::InsertLogged(const char* record) {
   // WAL-before-data: the redo record (keyed by the row's ordinal, which
   // makes replay idempotent) is logged before any page is touched, so a
   // stolen page can never outrun the log.
@@ -85,6 +85,10 @@ Result<RecordId> Table::InsertEncoded(const char* record) {
         wal->AppendRowAppend(name_, row_count(), record, schema_.RowBytes())
             .status());
   }
+  return InsertEncoded(record);
+}
+
+Result<RecordId> Table::InsertEncoded(const char* record) {
   SEGDIFF_ASSIGN_OR_RETURN(RecordId rid, heap_->Append(record));
   if (zone_map_ != nullptr) {
     zone_map_->OnAppend(rid, record);
@@ -270,10 +274,10 @@ Result<BPlusTree*> Table::GetIndex(const std::string& index_name) const {
 Result<uint64_t> Table::DeleteWhere(const Predicate& predicate) {
   // The rewrite's internal appends are not independently redoable (the
   // survivors land in a heap the catalog does not reference yet), so
-  // they are not logged; the caller must checkpoint right after, which
-  // makes the new heap durable atomically with the catalog that points
-  // at it. A crash before that checkpoint recovers the pre-delete state.
-  Wal::Suspend suspend_wal(pool_->wal());
+  // they go through HeapFile::Append and BPlusTree::Insert, which never
+  // log; the caller must checkpoint right after, which makes the new
+  // heap durable atomically with the catalog that points at it. A crash
+  // before that checkpoint recovers the pre-delete state.
   SEGDIFF_ASSIGN_OR_RETURN(HeapFile fresh,
                            HeapFile::Create(pool_, schema_.RowBytes()));
   uint64_t removed = 0;

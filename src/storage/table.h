@@ -65,17 +65,20 @@ class Table {
   const TableSchema& schema() const { return schema_; }
 
   /// Inserts a typed row; updates all indexes. When the buffer pool
-  /// carries a WAL that logs rows, the encoded row is logged (with its
-  /// ordinal) before any page is touched — WAL-before-data.
+  /// carries a WAL that logs rows, the encoded row is logged as a
+  /// kRowAppend record (with its ordinal) before any page is touched —
+  /// WAL-before-data. Insert and InsertDoubles are that record's only
+  /// writers.
   Result<RecordId> Insert(const Row& row);
 
-  /// Hot path for all-double tables: skips Value boxing.
+  /// Hot path for all-double tables: skips Value boxing. Logged like
+  /// Insert.
   Result<RecordId> InsertDoubles(const std::vector<double>& values);
 
-  /// Inserts an already-encoded record (schema().RowBytes() bytes):
-  /// the common tail of Insert/InsertDoubles, and the WAL replay path
-  /// (replay runs it with logging suspended, reproducing the original
-  /// append byte for byte).
+  /// Inserts an already-encoded record (schema().RowBytes() bytes)
+  /// without logging it: the common tail of Insert/InsertDoubles, and
+  /// the WAL replay path (reproducing the original append byte for
+  /// byte).
   Result<RecordId> InsertEncoded(const char* record);
 
   /// Heap page ids in storage order (for partitioned parallel scans).
@@ -192,6 +195,10 @@ class Table {
 
   Result<IndexKey> MakeKey(const TableIndex& index, const char* record,
                            RecordId rid) const;
+
+  /// Logs `record` as a kRowAppend (when the WAL logs rows), then
+  /// InsertEncoded.
+  Result<RecordId> InsertLogged(const char* record);
 
   /// The heap a read at `snapshot` walks, and the pool snapshot its
   /// pages are read through.

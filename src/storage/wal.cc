@@ -83,7 +83,7 @@ Status ScanWalFile(Vfs* vfs, const std::string& path, WalScanResult* out) {
     if (crc != Crc32c(frame, kWalFrameHeaderSize + len)) break;
     uint8_t raw_type = static_cast<uint8_t>(frame[12]);
     if (raw_type < static_cast<uint8_t>(WalRecordType::kObservation) ||
-        raw_type > static_cast<uint8_t>(WalRecordType::kEraseMeta)) {
+        raw_type > static_cast<uint8_t>(WalRecordType::kUndoImage)) {
       break;
     }
     WalRecord rec;
@@ -135,32 +135,6 @@ Result<WalUndoImage> DecodeWalUndoImage(const std::string& payload) {
   image.page_id = DecodeFixed64(payload.data());
   image.image.assign(payload.data() + 8, payload.size() - 8);
   return image;
-}
-
-Result<WalMetaUpdate> DecodeWalPutMeta(const std::string& payload) {
-  if (payload.size() < 2) {
-    return Status::Corruption("WAL put-meta record truncated");
-  }
-  uint16_t name_len = DecodeFixed16(payload.data());
-  if (payload.size() < 2u + name_len) {
-    return Status::Corruption("WAL put-meta record truncated");
-  }
-  WalMetaUpdate update;
-  update.name.assign(payload.data() + 2, name_len);
-  update.blob.assign(payload.data() + 2 + name_len,
-                     payload.size() - 2 - name_len);
-  return update;
-}
-
-Result<std::string> DecodeWalEraseMeta(const std::string& payload) {
-  if (payload.size() < 2) {
-    return Status::Corruption("WAL erase-meta record truncated");
-  }
-  uint16_t name_len = DecodeFixed16(payload.data());
-  if (payload.size() != 2u + name_len) {
-    return Status::Corruption("WAL erase-meta record truncated");
-  }
-  return std::string(payload.data() + 2, name_len);
 }
 
 Wal::Wal(Vfs* vfs, std::string path, const WalOptions& options)
@@ -221,7 +195,8 @@ Result<std::unique_ptr<Wal>> Wal::Open(Vfs* vfs, const std::string& db_path,
       if (rec.lsn >= min_next_lsn) wal->recovered_.push_back(std::move(rec));
     }
   } else {
-    // Missing (or torn-creation) file: created lazily on first flush.
+    // Missing (or torn-creation) file: created (or trimmed) lazily by
+    // the first flush or Reset.
     wal->start_lsn_.store(next);
     if (scan.exists) {
       wal->file_fresh_ = true;
@@ -360,9 +335,7 @@ Status Wal::FlushLocked(std::unique_lock<std::mutex>& lock) {
 }
 
 Status Wal::AppendRecord(WalRecordType type, const char* payload, size_t n,
-                         uint64_t* lsn, bool even_suspended) {
-  *lsn = 0;
-  if (!even_suspended && suspend_count_.load() > 0) return Status::OK();
+                         uint64_t* lsn) {
   std::unique_lock<std::mutex> lock(mu_);
   if (!flush_error_.ok()) return flush_error_;
   uint64_t assigned = next_lsn_++;
@@ -428,39 +401,7 @@ Result<uint64_t> Wal::AppendUndoImage(uint64_t page_id, const char* data,
   EncodeFixed64(payload.data(), page_id);
   std::memcpy(payload.data() + 8, data, n);
   uint64_t lsn = 0;
-  // Physical undo must be logged even while replay suspends logical
-  // logging: a steal during the recovery drain overwrites on-disk bytes
-  // exactly like any other steal.
   SEGDIFF_RETURN_IF_ERROR(AppendRecord(WalRecordType::kUndoImage,
-                                       payload.data(), payload.size(), &lsn,
-                                       /*even_suspended=*/true));
-  return lsn;
-}
-
-Result<uint64_t> Wal::AppendPutMeta(const std::string& name,
-                                    const std::string& blob) {
-  if (name.size() > UINT16_MAX) {
-    return Status::InvalidArgument("meta name too long for WAL record");
-  }
-  std::string payload(2 + name.size() + blob.size(), '\0');
-  EncodeFixed16(payload.data(), static_cast<uint16_t>(name.size()));
-  std::memcpy(payload.data() + 2, name.data(), name.size());
-  std::memcpy(payload.data() + 2 + name.size(), blob.data(), blob.size());
-  uint64_t lsn = 0;
-  SEGDIFF_RETURN_IF_ERROR(AppendRecord(WalRecordType::kPutMeta,
-                                       payload.data(), payload.size(), &lsn));
-  return lsn;
-}
-
-Result<uint64_t> Wal::AppendEraseMeta(const std::string& name) {
-  if (name.size() > UINT16_MAX) {
-    return Status::InvalidArgument("meta name too long for WAL record");
-  }
-  std::string payload(2 + name.size(), '\0');
-  EncodeFixed16(payload.data(), static_cast<uint16_t>(name.size()));
-  std::memcpy(payload.data() + 2, name.data(), name.size());
-  uint64_t lsn = 0;
-  SEGDIFF_RETURN_IF_ERROR(AppendRecord(WalRecordType::kEraseMeta,
                                        payload.data(), payload.size(), &lsn));
   return lsn;
 }
@@ -486,17 +427,15 @@ Status Wal::Reset(uint64_t new_start_lsn) {
   }
   start_lsn_.store(new_start_lsn);
   if (new_start_lsn > next_lsn_) next_lsn_ = new_start_lsn;
-  if (file_ == nullptr) {
-    // Never materialized: nothing on disk to truncate.
-    file_fresh_ = true;
-    return Status::OK();
-  }
-  Status st = file_->Truncate(0);
-  if (st.ok()) {
-    char header[kWalHeaderSize];
-    EncodeWalHeader(header, new_start_lsn);
-    st = file_->Write(0, header, kWalHeaderSize);
-  }
+  file_fresh_ = true;
+  // Never materialized: nothing on disk to truncate.
+  if (file_ == nullptr && !need_truncate_) return Status::OK();
+  // Whatever is on disk — the previous generation, or a torn creation
+  // that no flush has opened yet — is cut to an empty file under a
+  // fresh header. A failed step stays pending for the next flush.
+  need_truncate_ = true;
+  truncate_to_ = 0;
+  Status st = EnsureFileLocked();
   if (st.ok()) st = file_->Sync();
   if (!st.ok()) {
     flush_error_ = st.WithMessage("WAL reset failed (" + path_ +
@@ -504,9 +443,6 @@ Status Wal::Reset(uint64_t new_start_lsn) {
     return flush_error_;
   }
   ++stats_.fsyncs;
-  need_truncate_ = false;
-  file_fresh_ = false;
-  tail_offset_ = kWalHeaderSize;
   return Status::OK();
 }
 

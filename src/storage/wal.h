@@ -16,26 +16,30 @@
 // CRC-failed frame: a torn tail is the normal shape of a crash, never
 // an error (frames past the tear were never acknowledged).
 //
-// Record kinds:
-//   kObservation  one FeatureSink::AppendObservation(t, v) — the
-//                 logical redo unit for engine stores (SegDiff/Exh),
-//                 replayed by re-running the ingest pipeline.
-//   kFlush        a FlushPending boundary, so replay reproduces the
-//                 segment-flush state byte-identically.
-//   kRowAppend    one Table::Insert for raw (non-engine) databases:
-//                 table name, the row's ordinal, encoded row bytes.
-//                 The ordinal makes replay idempotent — a row already
-//                 present (ordinal < row_count) is skipped.
-//   kUndoImage    the page's PRIOR on-disk content, logged before the
-//                 buffer pool steals (writes back) a dirty page between
-//                 checkpoints. Recovery applies the OLDEST image of
-//                 each page first, rolling stolen pages back to their
-//                 checkpoint-era content so logical replay starts from
-//                 an exact checkpoint state — required when a crash
-//                 preserves unsynced writes (OS kill, power loss after
-//                 the page cache drained).
-//   kPutMeta /    catalog meta-blob updates (engine ingest state), so
-//   kEraseMeta    recovery restores blobs written after the checkpoint.
+// Record kinds, each with exactly one writer:
+//   kObservation  one FeatureSink::AppendObservation(t, v), logged by
+//                 FeatureStore::Append — the logical redo unit for
+//                 engine stores (SegDiff/Exh), replayed by re-running
+//                 the ingest pipeline.
+//   kFlush        a FlushPending boundary, logged by FeatureStore::Flush,
+//                 so replay reproduces the segment-flush state
+//                 byte-identically.
+//   kRowAppend    one Table::Insert/InsertDoubles on a raw (non-engine)
+//                 database: table name, the row's ordinal, encoded row
+//                 bytes. The ordinal makes replay idempotent — a row
+//                 already present (ordinal < row_count) is skipped.
+//   kUndoImage    the page's PRIOR on-disk content, logged by the buffer
+//                 pool before it writes back a dirty page between
+//                 checkpoints (a steal or a checkpoint's flush).
+//                 Recovery applies the OLDEST image of each page first,
+//                 rolling those pages back to their checkpoint-era
+//                 content so logical replay starts from an exact
+//                 checkpoint state — required when a crash preserves
+//                 unsynced writes (OS kill, power loss after the page
+//                 cache drained).
+// Replay itself logs nothing but undo images: it runs unlogged paths
+// (Table::InsertEncoded, the engines' apply/flush steps). Catalog meta
+// blobs are never logged; they persist with the next checkpoint.
 //
 // Durability contract: Append* buffers the record; it becomes durable
 // at the next group-commit flush (every `group_commit_ms`, or
@@ -79,8 +83,6 @@ enum class WalRecordType : uint8_t {
   kFlush = 2,
   kRowAppend = 3,
   kUndoImage = 4,
-  kPutMeta = 5,
-  kEraseMeta = 6,
 };
 
 /// One recovered redo record.
@@ -104,16 +106,10 @@ struct WalUndoImage {
   uint64_t page_id = 0;
   std::string image;  ///< kPageCapacity bytes (trailer is the pager's)
 };
-struct WalMetaUpdate {
-  std::string name;
-  std::string blob;
-};
 
 Result<WalObservation> DecodeWalObservation(const std::string& payload);
 Result<WalRowAppend> DecodeWalRowAppend(const std::string& payload);
 Result<WalUndoImage> DecodeWalUndoImage(const std::string& payload);
-Result<WalMetaUpdate> DecodeWalPutMeta(const std::string& payload);
-Result<std::string> DecodeWalEraseMeta(const std::string& payload);
 
 struct WalOptions {
   /// Group-commit window in milliseconds. 0 flushes (write + fsync)
@@ -176,9 +172,8 @@ class Wal {
     return std::move(recovered_);
   }
 
-  // Append one record; returns its LSN (0 when suspended — nothing was
-  // logged). Buffered until the next group commit unless the window is
-  // 0 (synchronous flush before returning).
+  // Append one record; returns its LSN. Buffered until the next group
+  // commit unless the window is 0 (synchronous flush before returning).
   Result<uint64_t> AppendObservation(double t, double v);
   Result<uint64_t> AppendFlushMarker();
   Result<uint64_t> AppendRowAppend(const std::string& table,
@@ -186,9 +181,6 @@ class Wal {
                                    size_t row_len);
   Result<uint64_t> AppendUndoImage(uint64_t page_id, const char* data,
                                    size_t n);
-  Result<uint64_t> AppendPutMeta(const std::string& name,
-                                 const std::string& blob);
-  Result<uint64_t> AppendEraseMeta(const std::string& name);
 
   /// Forces buffered records to disk (write + fsync). No-op when
   /// everything appended is already durable.
@@ -198,8 +190,10 @@ class Wal {
   Status EnsureDurable(uint64_t lsn);
 
   /// Starts a fresh empty generation after a checkpoint: truncates the
-  /// file, stamps a header with `new_start_lsn`, fsyncs. The LSN
-  /// counter itself never rewinds.
+  /// file (a previous generation or a torn creation found at Open),
+  /// stamps a header with `new_start_lsn`, fsyncs. A log that never
+  /// reached the disk stays absent. The LSN counter itself never
+  /// rewinds.
   Status Reset(uint64_t new_start_lsn);
 
   /// Final flush + flusher shutdown. Idempotent; the destructor calls
@@ -223,31 +217,12 @@ class Wal {
   WalStats stats() const;
   int64_t group_commit_ms() const { return window_ms_; }
 
-  /// Whether Table::Insert should log kRowAppend records. Engine
-  /// stores log kObservation instead (the observation is the redo
-  /// unit; the rows it fans out into are deterministic), so they turn
-  /// row logging off.
+  /// Whether Table::Insert/InsertDoubles should log kRowAppend
+  /// records. Engine stores log kObservation instead (the observation
+  /// is the redo unit; the rows it fans out into are deterministic), so
+  /// they turn row logging off.
   bool logs_rows() const { return logs_rows_; }
   void set_logs_rows(bool v) { logs_rows_ = v; }
-
-  /// RAII append suppressor: while alive, every Append* is a no-op
-  /// returning LSN 0. Recovery drains recovered observations through
-  /// the normal ingest path under one of these, so replay does not
-  /// re-log what the WAL already holds.
-  class Suspend {
-   public:
-    explicit Suspend(Wal* wal) : wal_(wal) {
-      if (wal_) wal_->suspend_count_.fetch_add(1);
-    }
-    ~Suspend() {
-      if (wal_) wal_->suspend_count_.fetch_sub(1);
-    }
-    Suspend(const Suspend&) = delete;
-    Suspend& operator=(const Suspend&) = delete;
-
-   private:
-    Wal* wal_;
-  };
 
   /// Read-only scan of the WAL beside `db_path` (verify --scrub).
   static WalScrubReport Scrub(Vfs* vfs, const std::string& db_path);
@@ -255,10 +230,8 @@ class Wal {
  private:
   Wal(Vfs* vfs, std::string path, const WalOptions& options);
 
-  /// `even_suspended` bypasses Suspend: physical undo images must be
-  /// logged even while replay suppresses logical re-logging.
   Status AppendRecord(WalRecordType type, const char* payload, size_t n,
-                      uint64_t* lsn, bool even_suspended = false);
+                      uint64_t* lsn);
   /// Writes pending bytes + fsyncs; sticky on failure. Requires mu_
   /// (held by `lock`), but releases it for the duration of the file
   /// write and fsync so concurrent Append* calls buffer into the next
@@ -273,10 +246,9 @@ class Wal {
   const std::string path_;
   const int64_t window_ms_;
   bool logs_rows_ = true;
-  std::atomic<int> suspend_count_{0};
 
   mutable std::mutex mu_;
-  std::unique_ptr<RandomAccessFile> file_;  ///< null until first flush
+  std::unique_ptr<RandomAccessFile> file_;  ///< null until first written
   bool file_fresh_ = true;   ///< header must be (re)written on flush
   bool need_dir_sync_ = false;
   uint64_t truncate_to_ = 0;  ///< trim torn tail before first write

@@ -5,11 +5,13 @@
 # markers, and that the commands which only read a store (search, stats,
 # sql SELECT, compact's source, verify) leave its bytes and its WAL
 # sidecar exactly as they were, on a WAL store and on one built with
-# --no-wal (which must gain no sidecar); then the transect workflow (build -> search -> stats ->
-# verify -> rebalance) including the damaged-transect contract: a
-# corrupt sensor store must flip stats/verify to exit 2 with the sensor
-# counted in the health block, searches must isolate it with a loud
-# warning, and repair must report the unsalvageable store honestly.
+# --no-wal (which must gain no sidecar), and that a torn sidecar beside
+# the --no-wal store is trimmed without rewriting the store; then the
+# transect workflow (build -> search -> stats -> verify -> rebalance)
+# including the damaged-transect contract: a corrupt sensor store must
+# flip stats/verify to exit 2 with the sensor counted in the health
+# block, searches must isolate it with a loud warning, and repair must
+# report the unsalvageable store honestly.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK)
   message(FATAL_ERROR "pass -DCLI=<binary> -DWORK=<dir>")
@@ -111,6 +113,24 @@ function(run_read_only_commands store compact_out)
 endfunction()
 run_read_only_commands(${DB} ${COMPACT})
 run_read_only_commands(${NOWAL} ${NOWAL_COMPACT})
+# A torn sidecar creation (shorter than the 32-byte WAL header) beside
+# the --no-wal store: the first read trims it to a clean empty log
+# without rewriting the store's unchanged pages, after which reads
+# change neither file.
+file(WRITE ${NOWAL}.wal "0123456789")
+file(SHA256 ${NOWAL} nowal_before)
+run_cli("trimmed 10 torn-tail bytes" stats --db ${NOWAL})
+file(SHA256 ${NOWAL} nowal_after)
+if(NOT nowal_before STREQUAL nowal_after)
+  message(FATAL_ERROR "stats rewrote ${NOWAL} while trimming its torn "
+                      "sidecar (sha256 ${nowal_before} -> ${nowal_after})")
+endif()
+# No "torn tail" or "wal CORRUPT" line between the log summary and the
+# verdict.
+run_cli_read_only(${NOWAL}
+                  "wal scrub: 32 bytes, 0 frames \\(lsn [0-9.]+\\)\nverify: ok"
+                  verify --db ${NOWAL} --scrub)
+run_cli_read_only(${NOWAL} "trimmed 0 torn-tail bytes" stats --db ${NOWAL})
 run_cli("periods with a drop" search --db ${COMPACT} --t-hours 1 --v -3)
 run_cli("0 corrupt" verify --db ${COMPACT} --scrub)
 

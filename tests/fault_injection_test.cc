@@ -39,6 +39,7 @@
 #include "segdiff/exh_index.h"
 #include "segdiff/segdiff_index.h"
 #include "segdiff/transect_index.h"
+#include "sql/engine.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "storage/db.h"
@@ -1232,6 +1233,65 @@ TEST_F(CleanCheckpointTest, StolenPageIsSyncedAtClose) {
   EXPECT_EQ(std::string(buf, 6), "stolen");
 }
 
+// The same stolen page with the WAL on: the steal logs the page's undo
+// image, and a checkpoint whose only reason to run is that page must
+// sync it without rewriting the unchanged catalog chain, so it appends
+// no record (no undo image per chain page).
+TEST_F(CleanCheckpointTest, StolenPageCheckpointAppendsNoWalRecord) {
+  DatabaseOptions options;
+  options.wal = false;
+  PageId spare = kInvalidPageId;
+  {
+    auto db = Database::Open(path_, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto schema = DoubleSchema({"a"});
+    ASSERT_TRUE(schema.ok());
+    auto table = (*db)->CreateTable("t", *schema);
+    ASSERT_TRUE(table.ok());
+    for (int i = 0; i < 8000; ++i) {
+      ASSERT_TRUE((*table)->InsertDoubles({double(i)}).ok());
+    }
+    auto page = (*db)->buffer_pool()->AllocatePinned();
+    ASSERT_TRUE(page.ok());
+    spare = page->page_id();
+  }
+  FaultInjectionVfs vfs;
+  options.vfs = &vfs;
+  options.create_if_missing = false;
+  options.buffer_pool_pages = 2;
+  options.wal = true;
+  options.wal_group_commit_ms = 0;
+  {
+    auto db = Database::Open(path_, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    {
+      auto page = (*db)->buffer_pool()->FetchMut(spare);
+      ASSERT_TRUE(page.ok()) << page.status().ToString();
+      std::memcpy(page->data(), "stolen", 6);
+      page->MarkDirty();
+    }
+    auto table = (*db)->GetTable("t");
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(SeqScan(**table, Predicate::True(),
+                        [](const char*, RecordId) { return Status::OK(); })
+                    .ok());
+    ASSERT_EQ((*db)->buffer_pool()->dirty_pages(), 0u);
+    ASSERT_TRUE((*db)->pager()->has_unsynced_writes());
+    const uint64_t appends = (*db)->GetWalInfo().stats.appends;
+    ASSERT_GT(appends, 0u) << "the steal logged no undo image";
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    EXPECT_EQ((*db)->GetWalInfo().stats.appends, appends);
+    EXPECT_FALSE((*db)->pager()->has_unsynced_writes());
+  }
+  ASSERT_TRUE(vfs.Crash().ok());
+  vfs.Reset();
+  auto pager = Pager::Open(path_, /*create=*/false, &vfs);
+  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+  char buf[kPageSize];
+  ASSERT_TRUE((*pager)->ReadPage(spare, buf).ok());
+  EXPECT_EQ(std::string(buf, 6), "stolen");
+}
+
 // A zone-map blob that was dropped from the catalog is rebuilt by the
 // first search; the close must persist the rebuilt map, after which the
 // store is clean again.
@@ -1576,6 +1636,125 @@ TEST_F(WalCrashTest, MismatchedWalGenerationIsRefused) {
   auto recovered = SegDiffIndex::Open(path_, Options(nullptr));
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->num_observations(), series_.size());
+}
+
+// A raw (non-engine) database logs one kRowAppend record per row from
+// each insert path — Table::Insert, InsertDoubles and a SQL INSERT — and
+// replays them unlogged. A crash before any checkpoint brings every row
+// back in scan order with its index entries, and a second crash before
+// a checkpoint replays the same log into byte-identical tables.
+TEST_F(WalCrashTest, RawRowAppendsSurviveCrashAndReplayIdempotently) {
+  FaultInjectionVfs vfs;
+  DatabaseOptions options;
+  options.vfs = &vfs;
+  options.wal_group_commit_ms = 0;
+  std::vector<std::string> expected;
+  {
+    auto db = Database::Open(path_, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto schema = DoubleSchema({"a", "b"});
+    ASSERT_TRUE(schema.ok());
+    auto table = (*db)->CreateTable("t", *schema);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE((*table)->CreateIndex("t_b", {"b"}).ok());
+    // The index build is not logged: make it durable before the rows.
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    sql::Engine engine(db->get());
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE((*table)->Insert(DoubleRow({3.0 * i, -3.0 * i})).ok());
+      ASSERT_TRUE((*table)->InsertDoubles({3.0 * i + 1, 7.0 - i}).ok());
+      const std::string insert = "INSERT INTO t VALUES (" +
+                                 std::to_string(3 * i + 2) + ", " +
+                                 std::to_string(100 - i) + ")";
+      auto inserted = engine.Execute(insert);
+      ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+    }
+    expected = TableRecords(db->get(), "t");
+    ASSERT_EQ(expected.size(), 120u);
+    ASSERT_TRUE(vfs.Crash().ok());
+    (*db)->Abandon();
+  }
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("reopen #" + std::to_string(round + 1));
+    vfs.Reset();
+    auto db = Database::Open(path_, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    // One record per row, whichever path inserted it.
+    EXPECT_EQ((*db)->GetWalInfo().recovered_records, expected.size());
+    EXPECT_EQ(TableRecords(db->get(), "t"), expected);
+    auto table = (*db)->GetTable("t");
+    ASSERT_TRUE(table.ok());
+    auto index = (*table)->GetIndex("t_b");
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    EXPECT_TRUE((*index)->CheckInvariants().ok());
+    EXPECT_EQ((*index)->entry_count(), expected.size());
+    ASSERT_TRUE(vfs.Crash().ok());
+    (*db)->Abandon();
+  }
+}
+
+// A frame whose LSN, length and CRC are all valid but whose type byte
+// lies outside the four record kinds (5 is a retired meta-blob record,
+// 0 was never written) ends the scan like any torn frame: the frames
+// before it are recovered, everything from it on is the trimmed tail,
+// and scrub calls the log torn, not corrupt.
+TEST_F(WalCrashTest, RecordTypeOutsideTheFourKindsEndsTheScan) {
+  auto frame = [](uint64_t lsn, uint8_t type, const std::string& payload) {
+    std::string out(kWalFrameOverhead + payload.size(), '\0');
+    EncodeFixed64(out.data(), lsn);
+    EncodeFixed32(out.data() + 8, static_cast<uint32_t>(payload.size()));
+    out[12] = static_cast<char>(type);
+    payload.copy(out.data() + kWalFrameHeaderSize, payload.size());
+    EncodeFixed32(out.data() + kWalFrameHeaderSize + payload.size(),
+                  Crc32c(out.data(), kWalFrameHeaderSize + payload.size()));
+    return out;
+  };
+  std::string header(kWalHeaderSize, '\0');
+  EncodeFixed32(header.data(), kWalMagic);
+  EncodeFixed32(header.data() + 4, kWalVersion);
+  EncodeFixed64(header.data() + 8, 1);  // start_lsn
+  EncodeFixed32(header.data() + 24, Crc32c(header.data(), 24));
+  std::string observation(16, '\0');
+  EncodeDouble(observation.data(), 60.0);
+  EncodeDouble(observation.data() + 8, -2.5);
+  const std::string put_meta("\x03\x00keyblob", 9);  // the retired shape
+  const auto kObservation = static_cast<uint8_t>(WalRecordType::kObservation);
+  const auto kFlush = static_cast<uint8_t>(WalRecordType::kFlush);
+  const std::string whole =
+      header + frame(1, kObservation, observation) + frame(2, kFlush, "");
+
+  for (const uint8_t bad_type : {uint8_t{5}, uint8_t{0}}) {
+    SCOPED_TRACE("type byte " + std::to_string(bad_type));
+    // A valid frame after the bad one shows the scan stops, not skips.
+    const std::string tail =
+        frame(3, bad_type, put_meta) + frame(4, kObservation, observation);
+    {
+      std::ofstream out(Wal::PathFor(path_),
+                        std::ios::binary | std::ios::trunc);
+      out << whole << tail;
+      ASSERT_TRUE(out.good());
+    }
+
+    const WalScrubReport scrub = Wal::Scrub(Vfs::Default(), path_);
+    EXPECT_FALSE(scrub.corrupt) << scrub.message;
+    EXPECT_TRUE(scrub.torn_tail);
+    EXPECT_EQ(scrub.frames, 2u);
+    EXPECT_EQ(scrub.last_lsn, 2u);
+    EXPECT_EQ(scrub.torn_tail_bytes, tail.size());
+
+    WalOptions wal_options;
+    wal_options.group_commit_ms = 0;
+    auto wal = Wal::Open(Vfs::Default(), path_, wal_options, 1);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    const std::vector<WalRecord> recovered = (*wal)->TakeRecoveredRecords();
+    ASSERT_EQ(recovered.size(), 2u);
+    EXPECT_EQ(recovered[0].lsn, 1u);
+    EXPECT_EQ(recovered[0].type, WalRecordType::kObservation);
+    EXPECT_EQ(recovered[1].lsn, 2u);
+    EXPECT_EQ(recovered[1].type, WalRecordType::kFlush);
+    EXPECT_EQ((*wal)->trimmed_tail_bytes(), tail.size());
+    EXPECT_EQ((*wal)->last_lsn(), 2u);
+  }
 }
 
 // Replaying the same log twice yields byte-identical tables: recovery
