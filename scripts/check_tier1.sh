@@ -24,17 +24,19 @@
 #      finding aborts its test) running the streaming-ingest and storage
 #      suites (the subsystems that serialize/restore raw state blobs),
 #      both engines' store-shell paths (Exh and SegDiff open, ingest and
-#      serial/parallel search), the scan evaluator's suites (columnar
-#      decode, selection-bitmap kernels, zone maps), the table-model and
-#      SQL suites (DELETE rewrites and SQL scans read through the same
-#      scan executor), plus the `faults`
+#      serial/parallel search), the fan-out suite (ParallelFor keeps its
+#      state alive for helper tasks that run after it returns), the scan
+#      evaluator's suites (columnar decode, selection-bitmap kernels,
+#      zone maps), the table-model and SQL suites (DELETE rewrites and
+#      SQL scans read through the same scan executor), plus the `faults`
 #      and `governance` ctest groups (crash-recovery, fault injection,
 #      and cancellation — the error paths that exercise
 #      partially-initialized and partially-released state)
-#   5. a ThreadSanitizer build running the `concurrency` ctest group
-#      (snapshot reads racing WAL-backed ingest, admission control,
-#      cooperative cancellation, sharded scatter-gather fan-out racing
-#      LRU store eviction)
+#   5. a ThreadSanitizer build running the `concurrency`, `faults` and
+#      `governance` ctest groups (the fan-out itself, snapshot reads
+#      racing WAL-backed ingest, admission control, cooperative
+#      cancellation, sharded scatter-gather fan-out racing LRU store
+#      eviction)
 #
 # Usage: scripts/check_tier1.sh [--no-asan]   (skips both sanitizer runs)
 # Exits non-zero on the first failing step.
@@ -265,17 +267,17 @@ echo "reads-write-nothing smoke: $(find "${RO_DIR}" -type f | wc -l)" \
 rm -rf "${RO_WORK}"
 
 if [[ "${RUN_ASAN}" == "1" ]]; then
-  echo "== asan: configure + build (streaming + storage + scan + sql + fault suites) =="
+  echo "== asan: configure + build (streaming + storage + fan-out + scan + sql + fault suites) =="
   cmake -B build-asan -S . -DSEGDIFF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
     streaming_ingest_test storage_test segdiff_index_test \
-    exh_naive_test parallel_query_test \
+    exh_naive_test parallel_query_test thread_pool_test \
     columnar_test scan_kernel_test zone_map_test \
     db_model_test sql_test \
     fault_injection_test chaos_test transect_chaos_test governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|DbModelTest|LexerTest|ParserTest|ParserFuzzTest|EngineTest')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest|ThreadPoolTest|ParallelForTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|DbModelTest|LexerTest|ParserTest|ParserFuzzTest|EngineTest')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

@@ -109,11 +109,7 @@ void AdmissionController::ReleaseSlot() {
 }
 
 size_t AdmissionController::ClampThreads(size_t requested) const {
-  if (requested == 0) {
-    return opts_.max_threads_per_query;
-  }
-  return std::max<size_t>(1,
-                          std::min(requested, opts_.max_threads_per_query));
+  return std::min(requested, opts_.max_threads_per_query);
 }
 
 void AdmissionController::RecordOutcome(const Status& status,

@@ -103,8 +103,8 @@ class AdmissionController {
   ///  - Cancelled / DeadlineExceeded if `ctx` fires while queued.
   Result<Ticket> Admit(const QueryContext& ctx);
 
-  /// Caps a query's requested worker count at max_threads_per_query
-  /// (requested 0 means "as many as allowed"). Always >= 1.
+  /// Caps a query's requested fan-out width at max_threads_per_query.
+  /// 0 and 1 stay as they are: both mean serial (see ParallelFor).
   size_t ClampThreads(size_t requested) const;
 
   /// Folds a finished query's terminal status and memory high-water mark

@@ -1,33 +1,49 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <deque>
 #include <memory>
-
-#include "common/logging.h"
+#include <thread>
 
 namespace segdiff {
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  SEGDIFF_CHECK_GE(num_threads, size_t{1});
-  Grow(num_threads);
-}
+namespace {
 
-size_t ThreadPool::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return workers_.size();
-}
+/// The process-wide workers behind ParallelFor. The pool only grows, so
+/// concurrent fan-outs never see it rebuilt; it lives until process
+/// exit, when its destructor runs what is still queued and joins.
+class ThreadPool {
+ public:
+  ThreadPool() = default;
+  ~ThreadPool();
+
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
+
+  /// Adds workers until the pool has at least `num_threads`. Existing
+  /// workers and queued tasks are untouched, so this is safe while other
+  /// threads fan out on the pool.
+  void Grow(size_t num_threads);
+
+  /// Enqueues `task` for execution by some worker.
+  void Submit(std::function<void()> task);
+
+ private:
+  void WorkerLoop();
+
+  std::mutex mu_;
+  std::vector<std::thread> workers_;   ///< grows under mu_
+  std::condition_variable task_ready_;  ///< workers wait here for tasks
+  std::deque<std::function<void()>> tasks_;
+  bool stop_ = false;
+};
 
 void ThreadPool::Grow(size_t num_threads) {
   std::lock_guard<std::mutex> lock(mu_);
   while (workers_.size() < num_threads) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-}
-
-ThreadPool* SharedThreadPool(size_t width) {
-  static ThreadPool pool(1);
-  pool.Grow(width > 1 ? width - 1 : 1);
-  return &pool;
 }
 
 ThreadPool::~ThreadPool() {
@@ -47,23 +63,15 @@ void ThreadPool::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       task_ready_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      // Drain remaining tasks even when stopping, so Submit-then-destroy
-      // still runs every task exactly once.
+      // Drain remaining tasks even when stopping, so every submitted
+      // task runs exactly once.
       if (tasks_.empty()) {
         return;
       }
       task = std::move(tasks_.front());
       tasks_.pop_front();
-      ++in_flight_;
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (tasks_.empty() && in_flight_ == 0) {
-        all_idle_.notify_all();
-      }
-    }
   }
 }
 
@@ -75,25 +83,26 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
+ThreadPool& SharedPool() {
+  static ThreadPool pool;
+  return pool;
 }
 
-Status ThreadPool::ParallelFor(size_t n,
-                               const std::function<Status(size_t)>& fn) {
-  return ParallelFor(n, /*ctx=*/nullptr, fn);
-}
+}  // namespace
 
-Status ThreadPool::ParallelFor(size_t n, const QueryContext* ctx,
-                               const std::function<Status(size_t)>& fn) {
-  return ParallelFor(n, /*width=*/0, ctx, fn);
-}
-
-Status ThreadPool::ParallelFor(size_t n, size_t width,
-                               const QueryContext* ctx,
-                               const std::function<Status(size_t)>& fn) {
-  if (n == 0) {
+Status ParallelFor(size_t n, size_t width, const QueryContext* ctx,
+                   const std::function<Status(size_t)>& fn) {
+  // At most `width` iterations run at once, and never more than there
+  // are; the calling thread runs iterations too, so the pool supplies
+  // one helper fewer.
+  const size_t in_flight = std::min(width, n);
+  if (in_flight <= 1) {
+    for (size_t i = 0; i < n; ++i) {
+      if (ctx != nullptr) {
+        SEGDIFF_RETURN_IF_ERROR(ctx->Check());
+      }
+      SEGDIFF_RETURN_IF_ERROR(fn(i));
+    }
     return Status::OK();
   }
   // All claim/completion bookkeeping lives behind one mutex: iterations
@@ -155,14 +164,11 @@ Status ThreadPool::ParallelFor(size_t n, size_t width,
       }
     }
   };
-  // The calling thread runs iterations too, so `width - 1` helpers keep
-  // at most `width` in flight.
-  size_t helpers = std::min(n - 1, size());
-  if (width > 0) {
-    helpers = std::min(helpers, width - 1);
-  }
+  const size_t helpers = in_flight - 1;
+  ThreadPool& pool = SharedPool();
+  pool.Grow(helpers);
   for (size_t i = 0; i < helpers; ++i) {
-    Submit(run);
+    pool.Submit(run);
   }
   run();  // the calling thread participates, so progress never stalls
   std::unique_lock<std::mutex> lock(state->mu);

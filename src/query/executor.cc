@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/thread_pool.h"
 #include "query/scan_kernel.h"
 #include "storage/snapshot.h"
 
@@ -504,11 +505,11 @@ Status SeqScan(const Table& table, std::span<const Predicate> predicates,
 }
 
 Status ParallelSeqScan(const Table& table,
-                       std::span<const Predicate> predicates, ThreadPool* pool,
+                       std::span<const Predicate> predicates,
                        size_t num_partitions,
                        const PartitionSinkFactory& make_sink,
                        ScanStats* stats, const SeqScanOptions& options) {
-  if (pool == nullptr || num_partitions <= 1) {
+  if (num_partitions <= 1) {
     // Degenerate case: one partition is just a serial scan.
     return SeqScan(table, predicates, make_sink(0), stats, options);
   }
@@ -575,8 +576,9 @@ Status ParallelSeqScan(const Table& table,
     sinks[p] = make_sink(p);
   }
   std::vector<ScanStats> partition_stats(num_partitions);
-  const Status status = pool->ParallelFor(
-      num_partitions, options.context, [&](size_t p) -> Status {
+  const Status status = ParallelFor(
+      num_partitions, num_partitions, options.context,
+      [&](size_t p) -> Status {
         return RunPartition(table, predicates, options, sinks[p],
                             partitions[p], &partition_stats[p]);
       });

@@ -1,5 +1,5 @@
-// Access-path executors: sequential scan (serial or partitioned across a
-// thread pool) and index range scan.
+// Access-path executors: sequential scan (serial, or partitioned into
+// concurrent runs through ParallelFor) and index range scan.
 //
 // SeqScan and every ParallelSeqScan partition run one scan body: a run
 // of columnar segments, then a heap walk (the whole page chain, or a
@@ -19,7 +19,6 @@
 
 #include "common/governance.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "index/bplus_tree.h"
 #include "query/predicate.h"
 #include "storage/table.h"
@@ -138,14 +137,14 @@ using PartitionSinkFactory = std::function<RowCallback(size_t partition)>;
 /// Partitioned full-table any-of scan (see SeqScan): splits the table's
 /// work units — columnar segments (weighted by their page span)
 /// followed by heap pages (weight 1) — into `num_partitions` contiguous
-/// runs executed concurrently on `pool` (the calling thread
-/// participates). Rows are visited exactly once overall; per-partition
-/// ScanStats are merged into `stats` in partition order, so totals
-/// equal the serial SeqScan's — also on failure, when every partition
-/// that ran adds what it read (one the failure left unstarted adds
-/// nothing).
+/// runs executed concurrently, one ParallelFor iteration each at width
+/// `num_partitions` (0 or 1 is one SeqScan on the calling thread). Rows
+/// are visited exactly once overall; per-partition ScanStats are merged
+/// into `stats` in partition order, so totals equal the serial
+/// SeqScan's — also on failure, when every partition that ran adds what
+/// it read (one the failure left unstarted adds nothing).
 Status ParallelSeqScan(const Table& table,
-                       std::span<const Predicate> predicates, ThreadPool* pool,
+                       std::span<const Predicate> predicates,
                        size_t num_partitions,
                        const PartitionSinkFactory& make_sink,
                        ScanStats* stats = nullptr,
@@ -153,12 +152,12 @@ Status ParallelSeqScan(const Table& table,
 
 /// The single-predicate partitioned scan (a one-element span).
 inline Status ParallelSeqScan(const Table& table, const Predicate& predicate,
-                              ThreadPool* pool, size_t num_partitions,
+                              size_t num_partitions,
                               const PartitionSinkFactory& make_sink,
                               ScanStats* stats = nullptr,
                               const SeqScanOptions& options = {}) {
   return ParallelSeqScan(table, std::span<const Predicate>(&predicate, 1),
-                         pool, num_partitions, make_sink, stats, options);
+                         num_partitions, make_sink, stats, options);
 }
 
 /// Range scan over a B+-tree index. Starts at the first key >= `lower`,

@@ -184,11 +184,11 @@ Status ExhIndex::SearchScan(SearchKind kind, double T, double V,
   };
   ++scope.stats->queries_issued;
   if (mode == QueryMode::kSeqScan) {
-    // Partitioned across the pool when the search has one; events are
-    // re-sorted afterwards, so collection order does not matter.
+    // Partitioned at the search's width; events are re-sorted
+    // afterwards, so collection order does not matter.
     return QuarantineScanError(
-        PartitionedScan(*table_, {&predicate, 1}, scope, decode, events,
-                        &scope.stats->scan),
+        PartitionedScan(*table_, {&predicate, 1}, scope, scope.num_threads,
+                        decode, events, &scope.stats->scan),
         "the exh pair table");
   }
   if (!options_.build_index) {

@@ -241,13 +241,7 @@ Status FeatureStore::Search(
 
   SearchScope scope;
   scope.ctx = &ctx;
-  // 0/1 stays serial (paper semantics); explicit parallelism is clamped
-  // by the store's per-query worker limit.
-  scope.num_threads = options.num_threads <= 1
-                          ? options.num_threads
-                          : admission_.ClampThreads(options.num_threads);
-  scope.pool =
-      scope.num_threads > 1 ? SharedThreadPool(scope.num_threads) : nullptr;
+  scope.num_threads = admission_.ClampThreads(options.num_threads);
 
   // Freeze the view this search reads: taken between ingest operations
   // (under ingest_mu_), so it is a consistent cut of every table, and

@@ -34,7 +34,6 @@
 #include "common/bytes.h"
 #include "common/governance.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "feature/cases.h"
 #include "query/executor.h"
 #include "storage/db.h"
@@ -84,12 +83,12 @@ struct SearchOptions {
   /// Intra-query parallelism. 0 or 1 executes everything serially on the
   /// calling thread, preserving the paper's single-threaded semantics.
   /// >= 2 runs a search's independent tasks (per-corner queries, index
-  /// scans, passes beside index scans) concurrently on a worker pool; a
-  /// search made only of passes (and Exh scans) instead runs them one
-  /// after another, each partitioned across the workers by heap page —
-  /// fan-outs never nest. Results and SearchStats are identical to the
-  /// serial path; only wall-clock time changes. Requests > 1 are clamped
-  /// to the store's AdmissionOptions::max_threads_per_query.
+  /// scans, passes beside index scans) concurrently; a search made only
+  /// of passes (and Exh scans) instead runs them one after another, each
+  /// partitioned by heap page into that many concurrent runs — fan-outs
+  /// never nest. Results and SearchStats are identical to the serial
+  /// path; only wall-clock time changes. Requests are clamped to the
+  /// store's AdmissionOptions::max_threads_per_query.
   size_t num_threads = 0;
 
   // Governance (see DESIGN.md §11). All default to "ungoverned".
@@ -167,8 +166,6 @@ struct SearchScope {
   bool allow_partial = false;
   /// Fan-out width after admission clamping; 0 or 1 is serial.
   size_t num_threads = 0;
-  /// The shared pool, grown for `num_threads`; null when serial.
-  ThreadPool* pool = nullptr;
   /// The search's own report (scan counters, queries issued).
   SearchStats* stats = nullptr;
 
@@ -207,20 +204,21 @@ RowCallback CollectInto(MemoryBudget* budget, std::vector<Hit>* out,
 }
 
 /// Any-of sequential scan of `table` under `predicates` (see SeqScan),
-/// partitioned by heap page across the search's pool when it has one.
-/// Each partition collects into a private vector (the first straight
-/// into `out`), and the rest are appended in partition order — also on
-/// failure, so a budget-truncated search keeps what the partitions
-/// gathered before the breach.
+/// split by heap page into `partitions` concurrent runs; 0 or 1 is one
+/// SeqScan on the caller. Each partition collects into a private vector
+/// (the first straight into `out`), and the rest are appended in
+/// partition order — also on failure, so a budget-truncated search
+/// keeps what the partitions gathered before the breach.
 template <typename Hit, typename Decode>
 Status PartitionedScan(const Table& table,
                        std::span<const Predicate> predicates,
-                       const SearchScope& scope, const Decode& decode,
-                       std::vector<Hit>* out, ScanStats* stats) {
-  const size_t partitions = std::max<size_t>(scope.num_threads, 1);
+                       const SearchScope& scope, size_t partitions,
+                       const Decode& decode, std::vector<Hit>* out,
+                       ScanStats* stats) {
+  partitions = std::max<size_t>(partitions, 1);
   std::vector<std::vector<Hit>> rest(partitions - 1);
   Status status = ParallelSeqScan(
-      table, predicates, scope.pool, partitions,
+      table, predicates, partitions,
       [&](size_t p) {
         return CollectInto(scope.ctx->budget, p == 0 ? out : &rest[p - 1],
                            decode);

@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "query/planner.h"
 #include "query/predicate.h"
 
@@ -423,12 +424,6 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
   SEGDIFF_RETURN_IF_ERROR(
       store_.EnsureZoneMaps({tables[0], tables[1], tables[2]}));
 
-  // Executor-level governance: every scan below checks the scope's
-  // context at page granularity (and the index walks every
-  // kGovernanceCheckInterval entries). Every scan and index descent
-  // reads the search's frozen snapshot, never the moving live tables.
-  const SeqScanOptions scan_options = scope.scan_options();
-
   // Builds the paper's predicate for one query, for sequential scans.
   auto make_predicate = [drop, T, V](const RangeQuery& query) {
     Predicate predicate;
@@ -525,11 +520,23 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
     }
   }
 
-  // Runs one task, collecting matches into `out` (private to the task)
-  // and execution counters into `scan`. A pass run with `partition`
-  // additionally splits its scan across the pool by heap page.
-  auto run_task = [&](const QueryTask& task, bool partition,
-                      std::vector<PairId>* out, ScanStats* scan) -> Status {
+  // A search made only of passes runs them one after another, each
+  // split into `partitions` heap-page runs; any other search fans its
+  // tasks out at the search's width, each unpartitioned. Fan-outs never
+  // nest.
+  const bool only_passes =
+      std::all_of(tasks.begin(), tasks.end(),
+                  [](const QueryTask& task) { return task.pass; });
+  const size_t partitions = only_passes ? scope.num_threads : 1;
+  const size_t width = only_passes ? 1 : scope.num_threads;
+
+  // Runs one task, collecting matches into `out` and execution counters
+  // into `scan`. Every scan and index descent reads the search's frozen
+  // snapshot, never the moving live tables, and checks the scope's
+  // context at page granularity (index walks every
+  // kGovernanceCheckInterval entries).
+  auto run_task = [&](const QueryTask& task, std::vector<PairId>* out,
+                      ScanStats* scan) -> Status {
     const int k = task.k;
     auto decode = [k](const char* record) {
       PairId id;
@@ -545,13 +552,8 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
       for (const RangeQuery& query : task.queries) {
         predicates.push_back(make_predicate(query));
       }
-      if (partition) {
-        return PartitionedScan(*task.table, predicates, scope, decode, out,
-                               scan);
-      }
-      return SeqScan(*task.table, predicates,
-                     CollectInto(scope.ctx->budget, out, decode), scan,
-                     scan_options);
+      return PartitionedScan(*task.table, predicates, scope, partitions,
+                             decode, out, scan);
     }
     // Index scan: all conditions evaluate on the key; the heap fetch
     // only materializes the pair id.
@@ -591,37 +593,24 @@ Status SegDiffIndex::SearchImpl(SearchKind kind, double T, double V,
 
   SearchStats* local = scope.stats;
   local->queries_issued = tasks.size();
-  const bool only_passes =
-      std::all_of(tasks.begin(), tasks.end(),
-                  [](const QueryTask& task) { return task.pass; });
-  if (scope.pool == nullptr || tasks.size() <= 1 || only_passes) {
-    // Serial task loop. Passes still fan out internally when a pool
-    // exists (table-at-a-time with partitioned passes avoids nesting
-    // task- and partition-level parallelism).
-    for (const QueryTask& task : tasks) {
-      SEGDIFF_RETURN_IF_ERROR(QuarantineScanError(
-          run_task(task, /*partition=*/task.pass, results, &local->scan),
-          "feature table '" + task.table->name() + "'"));
-    }
-    return Status::OK();
-  }
-  // Concurrent tasks, each unpartitioned: each gets a private result
-  // vector and ScanStats, merged in task order so stats totals match
-  // the serial path exactly. The governed ParallelFor stops claiming
-  // tasks once the context fires; in-flight tasks stop at their own
-  // page-level checks.
-  std::vector<std::vector<PairId>> task_out(tasks.size());
-  std::vector<ScanStats> task_scan(tasks.size());
-  Status status = scope.pool->ParallelFor(
-      tasks.size(), scope.num_threads, scope.ctx, [&](size_t i) -> Status {
+  // Tasks that run concurrently each collect into a private result
+  // vector and ScanStats, merged in task order so totals match the
+  // serial path exactly; tasks on the caller alone collect straight
+  // into the result. ParallelFor stops claiming tasks once the context
+  // fires; in-flight tasks stop at their own page-level checks.
+  const bool concurrent = width > 1 && tasks.size() > 1;
+  std::vector<std::vector<PairId>> task_out(concurrent ? tasks.size() : 0);
+  std::vector<ScanStats> task_scan(task_out.size());
+  Status status =
+      ParallelFor(tasks.size(), width, scope.ctx, [&](size_t i) -> Status {
         return QuarantineScanError(
-            run_task(tasks[i], /*partition=*/false, &task_out[i],
-                     &task_scan[i]),
+            concurrent ? run_task(tasks[i], &task_out[i], &task_scan[i])
+                       : run_task(tasks[i], results, &local->scan),
             "feature table '" + tasks[i].table->name() + "'");
       });
   // Merge even on failure: a budget-truncated search keeps what the
   // tasks collected before the breach.
-  for (size_t i = 0; i < tasks.size(); ++i) {
+  for (size_t i = 0; i < task_out.size(); ++i) {
     local->scan.Add(task_scan[i]);
     results->insert(results->end(), task_out[i].begin(), task_out[i].end());
   }

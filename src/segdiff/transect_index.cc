@@ -16,6 +16,12 @@
 namespace segdiff {
 namespace {
 
+/// Width of the maintenance sweeps (flush, checkpoint, sizes, rebalance
+/// copies): stores sleep on IO, so overlap helps even on one core.
+size_t MaintenanceWidth() {
+  return std::clamp<size_t>(std::thread::hardware_concurrency(), 2, 8);
+}
+
 /// Folds one search's stats into a running total. Only deterministic
 /// fields matter for the serial/parallel differential: the integer and
 /// bool fields are associative sums/ORs, so folding per-shard partials
@@ -385,21 +391,11 @@ Status TransectIndex::FlushAllPending() {
     dirty_.erase(sensor);
     return Status::OK();
   };
-  const size_t threads = MaintenanceThreads(dirty.size());
-  Status status;
-  if (threads < 2) {
-    for (size_t i = 0; i < dirty.size() && status.ok(); ++i) {
-      status = flush_one(i);
-    }
-  } else {
-    // ParallelFor keeps the first error (FirstErrorCollector) and skips
-    // remaining sensors; still-dirty sensors stay tracked for the retry.
-    status = SharedThreadPool(threads)->ParallelFor(dirty.size(), threads,
-                                                    nullptr, flush_one);
-  }
-  if (!status.ok()) {
-    return status;
-  }
+  // ParallelFor keeps the first error and skips remaining sensors;
+  // still-dirty sensors stay tracked for the retry.
+  SEGDIFF_RETURN_IF_ERROR(ParallelFor(
+      dirty.size(), FanOutWidth(MaintenanceWidth(), dirty.size()), nullptr,
+      flush_one));
   return eviction_error;
 }
 
@@ -409,22 +405,14 @@ Status TransectIndex::IngestAllSensors(const std::vector<Series>& all_series,
     return Status::InvalidArgument(
         "IngestAllSensors needs exactly one series per sensor");
   }
-  if (num_threads <= 1) {
-    for (int s = 0; s < sensor_count(); ++s) {
-      SEGDIFF_RETURN_IF_ERROR(IngestSensorSeries(s, all_series[s]));
-    }
-    return Status::OK();
-  }
   // Each task touches exactly one store, so per-sensor pipelines never
-  // share mutable state; the pool only parallelizes across sensors.
-  // Each worker pins one store at a time, so even a tiny LRU throttles
-  // rather than deadlocks.
-  return SharedThreadPool(num_threads)
-      ->ParallelFor(all_series.size(), num_threads, nullptr,
-                    [&](size_t s) -> Status {
-                      return IngestSensorSeries(static_cast<int>(s),
-                                                all_series[s]);
-                    });
+  // share mutable state; the fan-out only parallelizes across sensors.
+  return ParallelFor(all_series.size(),
+                     FanOutWidth(num_threads, all_series.size()), nullptr,
+                     [&](size_t s) -> Status {
+                       return IngestSensorSeries(static_cast<int>(s),
+                                                 all_series[s]);
+                     });
 }
 
 template <typename SearchFn>
@@ -436,20 +424,13 @@ Result<std::vector<TransectHit>> TransectIndex::SearchAll(
   SearchOptions per_sensor = options;
   // At transect level num_threads is the scatter-gather width; the
   // per-store searches run single-threaded so the fan-out, not nested
-  // pools, uses the machine.
+  // fan-outs, uses the machine.
   per_sensor.num_threads = 0;
   QueryContext ctx;
   ctx.cancel = per_sensor.cancel;
   ctx.deadline = per_sensor.deadline;
 
   const size_t shard_count = catalog_.shard_count();
-  size_t fan_out = std::min(options.num_threads, shard_count);
-  if (stores_->max_open() != 0) {
-    // Each worker (including the caller) pins at most one store, so a
-    // fan-out wider than the cache would only make workers queue on
-    // Acquire.
-    fan_out = std::min(fan_out, stores_->max_open());
-  }
 
   // A stats out-param opts into fault isolation: damaged sensors are
   // skipped and accounted instead of failing the whole fan-out.
@@ -462,10 +443,10 @@ Result<std::vector<TransectHit>> TransectIndex::SearchAll(
     std::vector<TransectHit> hits;
     TransectSearchStats stats;
   };
-  ThreadPool* pool = fan_out >= 2 ? SharedThreadPool(fan_out) : nullptr;
   std::vector<ShardPartial> partials;
   Status status = ParallelMap(
-      pool, fan_out, shard_count, &ctx, &partials,
+      shard_count, FanOutWidth(options.num_threads, shard_count), &ctx,
+      &partials,
       [&](size_t shard, ShardPartial* out) -> Status {
         const ShardInfo& info = catalog_.shard(shard);
         const int last = info.first_sensor + info.sensor_count;
@@ -629,7 +610,7 @@ Status TransectIndex::Rebalance(int new_sensors_per_shard) {
   // ingest state first, so un-flushed streaming pipelines resume
   // exactly where they left off inside the copy; CompactInto inherits
   // the Vfs and syncs the destination file.
-  const int sensors = source.sensor_count();
+  const size_t sensors = static_cast<size_t>(source.sensor_count());
   auto copy_one = [&](size_t i) -> Status {
     const int s = static_cast<int>(i);
     const std::string dest = target.StorePath(directory_, s);
@@ -640,16 +621,8 @@ Status TransectIndex::Rebalance(int new_sensors_per_shard) {
     SEGDIFF_RETURN_IF_ERROR(store->Compact(dest));
     return vfs->SyncDir(dest);
   };
-  const size_t threads = MaintenanceThreads(static_cast<size_t>(sensors));
-  Status copied;
-  if (threads < 2) {
-    for (int s = 0; s < sensors && copied.ok(); ++s) {
-      copied = copy_one(static_cast<size_t>(s));
-    }
-  } else {
-    copied = SharedThreadPool(threads)->ParallelFor(
-        static_cast<size_t>(sensors), threads, nullptr, copy_one);
-  }
+  Status copied = ParallelFor(
+      sensors, FanOutWidth(MaintenanceWidth(), sensors), nullptr, copy_one);
   if (!copied.ok()) {
     return abort(copied);
   }
@@ -918,15 +891,8 @@ Status TransectIndex::Checkpoint() {
                              stores_->Acquire(open[i]));
     return store->Checkpoint();
   };
-  const size_t threads = MaintenanceThreads(open.size());
-  if (threads < 2) {
-    for (size_t i = 0; i < open.size(); ++i) {
-      SEGDIFF_RETURN_IF_ERROR(checkpoint_one(i));
-    }
-    return Status::OK();
-  }
-  return SharedThreadPool(threads)->ParallelFor(open.size(), threads, nullptr,
-                                                checkpoint_one);
+  return ParallelFor(open.size(), FanOutWidth(MaintenanceWidth(), open.size()),
+                     nullptr, checkpoint_one);
 }
 
 Status TransectIndex::DropCaches() {
@@ -944,11 +910,10 @@ Result<TransectSizes> TransectIndex::GetSizes() {
   // Per-shard partial sums merged in shard order: integer sums, so the
   // parallel sweep equals the serial one exactly.
   const size_t shard_count = catalog_.shard_count();
-  const size_t threads = MaintenanceThreads(shard_count);
-  ThreadPool* pool = threads >= 2 ? SharedThreadPool(threads) : nullptr;
   std::vector<TransectSizes> partials;
   Status status = ParallelMap(
-      pool, threads, shard_count, nullptr, &partials,
+      shard_count, FanOutWidth(MaintenanceWidth(), shard_count), nullptr,
+      &partials,
       [&](size_t shard, TransectSizes* out) -> Status {
         const ShardInfo& info = catalog_.shard(shard);
         const int last = info.first_sensor + info.sensor_count;
@@ -976,17 +941,12 @@ Result<TransectSizes> TransectIndex::GetSizes() {
   return sizes;
 }
 
-size_t TransectIndex::MaintenanceThreads(size_t items) const {
-  size_t threads = std::thread::hardware_concurrency();
-  if (threads < 2) {
-    threads = 2;  // stores sleep on IO; overlap helps even on one core
-  }
-  threads = std::min<size_t>(threads, 8);
-  threads = std::min(threads, items);
+size_t TransectIndex::FanOutWidth(size_t width, size_t items) const {
+  width = std::min(width, items);
   if (stores_->max_open() != 0) {
-    threads = std::min(threads, stores_->max_open());
+    width = std::min(width, stores_->max_open());
   }
-  return threads;
+  return width;
 }
 
 }  // namespace segdiff

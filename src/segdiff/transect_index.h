@@ -176,12 +176,13 @@ class TransectIndex {
   /// Flushes the open trailing segment of every sensor appended to
   /// since its last flush (tracked across LRU evictions — an evicted
   /// store reopens and resumes exactly where it left off). Flushes run
-  /// in parallel on the shared pool; the first error wins.
+  /// in parallel (ParallelFor); the first error wins.
   Status FlushAllPending();
 
   /// Ingests one series per sensor (`all_series.size()` must equal
-  /// sensor_count()). With `num_threads` >= 2 the per-sensor ingests run
-  /// concurrently on a worker pool — the stores are independent, so the
+  /// sensor_count()). `num_threads` is the fan-out width, clamped to the
+  /// sensor count and to max_open_stores; at 2 or more the per-sensor
+  /// ingests run concurrently — the stores are independent, so the
   /// result is identical to the serial loop; only wall-clock changes.
   Status IngestAllSensors(const std::vector<Series>& all_series,
                           size_t num_threads = 0);
@@ -189,8 +190,8 @@ class TransectIndex {
   /// Searches every sensor; hits are ordered by (sensor, pair).
   ///
   /// SearchOptions::num_threads here is the scatter-gather fan-out
-  /// width: shards are searched concurrently on the shared pool (each
-  /// store's own search runs single-threaded), clamped to the shard
+  /// width: shards are searched concurrently (each store's own search
+  /// runs single-threaded), clamped to the shard
   /// count and to max_open_stores so a worker never blocks on a pin it
   /// cannot get. The one absolute deadline is shared by the whole
   /// fan-out, and cancel/deadline are checked at every sensor boundary
@@ -243,9 +244,9 @@ class TransectIndex {
   /// Store-cache behaviour (resident/peak counts, opens, evictions).
   StoreLruStats store_stats() const { return stores_->stats(); }
 
-  /// Checkpoints every currently-open store, in parallel on the shared
-  /// pool (evicted stores were checkpointed on close; untouched stores
-  /// have nothing to persist).
+  /// Checkpoints every currently-open store, in parallel (evicted
+  /// stores were checkpointed on close; untouched stores have nothing
+  /// to persist).
   Status Checkpoint();
   Status DropCaches();
 
@@ -299,10 +300,11 @@ class TransectIndex {
                                          : Vfs::Default();
   }
 
-  /// Fan-out width for maintenance sweeps (flush, checkpoint, sizes):
-  /// enough workers to overlap store IO, bounded by the cache capacity
-  /// and the number of items.
-  size_t MaintenanceThreads(size_t items) const;
+  /// A fan-out width over `items` stores: `width`, capped by the item
+  /// count and by the store-cache capacity. Each thread, the caller
+  /// included, pins one store at a time, so a wider fan-out would only
+  /// queue on Acquire.
+  size_t FanOutWidth(size_t width, size_t items) const;
 
   std::string directory_;
   SegDiffOptions store_options_;

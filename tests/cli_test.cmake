@@ -11,7 +11,8 @@
 # including the damaged-transect contract: a corrupt sensor store must
 # flip stats/verify to exit 2 with the sensor counted in the health
 # block, searches must isolate it with a loud warning, and repair must
-# report the unsalvageable store honestly.
+# report the unsalvageable store honestly; and that a negative
+# --threads or --max-open is refused as a usage error.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK)
   message(FATAL_ERROR "pass -DCLI=<binary> -DWORK=<dir>")
@@ -207,6 +208,19 @@ execute_process(COMMAND ${CLI} frobnicate
                 RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
 if(code EQUAL 0)
   message(FATAL_ERROR "unknown command unexpectedly succeeded")
+endif()
+
+# A negative --threads or --max-open is a usage error (exit 2), refused
+# before any store opens, never a fan-out width wrapped round to 2^64 - 1.
+run_cli_status(2 "--threads must not be negative"
+               transect build --dir ${TRANSECT} --sensors 2 --days 1
+               --threads -1)
+run_cli_status(2 "--max-open must not be negative"
+               transect search --dir ${TRANSECT} --max-open -1)
+run_cli_status(2 "--threads must not be negative"
+               search --db ${DB} --threads -1)
+if(EXISTS ${TRANSECT})
+  message(FATAL_ERROR "a refused transect build created ${TRANSECT}")
 endif()
 
 file(REMOVE ${CSV} ${CSV2} ${SEGMENTS} ${STORES} ${SIDECARS})

@@ -30,7 +30,6 @@
 #include "test_paths.h"
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "common/vfs.h"
 #include "query/executor.h"
 #include "query/scan_kernel.h"
@@ -297,13 +296,12 @@ class ColumnarDifferentialTest : public ::testing::Test {
     }
 
     // Parallel == serial on the columnar store, for every partitioning.
-    ThreadPool pool(3);
     const size_t bytes = col_table_->schema().num_columns() * 8;
     for (const size_t partitions : {1u, 2u, 3u, 4u, 7u}) {
       std::vector<std::vector<std::string>> outs(partitions);
       ScanStats parallel_stats;
       ASSERT_TRUE(ParallelSeqScan(
-                      *col_table_, predicates, &pool, partitions,
+                      *col_table_, predicates, partitions,
                       [&outs, bytes](size_t p) -> RowCallback {
                         auto* sink = &outs[p];
                         return [sink, bytes](const char* record, RecordId) {

@@ -1757,9 +1757,6 @@ TEST_F(WalCrashTest, RecordTypeOutsideTheFourKindsEndsTheScan) {
   }
 }
 
-// Replaying the same log twice yields byte-identical tables: recovery
-// must be idempotent, and a read-only open (Abandon) must not advance
-// the store's on-disk state.
 // The opposite crash model from FaultInjectionVfs::Crash(): the process
 // dies but every write it issued SURVIVES (kill -9 — the OS page cache
 // drains to disk after the process is gone). Simulated by copying the
@@ -1809,6 +1806,9 @@ TEST_F(WalCrashTest, PreservedWritesKillCrashModelRecovers) {
   std::remove(Wal::PathFor(copy).c_str());
 }
 
+// Replaying the same log twice yields byte-identical tables: recovery
+// must be idempotent, and a read-only open (Abandon) must not advance
+// the store's on-disk state.
 TEST_F(WalCrashTest, ReplayIsIdempotentByteForByte) {
   FaultInjectionVfs vfs;
   {

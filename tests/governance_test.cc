@@ -265,7 +265,8 @@ TEST(AdmissionControllerTest, ClampThreadsRespectsPerQueryCap) {
   AdmissionController controller(opts);
   EXPECT_EQ(controller.ClampThreads(8), 3u);
   EXPECT_EQ(controller.ClampThreads(2), 2u);
-  EXPECT_EQ(controller.ClampThreads(0), 3u);  // 0 = as many as allowed
+  EXPECT_EQ(controller.ClampThreads(1), 1u);
+  EXPECT_EQ(controller.ClampThreads(0), 0u);  // 0 and 1 both mean serial
 }
 
 // ---------------------------------------------------------------------
@@ -374,7 +375,6 @@ TEST_F(ScanGovernanceTest, IndexScanHonoursCancellation) {
 }
 
 TEST_F(ScanGovernanceTest, ParallelSeqScanPropagatesCancellation) {
-  ThreadPool pool(3);
   CancellationSource source;
   source.Cancel();
   QueryContext ctx;
@@ -382,7 +382,7 @@ TEST_F(ScanGovernanceTest, ParallelSeqScanPropagatesCancellation) {
   SeqScanOptions options;
   options.context = &ctx;
   Status status = ParallelSeqScan(
-      *table_, Predicate::True(), &pool, 8,
+      *table_, Predicate::True(), 8,
       [](size_t) {
         return [](const char*, RecordId) { return Status::OK(); };
       },
@@ -391,14 +391,12 @@ TEST_F(ScanGovernanceTest, ParallelSeqScanPropagatesCancellation) {
 }
 
 TEST_F(ScanGovernanceTest, GovernedParallelForReportsFirstError) {
-  ThreadPool pool(3);
-  Status status =
-      pool.ParallelFor(64, nullptr, [](size_t i) -> Status {
-        if (i == 13) {
-          return Status::IOError("injected");
-        }
-        return Status::OK();
-      });
+  Status status = ParallelFor(64, 3, nullptr, [](size_t i) -> Status {
+    if (i == 13) {
+      return Status::IOError("injected");
+    }
+    return Status::OK();
+  });
   EXPECT_TRUE(status.IsIOError());
 }
 

@@ -15,7 +15,6 @@
 #include "test_paths.h"
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "query/executor.h"
 #include "query/predicate.h"
 #include "segdiff/exh_index.h"
@@ -242,12 +241,11 @@ TEST(ParallelSeqScanTest, MatchesSerialSeqScan) {
                   .ok());
   ASSERT_FALSE(serial_rows.empty());
 
-  ThreadPool pool(3);
   for (const size_t partitions : {1u, 2u, 4u, 7u}) {
     std::vector<std::vector<std::pair<double, double>>> outs(partitions);
     ScanStats parallel_stats;
     ASSERT_TRUE(ParallelSeqScan(
-                    **table, predicate, &pool, partitions,
+                    **table, predicate, partitions,
                     [&outs](size_t p) -> RowCallback {
                       auto* sink = &outs[p];
                       return [sink](const char* record, RecordId) {
@@ -310,10 +308,9 @@ TEST(ParallelSeqScanTest, FailedScanReportsEveryPartitionsStats) {
   EXPECT_GT(serial.pages_pruned, 0u);
   EXPECT_EQ(serial.rows_matched, static_cast<uint64_t>(kRows - 1000) / 2);
 
-  ThreadPool pool(1);
   ScanStats parallel;
   EXPECT_TRUE(ParallelSeqScan(
-                  **table, predicate, &pool, 2,
+                  **table, predicate, 2,
                   [&failing](size_t) { return failing; }, &parallel)
                   .IsResourceExhausted());
   EXPECT_EQ(parallel.rows_scanned, serial.rows_scanned);

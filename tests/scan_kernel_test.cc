@@ -25,7 +25,6 @@
 #include "common/coding.h"
 #include "common/env.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "query/executor.h"
 #include "query/predicate.h"
 #include "query/scan_kernel.h"
@@ -226,7 +225,7 @@ class ScanDifferentialTest : public ::testing::Test {
         << what;
   }
 
-  void RunTrial(uint64_t seed, ThreadPool* pool) {
+  void RunTrial(uint64_t seed) {
     Rng rng(seed);
     const size_t num_columns = 1 + rng.UniformU64(6);
     std::vector<std::string> names;
@@ -297,7 +296,7 @@ class ScanDifferentialTest : public ::testing::Test {
     std::vector<std::vector<Hit>> parts(partitions);
     ScanStats parallel_stats;
     ASSERT_TRUE(ParallelSeqScan(
-                    *table, predicate, pool, partitions,
+                    *table, predicate, partitions,
                     [&parts, record_bytes](size_t p) {
                       return Capture(&parts[p], record_bytes);
                     },
@@ -323,7 +322,7 @@ class ScanDifferentialTest : public ::testing::Test {
     for (size_t i = 0; i < num_predicates; ++i) {
       any_of.push_back(RandomPredicate(rng, num_columns, i % num_columns));
     }
-    CheckAnyOf(*table, any_of, pool, seed);
+    CheckAnyOf(*table, any_of, seed);
   }
 
   /// The any-of scan of `predicates` emits exactly the union of the
@@ -331,7 +330,7 @@ class ScanDifferentialTest : public ::testing::Test {
   /// order — in every mode (batch and prune on and off, 1-4 partitions),
   /// with every row scanned or pruned and each selected row counted once.
   void CheckAnyOf(const Table& table, const std::vector<Predicate>& predicates,
-                  ThreadPool* pool, uint64_t seed) {
+                  uint64_t seed) {
     const size_t record_bytes = table.schema().RowBytes();
     const SeqScanOptions kRowAtATime{/*batch=*/false, /*prune=*/false};
     std::vector<Hit> all;
@@ -385,7 +384,7 @@ class ScanDifferentialTest : public ::testing::Test {
       std::vector<std::vector<Hit>> parts(partitions);
       ScanStats parallel_stats;
       ASSERT_TRUE(ParallelSeqScan(
-                      table, predicates, pool, partitions,
+                      table, predicates, partitions,
                       [&parts, record_bytes](size_t p) {
                         return Capture(&parts[p], record_bytes);
                       },
@@ -409,9 +408,8 @@ class ScanDifferentialTest : public ::testing::Test {
 };
 
 TEST_F(ScanDifferentialTest, RandomWorkloadsAgreeAcrossAllScanModes) {
-  ThreadPool pool(3);
   for (uint64_t seed = 1; seed <= 25; ++seed) {
-    RunTrial(seed, &pool);
+    RunTrial(seed);
     if (HasFatalFailure()) {
       return;
     }

@@ -195,6 +195,18 @@ class Flags {
   std::map<std::string, std::string> values_;
 };
 
+/// --threads and --max-open become size_t widths, to which a negative
+/// value would wrap as a huge count: refuse one (usage error, exit 2).
+bool NegativeCount(const Flags& flags) {
+  for (const char* key : {"--threads", "--max-open"}) {
+    if (flags.GetInt(key, 0) < 0) {
+      std::fprintf(stderr, "%s must not be negative\n", key);
+      return true;
+    }
+  }
+  return false;
+}
+
 Result<Series> Smooth(const Series& series) {
   SEGDIFF_ASSIGN_OR_RETURN(Series filtered,
                            HampelFilter(series, HampelOptions{}));
@@ -1012,6 +1024,7 @@ int CmdTransect(int argc, char** argv) {
   }
   const std::string action = argv[2];
   const Flags flags(argc, argv, 3);
+  if (NegativeCount(flags)) return 2;
   if (action == "build") return CmdTransectBuild(flags);
   if (action == "search") return CmdTransectSearch(flags);
   if (action == "stats") return CmdTransectStats(flags);
@@ -1136,7 +1149,9 @@ int Run(int argc, char** argv) {
     return Usage();
   }
   const std::string command = argv[1];
+  if (command == "transect") return CmdTransect(argc, argv);
   const Flags flags(argc, argv, 2);
+  if (NegativeCount(flags)) return 2;
   if (command == "generate") return CmdGenerate(flags);
   if (command == "build") return CmdBuild(flags);
   if (command == "append") return CmdAppend(flags);
@@ -1147,7 +1162,6 @@ int Run(int argc, char** argv) {
   if (command == "compact") return CmdCompact(flags);
   if (command == "repair") return CmdRepair(flags);
   if (command == "verify") return CmdVerify(flags);
-  if (command == "transect") return CmdTransect(argc, argv);
   return Usage();
 }
 
