@@ -23,6 +23,9 @@
 #   4. an AddressSanitizer + UndefinedBehaviorSanitizer build (any UBSan
 #      finding aborts its test) running the streaming-ingest and storage
 #      suites (the subsystems that serialize/restore raw state blobs),
+#      the byte codec's suites (format golden bytes, every decoder fed
+#      every prefix of a valid blob, the binary series reader, the
+#      strict number parser, the corrupt shard catalog),
 #      both engines' store-shell paths (Exh and SegDiff open, ingest and
 #      serial/parallel search), the fan-out suite (ParallelFor keeps its
 #      state alive for helper tasks that run after it returns), the scan
@@ -267,17 +270,18 @@ echo "reads-write-nothing smoke: $(find "${RO_DIR}" -type f | wc -l)" \
 rm -rf "${RO_WORK}"
 
 if [[ "${RUN_ASAN}" == "1" ]]; then
-  echo "== asan: configure + build (streaming + storage + fan-out + scan + sql + fault suites) =="
+  echo "== asan: configure + build (streaming + storage + codec + fan-out + scan + sql + fault suites) =="
   cmake -B build-asan -S . -DSEGDIFF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
     streaming_ingest_test storage_test segdiff_index_test \
     exh_naive_test parallel_query_test thread_pool_test \
     columnar_test scan_kernel_test zone_map_test \
-    db_model_test sql_test \
+    db_model_test sql_test codec_test format_golden_test ts_series_test \
+    common_test transect_shard_test \
     fault_injection_test chaos_test transect_chaos_test governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest|ThreadPoolTest|ParallelForTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|DbModelTest|LexerTest|ParserTest|ParserFuzzTest|EngineTest')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest|ThreadPoolTest|ParallelForTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|DbModelTest|LexerTest|ParserTest|ParserFuzzTest|EngineTest|ByteCodecTest|DecoderSweepTest|FormatGoldenTest|IoTest|EnvTest|TransectShardTest.CorruptCatalogFailsLoudly')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

@@ -1,12 +1,20 @@
-// Environment-variable configuration helpers.
+// Environment-variable configuration helpers, and the strict number
+// parser they share with segdiff_cli's numeric flags.
 
 #ifndef SEGDIFF_COMMON_ENV_H_
 #define SEGDIFF_COMMON_ENV_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace segdiff {
+
+/// Parses the whole of `text` as a base-10 number of type T (int,
+/// int64_t, uint64_t or double): no whitespace, no '+', no '-' for
+/// uint64_t, in range for T, and finite for double. nullopt otherwise.
+template <typename T>
+std::optional<T> ParseNumber(const std::string& text);
 
 /// Returns the integer value of environment variable `name`, or
 /// `default_value` when unset or unparsable.

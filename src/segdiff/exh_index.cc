@@ -101,7 +101,7 @@ Status ExhIndex::RestoreState(ByteReader* r, uint64_t* observations) {
   // The window length is a property of the store, not of this Open call.
   SEGDIFF_ASSIGN_OR_RETURN(options_.window_s, r->F64());
   SEGDIFF_ASSIGN_OR_RETURN(*observations, r->U64());
-  SEGDIFF_ASSIGN_OR_RETURN(uint32_t count, r->U32());
+  SEGDIFF_ASSIGN_OR_RETURN(const uint32_t count, r->Count(16));
   window_.clear();
   for (uint32_t i = 0; i < count; ++i) {
     Sample sample;

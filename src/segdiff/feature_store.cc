@@ -98,7 +98,8 @@ Status FeatureStore::RestoreState() {
     return Status::Corruption(std::string("bad '") + engine_.state_key +
                               "' ingest-state blob");
   }
-  return engine_.restore_state(&r, &observations_);
+  SEGDIFF_RETURN_IF_ERROR(engine_.restore_state(&r, &observations_));
+  return r.End();
 }
 
 void FeatureStore::SaveState() {

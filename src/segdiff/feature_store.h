@@ -247,7 +247,8 @@ class FeatureStore {
     /// Writes the resume state that follows the blob's magic and
     /// version, including the lifetime observation count.
     std::function<void(uint64_t observations, ByteWriter* w)> save_state;
-    /// Reads it back on Open, adopting persisted build parameters.
+    /// Reads it back on Open, adopting persisted build parameters; the
+    /// store fails the open with Corruption when bytes are left over.
     std::function<Status(ByteReader* r, uint64_t* observations)>
         restore_state;
   };

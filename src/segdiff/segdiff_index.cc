@@ -315,7 +315,8 @@ Status SegDiffIndex::RestoreState(ByteReader* r, uint64_t* observations) {
   for (int c = 0; c < 7; ++c) {
     SEGDIFF_ASSIGN_OR_RETURN(extractor->stats.case_hist[c], r->U64());
   }
-  SEGDIFF_ASSIGN_OR_RETURN(uint32_t window_size, r->U32());
+  // Four doubles per window segment.
+  SEGDIFF_ASSIGN_OR_RETURN(const uint32_t window_size, r->Count(32));
   extractor->window.reserve(window_size);
   for (uint32_t i = 0; i < window_size; ++i) {
     DataSegment segment;

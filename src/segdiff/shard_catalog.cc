@@ -2,36 +2,29 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <utility>
 
-#include "common/coding.h"
-#include "common/crc32c.h"
+#include "common/bytes.h"
 
 namespace segdiff {
 namespace {
 
-// Manifest layout (little-endian, CRC32C-framed):
-//   [0,8)   magic "SDSHRD01" (version in the last two bytes)
-//   [8,12)  u32 sensor_count
-//   [12,16) u32 sensors_per_shard
-//   [16,20) u32 shard_count
-//   then per shard: u32 first_sensor, u32 sensor_count,
-//                   u16 dir_len, dir bytes
-//   trailing u32: CRC32C of every preceding byte
+// Both manifests are framed alike (little endian): an 8-byte magic
+// whose last bytes are the version, a body, then the CRC32C of every
+// byte before it (ByteWriter::Seal).
+//
+// Shard catalog, magic "SDSHRD01":
+//   u32 sensor_count | u32 sensors_per_shard | u32 shard_count
+//   per shard: u32 first_sensor | u32 sensor_count | u16 dir_len | dir
 constexpr char kMagic[8] = {'S', 'D', 'S', 'H', 'R', 'D', '0', '1'};
-constexpr size_t kHeaderSize = 20;
+constexpr size_t kMinShardEntryBytes = 4 + 4 + 2;
 
-// Migration manifest layout (little-endian, CRC32C-framed):
-//   [0,8)   magic "SDMIG001"
-//   [8,12)  u32 source catalog length
-//   [12,16) u32 target catalog length
-//   source catalog bytes (a full CRC-framed ShardCatalog::Encode blob)
+// Migration manifest, magic "SDMIG001":
+//   u32 source catalog length | u32 target catalog length
+//   source catalog bytes (a whole sealed ShardCatalog::Encode blob)
 //   target catalog bytes
-//   trailing u32: CRC32C of every preceding byte
 constexpr char kMigrationMagic[8] = {'S', 'D', 'M', 'I', 'G', '0', '0', '1'};
-constexpr size_t kMigrationHeaderSize = 16;
 
 std::string ManifestPath(const std::string& root) {
   return root + "/" + ShardCatalog::kManifestName;
@@ -41,8 +34,16 @@ std::string MigrationPath(const std::string& root) {
   return root + "/" + MigrationManifest::kFileName;
 }
 
-Status CorruptManifest(const std::string& path, const std::string& why) {
-  return Status::Corruption("shard catalog " + path + ": " + why);
+/// Unseals a manifest and checks its magic, leaving the reader at the
+/// body.
+Result<ByteReader> OpenManifest(const char* data, size_t size,
+                                const char (&magic)[8]) {
+  SEGDIFF_ASSIGN_OR_RETURN(ByteReader r, ByteReader::Unseal(data, size));
+  SEGDIFF_ASSIGN_OR_RETURN(const std::string found, r.Bytes(sizeof(magic)));
+  if (found != std::string(magic, sizeof(magic))) {
+    return Status::Corruption("bad magic or unsupported version");
+  }
+  return r;
 }
 
 /// Write-temp-then-rename: `raw` lands at `path` atomically. A crash
@@ -115,84 +116,64 @@ ShardCatalog ShardCatalog::Place(int sensor_count, int sensors_per_shard,
 
 Result<ShardCatalog> ShardCatalog::Decode(const char* data, size_t size,
                                           const std::string& what) {
-  if (size < kHeaderSize + 4) {
-    return CorruptManifest(what, "truncated (" + std::to_string(size) +
-                                     " bytes)");
-  }
-  const uint32_t stored_crc = DecodeFixed32(data + size - 4);
-  const uint32_t actual_crc = Crc32c(data, size - 4);
-  if (stored_crc != actual_crc) {
-    return CorruptManifest(what, "checksum mismatch");
-  }
-  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    return CorruptManifest(what, "bad magic or unsupported version");
-  }
-
   ShardCatalog catalog;
-  catalog.sensor_count_ = static_cast<int>(DecodeFixed32(data + 8));
-  catalog.sensors_per_shard_ = static_cast<int>(DecodeFixed32(data + 12));
-  const uint32_t shard_count = DecodeFixed32(data + 16);
-  if (catalog.sensor_count_ < 0 || catalog.sensors_per_shard_ <= 0) {
-    return CorruptManifest(what, "invalid header counts");
-  }
-
-  size_t pos = kHeaderSize;
-  const size_t end = size - 4;
-  int next_sensor = 0;
-  for (uint32_t i = 0; i < shard_count; ++i) {
-    if (pos + 10 > end) {
-      return CorruptManifest(what, "shard entry overruns file");
+  const Status status = [&]() -> Status {
+    SEGDIFF_ASSIGN_OR_RETURN(ByteReader r, OpenManifest(data, size, kMagic));
+    SEGDIFF_ASSIGN_OR_RETURN(const uint32_t sensor_count, r.U32());
+    SEGDIFF_ASSIGN_OR_RETURN(const uint32_t sensors_per_shard, r.U32());
+    catalog.sensor_count_ = static_cast<int>(sensor_count);
+    catalog.sensors_per_shard_ = static_cast<int>(sensors_per_shard);
+    if (catalog.sensor_count_ < 0 || catalog.sensors_per_shard_ <= 0) {
+      return Status::Corruption("invalid header counts");
     }
-    ShardInfo info;
-    info.first_sensor = static_cast<int>(DecodeFixed32(data + pos));
-    info.sensor_count = static_cast<int>(DecodeFixed32(data + pos + 4));
-    const uint16_t dir_len = DecodeFixed16(data + pos + 8);
-    pos += 10;
-    if (pos + dir_len > end) {
-      return CorruptManifest(what, "shard directory name overruns file");
+    SEGDIFF_ASSIGN_OR_RETURN(const uint32_t shard_count,
+                             r.Count(kMinShardEntryBytes));
+    int64_t next_sensor = 0;
+    for (uint32_t i = 0; i < shard_count; ++i) {
+      ShardInfo info;
+      SEGDIFF_ASSIGN_OR_RETURN(const uint32_t first_sensor, r.U32());
+      SEGDIFF_ASSIGN_OR_RETURN(const uint32_t shard_sensors, r.U32());
+      SEGDIFF_ASSIGN_OR_RETURN(info.dir, r.Str());
+      info.first_sensor = static_cast<int>(first_sensor);
+      info.sensor_count = static_cast<int>(shard_sensors);
+      // The shard ranges must partition [0, sensor_count) in order, each
+      // in a directory of its own — anything else would silently drop or
+      // double-search sensors, or route stores into the root.
+      if (info.first_sensor != next_sensor || info.sensor_count <= 0 ||
+          info.dir.empty()) {
+        return Status::Corruption(
+            "shard entries do not partition the sensor space into shard "
+            "directories");
+      }
+      next_sensor += info.sensor_count;
+      catalog.shards_.push_back(std::move(info));
     }
-    info.dir.assign(data + pos, dir_len);
-    pos += dir_len;
-    // The shard ranges must partition [0, sensor_count) in order, each
-    // in a directory of its own — anything else would silently drop or
-    // double-search sensors, or route stores into the root.
-    if (info.first_sensor != next_sensor || info.sensor_count <= 0 ||
-        info.dir.empty()) {
-      return CorruptManifest(
-          what, "shard entries do not partition the sensor space into "
-                "shard directories");
+    SEGDIFF_RETURN_IF_ERROR(r.End());
+    if (next_sensor != catalog.sensor_count_) {
+      return Status::Corruption("shard ranges do not cover all sensors");
     }
-    next_sensor += info.sensor_count;
-    catalog.shards_.push_back(std::move(info));
-  }
-  if (pos != end) {
-    return CorruptManifest(what, "trailing bytes after shard entries");
-  }
-  if (next_sensor != catalog.sensor_count_) {
-    return CorruptManifest(what,
-                           "shard ranges do not cover all sensors");
+    return Status::OK();
+  }();
+  if (!status.ok()) {
+    return Status::Corruption("shard catalog " + what + ": " +
+                              std::string(status.message()));
   }
   return catalog;
 }
 
 std::string ShardCatalog::Encode() const {
-  std::string raw(kHeaderSize, '\0');
-  std::memcpy(raw.data(), kMagic, sizeof(kMagic));
-  EncodeFixed32(raw.data() + 8, static_cast<uint32_t>(sensor_count_));
-  EncodeFixed32(raw.data() + 12, static_cast<uint32_t>(sensors_per_shard_));
-  EncodeFixed32(raw.data() + 16, static_cast<uint32_t>(shards_.size()));
+  ByteWriter w;
+  w.Bytes(kMagic, sizeof(kMagic));
+  w.U32(static_cast<uint32_t>(sensor_count_));
+  w.U32(static_cast<uint32_t>(sensors_per_shard_));
+  w.U32(static_cast<uint32_t>(shards_.size()));
   for (const ShardInfo& info : shards_) {
-    char entry[10];
-    EncodeFixed32(entry, static_cast<uint32_t>(info.first_sensor));
-    EncodeFixed32(entry + 4, static_cast<uint32_t>(info.sensor_count));
-    EncodeFixed16(entry + 8, static_cast<uint16_t>(info.dir.size()));
-    raw.append(entry, sizeof(entry));
-    raw.append(info.dir);
+    w.U32(static_cast<uint32_t>(info.first_sensor));
+    w.U32(static_cast<uint32_t>(info.sensor_count));
+    w.Str(info.dir);
   }
-  char crc[4];
-  EncodeFixed32(crc, Crc32c(raw.data(), raw.size()));
-  raw.append(crc, sizeof(crc));
-  return raw;
+  w.Seal();
+  return w.Take();
 }
 
 Result<ShardCatalog> ShardCatalog::Load(Vfs* vfs, const std::string& root) {
@@ -226,50 +207,44 @@ Result<MigrationManifest> MigrationManifest::Load(Vfs* vfs,
     return Status::NotFound("no migration manifest: " + path);
   }
   SEGDIFF_ASSIGN_OR_RETURN(const std::string raw, ReadFile(vfs, path));
-  auto corrupt = [&](const std::string& why) {
-    return Status::Corruption("migration manifest " + path + ": " + why);
-  };
-  if (raw.size() < kMigrationHeaderSize + 4) {
-    return corrupt("truncated (" + std::to_string(raw.size()) + " bytes)");
-  }
-  const uint32_t stored_crc = DecodeFixed32(raw.data() + raw.size() - 4);
-  if (stored_crc != Crc32c(raw.data(), raw.size() - 4)) {
-    return corrupt("checksum mismatch");
-  }
-  if (std::memcmp(raw.data(), kMigrationMagic, sizeof(kMigrationMagic)) !=
-      0) {
-    return corrupt("bad magic or unsupported version");
-  }
-  const uint64_t source_len = DecodeFixed32(raw.data() + 8);
-  const uint64_t target_len = DecodeFixed32(raw.data() + 12);
-  if (kMigrationHeaderSize + source_len + target_len + 4 != raw.size()) {
-    return corrupt("embedded catalog lengths overrun file");
+  std::string source_raw;
+  std::string target_raw;
+  const Status status = [&]() -> Status {
+    SEGDIFF_ASSIGN_OR_RETURN(
+        ByteReader r, OpenManifest(raw.data(), raw.size(), kMigrationMagic));
+    SEGDIFF_ASSIGN_OR_RETURN(const uint32_t source_len, r.U32());
+    SEGDIFF_ASSIGN_OR_RETURN(const uint32_t target_len, r.U32());
+    SEGDIFF_ASSIGN_OR_RETURN(source_raw, r.Bytes(source_len));
+    SEGDIFF_ASSIGN_OR_RETURN(target_raw, r.Bytes(target_len));
+    return r.End();
+  }();
+  if (!status.ok()) {
+    return Status::Corruption("migration manifest " + path + ": " +
+                              std::string(status.message()));
   }
   MigrationManifest manifest;
   SEGDIFF_ASSIGN_OR_RETURN(
-      manifest.source,
-      ShardCatalog::Decode(raw.data() + kMigrationHeaderSize, source_len,
-                           path + " (source)"));
+      manifest.source, ShardCatalog::Decode(source_raw.data(),
+                                            source_raw.size(),
+                                            path + " (source)"));
   SEGDIFF_ASSIGN_OR_RETURN(
-      manifest.target,
-      ShardCatalog::Decode(raw.data() + kMigrationHeaderSize + source_len,
-                           target_len, path + " (target)"));
+      manifest.target, ShardCatalog::Decode(target_raw.data(),
+                                            target_raw.size(),
+                                            path + " (target)"));
   return manifest;
 }
 
 Status MigrationManifest::Save(Vfs* vfs, const std::string& root) const {
   const std::string source_raw = source.Encode();
   const std::string target_raw = target.Encode();
-  std::string raw(kMigrationHeaderSize, '\0');
-  std::memcpy(raw.data(), kMigrationMagic, sizeof(kMigrationMagic));
-  EncodeFixed32(raw.data() + 8, static_cast<uint32_t>(source_raw.size()));
-  EncodeFixed32(raw.data() + 12, static_cast<uint32_t>(target_raw.size()));
-  raw += source_raw;
-  raw += target_raw;
-  char crc[4];
-  EncodeFixed32(crc, Crc32c(raw.data(), raw.size()));
-  raw.append(crc, sizeof(crc));
-  return AtomicWriteFile(vfs, MigrationPath(root), raw);
+  ByteWriter w;
+  w.Bytes(kMigrationMagic, sizeof(kMigrationMagic));
+  w.U32(static_cast<uint32_t>(source_raw.size()));
+  w.U32(static_cast<uint32_t>(target_raw.size()));
+  w.Bytes(source_raw);
+  w.Bytes(target_raw);
+  w.Seal();
+  return AtomicWriteFile(vfs, MigrationPath(root), w.Take());
 }
 
 Status MigrationManifest::Remove(Vfs* vfs, const std::string& root) {

@@ -443,10 +443,10 @@ Result<std::vector<TransectHit>> TransectIndex::SearchAll(
     std::vector<TransectHit> hits;
     TransectSearchStats stats;
   };
+  const size_t width = FanOutWidth(options.num_threads, shard_count);
   std::vector<ShardPartial> partials;
   Status status = ParallelMap(
-      shard_count, FanOutWidth(options.num_threads, shard_count), &ctx,
-      &partials,
+      shard_count, width, &ctx, &partials,
       [&](size_t shard, ShardPartial* out) -> Status {
         const ShardInfo& info = catalog_.shard(shard);
         const int last = info.first_sensor + info.sensor_count;
@@ -502,6 +502,7 @@ Result<std::vector<TransectHit>> TransectIndex::SearchAll(
     FoldTransectStats(partial.stats, &total);
   }
   total.pairs_returned = hits.size();
+  total.fan_out = std::max<size_t>(width, 1);
   if (stats != nullptr) {
     *stats = std::move(total);
   }

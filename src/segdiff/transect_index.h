@@ -76,6 +76,8 @@ struct TransectSearchStats : SearchStats {
   /// Cap on `failures` records; the counters keep exact totals.
   static constexpr size_t kMaxFailureRecords = 16;
 
+  /// Shards searched at once: num_threads capped by FanOutWidth.
+  size_t fan_out = 0;
   uint64_t sensors_searched = 0;  ///< stores that answered
   uint64_t sensors_failed = 0;    ///< opened, but the search errored
   uint64_t sensors_skipped = 0;   ///< store could not open at all

@@ -1,8 +1,8 @@
 // Catalog: persistent table/index metadata plus named meta blobs.
 //
 // Serialized into a page chain rooted at page 1 on Checkpoint(); read at
-// Open(). Format version 3 (little endian, packed into the chain
-// payload):
+// Open(). Format version 3 (little endian, written with ByteWriter and
+// read with ByteReader, common/bytes.h):
 //   u32 magic | u32 version
 //   u32 table_count
 //   per table: str name | u16 ncols | per col: (str name, u8 type)
@@ -19,8 +19,10 @@
 // for engine state that rides along with the catalog — e.g. the ingest
 // pipeline's resumable segmenter/extractor/pair-window state. The
 // per-table segment directory is the persistent form of
-// ColumnStoreMeta. A catalog of any other version fails to read with
-// Corruption naming the version.
+// ColumnStoreMeta. DecodeCatalog mirrors EncodeCatalog and consumes the
+// payload exactly: a catalog of any other version, a count whose
+// entries cannot fit in the payload, or trailing bytes fail with
+// Corruption.
 
 #ifndef SEGDIFF_STORAGE_CATALOG_H_
 #define SEGDIFF_STORAGE_CATALOG_H_
@@ -65,12 +67,17 @@ struct CatalogData {
 /// whether the catalog changed.
 std::string EncodeCatalog(const CatalogData& catalog);
 
+/// Parses a payload EncodeCatalog produced; Corruption on anything else.
+Result<CatalogData> DecodeCatalog(const std::string& payload);
+
 /// Writes an encoded payload into the chain rooted at page 1, allocating
 /// continuation pages as needed (pages are reused across checkpoints).
 Status WriteCatalog(BufferPool* pool, const std::string& payload);
 
-/// Reads the catalog; an all-zero page 1 yields an empty catalog (fresh
-/// db). `raw`, when given, receives the payload exactly as stored.
+/// Walks the chain and decodes its payload; an all-zero page 1 yields an
+/// empty catalog (fresh db), and a chain of more pages than the file
+/// holds fails with Corruption. `raw`, when given, receives the payload
+/// exactly as stored.
 Result<CatalogData> ReadCatalog(BufferPool* pool, std::string* raw = nullptr);
 
 }  // namespace segdiff

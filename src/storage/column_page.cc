@@ -5,12 +5,14 @@
 #include <cstring>
 #include <limits>
 
+#include "common/bytes.h"
 #include "common/coding.h"
 
 namespace segdiff {
 namespace {
 
-// Segment blob layout (little-endian):
+// Segment blob layout (little-endian, written with ByteWriter and read
+// with ByteReader):
 //   [0..3]   magic "CSG1"
 //   [4..5]   version (1)
 //   [6..7]   number of columns
@@ -285,6 +287,25 @@ ColumnDirEntry DirFromPlan(const ColumnPlan& plan) {
   return dir;
 }
 
+/// True when `dir.payload_bytes` is what its encoding decodes `rows`
+/// values from. XOR has no fixed size: it holds at least the first
+/// value's 8 bytes and is shorter than raw, or the encoder would have
+/// chosen raw.
+bool PayloadSizeMatchesRows(const ColumnDirEntry& dir, uint64_t rows) {
+  const uint64_t bytes = dir.payload_bytes;
+  switch (dir.encoding) {
+    case ColumnEncoding::kRaw:
+      return bytes == rows * 8;
+    case ColumnEncoding::kForPacked:
+      return bytes == (rows * dir.bit_width + 7) / 8;
+    case ColumnEncoding::kDeltaPacked:
+      return bytes == ((rows - 1) * dir.bit_width + 7) / 8;
+    case ColumnEncoding::kXor:
+      return bytes >= 8 && bytes < rows * 8;
+  }
+  return false;
+}
+
 /// Decodes the plan's payload and compares every bit pattern against the
 /// source. The encodings are verified constructions, so this never fires
 /// in practice — but conversion is the one place a latent encoder bug
@@ -323,7 +344,7 @@ const char* ColumnEncodingName(ColumnEncoding encoding) {
 }
 
 std::string EncodeColumnSegment(const char* records, size_t num_columns,
-                                size_t rows) {
+                                size_t rows, ColumnSegmentInfo* info) {
   std::vector<uint64_t> bits(rows);
   std::vector<ColumnPlan> plans;
   plans.reserve(num_columns);
@@ -349,34 +370,36 @@ std::string EncodeColumnSegment(const char* records, size_t num_columns,
     plans.push_back(std::move(plan));
   }
 
-  std::string blob;
-  size_t total = kSegmentHeaderBytes + num_columns * kDirEntryBytes;
+  ByteWriter w;
+  w.U32(kSegmentMagic);
+  w.U16(kSegmentVersion);
+  w.U16(static_cast<uint16_t>(num_columns));
+  w.U32(static_cast<uint32_t>(rows));
+  w.U32(nan_mask);
   for (const ColumnPlan& plan : plans) {
-    total += plan.payload.size();
-  }
-  blob.reserve(total);
-  blob.resize(kSegmentHeaderBytes + num_columns * kDirEntryBytes);
-  char* h = blob.data();
-  EncodeFixed32(h, kSegmentMagic);
-  EncodeFixed16(h + 4, kSegmentVersion);
-  EncodeFixed16(h + 6, static_cast<uint16_t>(num_columns));
-  EncodeFixed32(h + 8, static_cast<uint32_t>(rows));
-  EncodeFixed32(h + 12, nan_mask);
-  for (size_t c = 0; c < num_columns; ++c) {
-    char* e = h + kSegmentHeaderBytes + c * kDirEntryBytes;
-    const ColumnPlan& plan = plans[c];
-    e[0] = static_cast<char>(plan.encoding);
-    e[1] = static_cast<char>(plan.scale_log10);
-    EncodeFixed16(e + 2, plan.bit_width);
-    EncodeFixed32(e + 4, static_cast<uint32_t>(plan.payload.size()));
-    EncodeFixed64(e + 8, static_cast<uint64_t>(plan.base));
-    EncodeDouble(e + 16, plan.min);
-    EncodeDouble(e + 24, plan.max);
+    w.U8(static_cast<uint8_t>(plan.encoding));
+    w.U8(plan.scale_log10);
+    w.U16(plan.bit_width);
+    w.U32(static_cast<uint32_t>(plan.payload.size()));
+    w.U64(static_cast<uint64_t>(plan.base));
+    w.F64(plan.min);
+    w.F64(plan.max);
   }
   for (const ColumnPlan& plan : plans) {
-    blob.append(plan.payload);
+    w.Bytes(plan.payload);
   }
-  return blob;
+  if (info != nullptr) {
+    info->rows = static_cast<uint32_t>(rows);
+    info->encoded_bytes = w.str().size();
+    info->nan_mask = nan_mask;
+    info->min.clear();
+    info->max.clear();
+    for (const ColumnPlan& plan : plans) {
+      info->min.push_back(plan.min);
+      info->max.push_back(plan.max);
+    }
+  }
+  return w.Take();
 }
 
 ColumnCursor::ColumnCursor(const ColumnDirEntry* dir, const char* payload,
@@ -500,55 +523,45 @@ Result<ColumnSegmentHandle> ColumnSegmentHandle::Open(
       return Status::Corruption("columnar page has invalid payload size");
     }
     if (handle.pages_.empty()) {
-      if (bytes < kSegmentHeaderBytes) {
-        return Status::Corruption("columnar segment header truncated");
+      // The header and the directory lead the first page's payload.
+      ByteReader r(d + kChainHeaderBytes, bytes);
+      SEGDIFF_ASSIGN_OR_RETURN(const uint32_t magic, r.U32());
+      SEGDIFF_ASSIGN_OR_RETURN(const uint16_t version, r.U16());
+      if (magic != kSegmentMagic || version != kSegmentVersion) {
+        return Status::Corruption(
+            "bad columnar segment magic or unsupported version");
       }
-      const char* h = d + kChainHeaderBytes;
-      if (DecodeFixed32(h) != kSegmentMagic) {
-        return Status::Corruption("bad columnar segment magic");
-      }
-      if (DecodeFixed16(h + 4) != kSegmentVersion) {
-        return Status::Corruption("unsupported columnar segment version");
-      }
-      const size_t num_columns = DecodeFixed16(h + 6);
-      handle.rows_ = DecodeFixed32(h + 8);
-      handle.nan_mask_ = DecodeFixed32(h + 12);
+      SEGDIFF_ASSIGN_OR_RETURN(const uint16_t num_columns, r.U16());
+      SEGDIFF_ASSIGN_OR_RETURN(handle.rows_, r.U32());
+      SEGDIFF_ASSIGN_OR_RETURN(handle.nan_mask_, r.U32());
+      // Scans rebuild rows at the table's arity, the entry's stats width.
       if (num_columns == 0 || num_columns > 32 ||
-          handle.rows_ == 0 || handle.rows_ > ColumnStore::kMaxSegmentRows ||
+          num_columns != info.min.size() || handle.rows_ == 0 ||
+          handle.rows_ > ColumnStore::kMaxSegmentRows ||
           handle.rows_ != info.rows) {
         return Status::Corruption("columnar segment header invalid");
       }
-      const size_t header_bytes =
-          kSegmentHeaderBytes + num_columns * kDirEntryBytes;
-      if (bytes < header_bytes) {
-        return Status::Corruption("columnar segment directory truncated");
-      }
-      handle.header_buf_.assign(h, header_bytes);
       handle.dir_.resize(num_columns);
       handle.col_scratch_.resize(num_columns);
-      uint64_t offset = header_bytes;
-      for (size_t c = 0; c < num_columns; ++c) {
-        const char* e =
-            handle.header_buf_.data() + kSegmentHeaderBytes +
-            c * kDirEntryBytes;
-        ColumnDirEntry& dir = handle.dir_[c];
-        const uint8_t enc = static_cast<uint8_t>(e[0]);
-        if (enc > static_cast<uint8_t>(ColumnEncoding::kXor)) {
-          return Status::Corruption("unknown column encoding");
+      uint64_t offset = kSegmentHeaderBytes + num_columns * kDirEntryBytes;
+      for (ColumnDirEntry& dir : handle.dir_) {
+        SEGDIFF_ASSIGN_OR_RETURN(const uint8_t encoding, r.U8());
+        SEGDIFF_ASSIGN_OR_RETURN(dir.scale_log10, r.U8());
+        SEGDIFF_ASSIGN_OR_RETURN(dir.bit_width, r.U16());
+        SEGDIFF_ASSIGN_OR_RETURN(dir.payload_bytes, r.U32());
+        SEGDIFF_ASSIGN_OR_RETURN(const uint64_t base, r.U64());
+        SEGDIFF_ASSIGN_OR_RETURN(dir.min, r.F64());
+        SEGDIFF_ASSIGN_OR_RETURN(dir.max, r.F64());
+        dir.encoding = static_cast<ColumnEncoding>(encoding);
+        dir.base = static_cast<int64_t>(base);
+        // An unknown encoding, an out-of-range scale or width, or a
+        // payload of another size than the encoding decodes the
+        // segment's rows from.
+        if (encoding > static_cast<uint8_t>(ColumnEncoding::kXor) ||
+            dir.scale_log10 > kMaxScaleLog10 || dir.bit_width > 64 ||
+            !PayloadSizeMatchesRows(dir, handle.rows_)) {
+          return Status::Corruption("column directory entry invalid");
         }
-        dir.encoding = static_cast<ColumnEncoding>(enc);
-        dir.scale_log10 = static_cast<uint8_t>(e[1]);
-        if (dir.scale_log10 > kMaxScaleLog10) {
-          return Status::Corruption("column scale out of range");
-        }
-        dir.bit_width = DecodeFixed16(e + 2);
-        if (dir.bit_width > 64) {
-          return Status::Corruption("column bit width out of range");
-        }
-        dir.payload_bytes = DecodeFixed32(e + 4);
-        dir.base = static_cast<int64_t>(DecodeFixed64(e + 8));
-        dir.min = DecodeDouble(e + 16);
-        dir.max = DecodeDouble(e + 24);
         dir.payload_offset = offset;
         offset += dir.payload_bytes;
       }
@@ -627,21 +640,11 @@ Status ColumnStore::AppendSegment(const char* records, size_t rows) {
   if (rows == 0 || rows > kMaxSegmentRows) {
     return Status::InvalidArgument("columnar segment row count invalid");
   }
-  const std::string blob = EncodeColumnSegment(records, num_columns_, rows);
-
+  // The encoder hands over the zone statistics it computed, so the
+  // directory entry carries them where pruning reads them for free.
   ColumnSegmentInfo info;
-  info.rows = static_cast<uint32_t>(rows);
-  info.encoded_bytes = blob.size();
-  // Lift the zone statistics the encoder computed out of the blob header
-  // into the directory entry, where pruning reads them for free.
-  info.nan_mask = DecodeFixed32(blob.data() + 12);
-  info.min.resize(num_columns_);
-  info.max.resize(num_columns_);
-  for (size_t c = 0; c < num_columns_; ++c) {
-    const char* e = blob.data() + kSegmentHeaderBytes + c * kDirEntryBytes;
-    info.min[c] = DecodeDouble(e + 16);
-    info.max[c] = DecodeDouble(e + 24);
-  }
+  const std::string blob =
+      EncodeColumnSegment(records, num_columns_, rows, &info);
   const char* src = blob.data();
   size_t remaining = blob.size();
   PageHandle prev;

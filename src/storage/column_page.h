@@ -96,8 +96,11 @@ struct ColumnDirEntry {
 
 /// Encodes `rows` row-major fixed-width records (`num_columns` doubles
 /// each) into one segment blob. `rows` must be in [1, kMaxSegmentRows].
+/// `info`, when given, receives the segment's rows, encoded size and
+/// zone statistics (everything of its directory entry but the pages).
 std::string EncodeColumnSegment(const char* records, size_t num_columns,
-                                size_t rows);
+                                size_t rows,
+                                ColumnSegmentInfo* info = nullptr);
 
 /// Sequential decoder over one encoded column. Decode advances the
 /// cursor; the total decoded must not exceed the segment's rows.
@@ -163,7 +166,6 @@ class ColumnSegmentHandle {
   size_t rows_ = 0;
   uint32_t nan_mask_ = 0;
   std::vector<ColumnDirEntry> dir_;
-  std::string header_buf_;                ///< copied header bytes
   std::vector<std::string> col_scratch_;  ///< per-column assembled payloads
 };
 

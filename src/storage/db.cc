@@ -76,7 +76,6 @@ Result<std::unique_ptr<Database>> Database::Open(
       SEGDIFF_ASSIGN_OR_RETURN(WalUndoImage image,
                                DecodeWalUndoImage(record.payload));
       if (image.page_id < db->pager_->page_count() &&
-          image.image.size() == kPageCapacity &&
           oldest.find(image.page_id) == oldest.end()) {
         oldest[image.page_id] = std::move(image.image);
       }
@@ -136,19 +135,22 @@ Status Database::ReplayWal(std::vector<WalRecord> records) {
   for (WalRecord& record : records) {
     switch (record.type) {
       case WalRecordType::kRowAppend: {
-        SEGDIFF_ASSIGN_OR_RETURN(WalRowAppend append,
-                                 DecodeWalRowAppend(record.payload));
-        Result<Table*> table = GetTable(append.table);
-        if (!table.ok()) {
-          return Status::Corruption(
-              "WAL row-append references unknown table '" + append.table +
-              "' (checkpoint missing after CreateTable?)");
-        }
-        if (append.row.size() != (*table)->schema().RowBytes()) {
-          return Status::Corruption("WAL row size mismatch for table '" +
-                                    append.table + "'");
-        }
-        const uint64_t have = (*table)->row_count();
+        Table* table = nullptr;
+        SEGDIFF_ASSIGN_OR_RETURN(
+            WalRowAppend append,
+            DecodeWalRowAppend(
+                record.payload,
+                [&](const std::string& name) -> Result<size_t> {
+                  Result<Table*> found = GetTable(name);
+                  if (!found.ok()) {
+                    return Status::Corruption(
+                        "WAL row-append references unknown table '" + name +
+                        "' (checkpoint missing after CreateTable?)");
+                  }
+                  table = *found;
+                  return table->schema().RowBytes();
+                }));
+        const uint64_t have = table->row_count();
         if (append.ordinal < have) {
           break;  // already present — idempotent replay skips it
         }
@@ -159,7 +161,7 @@ Status Database::ReplayWal(std::vector<WalRecord> records) {
               std::to_string(have) + " rows");
         }
         SEGDIFF_RETURN_IF_ERROR(
-            (*table)->InsertEncoded(append.row.data()).status());
+            table->InsertEncoded(append.row.data()).status());
         break;
       }
       case WalRecordType::kObservation:

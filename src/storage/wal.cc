@@ -4,8 +4,10 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "storage/page.h"
 
 namespace segdiff {
 
@@ -102,38 +104,34 @@ Status ScanWalFile(Vfs* vfs, const std::string& path, WalScanResult* out) {
 }  // namespace
 
 Result<WalObservation> DecodeWalObservation(const std::string& payload) {
-  if (payload.size() != 16) {
-    return Status::Corruption("WAL observation record has bad size");
-  }
+  ByteReader r(payload);
   WalObservation obs;
-  obs.t = DecodeDouble(payload.data());
-  obs.v = DecodeDouble(payload.data() + 8);
+  SEGDIFF_ASSIGN_OR_RETURN(obs.t, r.F64());
+  SEGDIFF_ASSIGN_OR_RETURN(obs.v, r.F64());
+  SEGDIFF_RETURN_IF_ERROR(r.End());
   return obs;
 }
 
-Result<WalRowAppend> DecodeWalRowAppend(const std::string& payload) {
-  if (payload.size() < 10) {
-    return Status::Corruption("WAL row-append record truncated");
-  }
-  uint16_t name_len = DecodeFixed16(payload.data());
-  if (payload.size() < 10u + name_len) {
-    return Status::Corruption("WAL row-append record truncated");
-  }
+Result<WalRowAppend> DecodeWalRowAppend(
+    const std::string& payload,
+    const std::function<Result<size_t>(const std::string& table)>&
+        row_bytes) {
+  ByteReader r(payload);
   WalRowAppend row;
-  row.table.assign(payload.data() + 2, name_len);
-  row.ordinal = DecodeFixed64(payload.data() + 2 + name_len);
-  row.row.assign(payload.data() + 10 + name_len,
-                 payload.size() - 10 - name_len);
+  SEGDIFF_ASSIGN_OR_RETURN(row.table, r.Str());
+  SEGDIFF_ASSIGN_OR_RETURN(row.ordinal, r.U64());
+  SEGDIFF_ASSIGN_OR_RETURN(const size_t width, row_bytes(row.table));
+  SEGDIFF_ASSIGN_OR_RETURN(row.row, r.Bytes(width));
+  SEGDIFF_RETURN_IF_ERROR(r.End());
   return row;
 }
 
 Result<WalUndoImage> DecodeWalUndoImage(const std::string& payload) {
-  if (payload.size() < 8) {
-    return Status::Corruption("WAL undo-image record truncated");
-  }
+  ByteReader r(payload);
   WalUndoImage image;
-  image.page_id = DecodeFixed64(payload.data());
-  image.image.assign(payload.data() + 8, payload.size() - 8);
+  SEGDIFF_ASSIGN_OR_RETURN(image.page_id, r.U64());
+  SEGDIFF_ASSIGN_OR_RETURN(image.image, r.Bytes(kPageCapacity));
+  SEGDIFF_RETURN_IF_ERROR(r.End());
   return image;
 }
 
@@ -382,27 +380,26 @@ Result<uint64_t> Wal::AppendRowAppend(const std::string& table,
   if (table.size() > UINT16_MAX) {
     return Status::InvalidArgument("table name too long for WAL record");
   }
-  std::string payload(10 + table.size() + row_len, '\0');
-  EncodeFixed16(payload.data(), static_cast<uint16_t>(table.size()));
-  std::memcpy(payload.data() + 2, table.data(), table.size());
-  EncodeFixed64(payload.data() + 2 + table.size(), ordinal);
-  if (row_len > 0) {
-    std::memcpy(payload.data() + 10 + table.size(), row, row_len);
-  }
+  ByteWriter payload;
+  payload.Str(table);
+  payload.U64(ordinal);
+  payload.Bytes(row, row_len);
   uint64_t lsn = 0;
   SEGDIFF_RETURN_IF_ERROR(AppendRecord(WalRecordType::kRowAppend,
-                                       payload.data(), payload.size(), &lsn));
+                                       payload.str().data(),
+                                       payload.str().size(), &lsn));
   return lsn;
 }
 
 Result<uint64_t> Wal::AppendUndoImage(uint64_t page_id, const char* data,
                                       size_t n) {
-  std::string payload(8 + n, '\0');
-  EncodeFixed64(payload.data(), page_id);
-  std::memcpy(payload.data() + 8, data, n);
+  ByteWriter payload;
+  payload.U64(page_id);
+  payload.Bytes(data, n);
   uint64_t lsn = 0;
   SEGDIFF_RETURN_IF_ERROR(AppendRecord(WalRecordType::kUndoImage,
-                                       payload.data(), payload.size(), &lsn));
+                                       payload.str().data(),
+                                       payload.str().size(), &lsn));
   return lsn;
 }
 

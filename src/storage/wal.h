@@ -58,6 +58,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -92,7 +93,8 @@ struct WalRecord {
   std::string payload;
 };
 
-/// Decoded payload forms (see the Append* builders in wal.cc).
+/// Decoded payload forms (see the Append* builders in wal.cc, which use
+/// ByteWriter but for the 16-byte observation, built in place).
 struct WalObservation {
   double t = 0.0;
   double v = 0.0;
@@ -107,8 +109,15 @@ struct WalUndoImage {
   std::string image;  ///< kPageCapacity bytes (trailer is the pager's)
 };
 
+/// Each decoder consumes its payload exactly or fails with Corruption.
 Result<WalObservation> DecodeWalObservation(const std::string& payload);
-Result<WalRowAppend> DecodeWalRowAppend(const std::string& payload);
+/// `row_bytes` maps the record's table to its row width (its error, for
+/// a table the store does not have, is returned as is).
+Result<WalRowAppend> DecodeWalRowAppend(
+    const std::string& payload,
+    const std::function<Result<size_t>(const std::string& table)>&
+        row_bytes);
+/// The image must be exactly kPageCapacity bytes.
 Result<WalUndoImage> DecodeWalUndoImage(const std::string& payload);
 
 struct WalOptions {

@@ -114,10 +114,8 @@ Result<ZoneMap> ZoneMap::Deserialize(const std::string& blob) {
   if (num_columns == 0 || num_columns > kMaxColumns) {
     return Status::Corruption("zone map blob has bad column count");
   }
-  SEGDIFF_ASSIGN_OR_RETURN(uint64_t zone_count, in.U64());
-  if (zone_count > blob.size()) {  // cheap sanity bound before reserving
-    return Status::Corruption("zone map blob has bad zone count");
-  }
+  SEGDIFF_ASSIGN_OR_RETURN(const uint64_t zone_count,
+                           in.Count<uint64_t>(16 + 16 * num_columns));
   ZoneMap map(num_columns);
   map.zones_.reserve(zone_count);
   map.bounds_.reserve(zone_count * num_columns * 2);
@@ -138,9 +136,7 @@ Result<ZoneMap> ZoneMap::Deserialize(const std::string& blob) {
       map.bounds_.push_back(hi);
     }
   }
-  if (!in.exhausted()) {
-    return Status::Corruption("zone map blob has trailing bytes");
-  }
+  SEGDIFF_RETURN_IF_ERROR(in.End());
   return map;
 }
 

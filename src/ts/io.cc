@@ -4,9 +4,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <vector>
 
-#include "common/coding.h"
+#include "common/bytes.h"
 
 namespace segdiff {
 namespace {
@@ -95,20 +94,16 @@ Status WriteSeriesBinary(const Series& series, const std::string& path) {
   if (!file.ok()) {
     return OpenError(path);
   }
-  char header[16];
-  EncodeFixed32(header, kBinaryMagic);
-  EncodeFixed32(header + 4, kBinaryVersion);
-  EncodeFixed64(header + 8, series.size());
-  if (std::fwrite(header, 1, sizeof(header), file.get()) != sizeof(header)) {
-    return Status::IOError("write failed: " + path);
+  ByteWriter w;
+  w.U32(kBinaryMagic);
+  w.U32(kBinaryVersion);
+  w.U64(series.size());
+  for (const Sample& sample : series) {
+    w.F64(sample.t);
+    w.F64(sample.v);
   }
-  std::vector<char> buf(series.size() * 16);
-  for (size_t i = 0; i < series.size(); ++i) {
-    EncodeDouble(buf.data() + i * 16, series[i].t);
-    EncodeDouble(buf.data() + i * 16 + 8, series[i].v);
-  }
-  if (!buf.empty() &&
-      std::fwrite(buf.data(), 1, buf.size(), file.get()) != buf.size()) {
+  const std::string& bytes = w.str();
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
     return Status::IOError("write failed: " + path);
   }
   return Status::OK();
@@ -119,30 +114,30 @@ Result<Series> ReadSeriesBinary(const std::string& path) {
   if (!file.ok()) {
     return OpenError(path);
   }
-  char header[16];
-  if (std::fread(header, 1, sizeof(header), file.get()) != sizeof(header)) {
-    return Status::Corruption("truncated header: " + path);
-  }
-  if (DecodeFixed32(header) != kBinaryMagic) {
-    return Status::Corruption("bad magic: " + path);
-  }
-  if (DecodeFixed32(header + 4) != kBinaryVersion) {
-    return Status::Corruption("unsupported version: " + path);
-  }
-  const uint64_t count = DecodeFixed64(header + 8);
-  std::vector<char> buf(count * 16);
-  if (!buf.empty() &&
-      std::fread(buf.data(), 1, buf.size(), file.get()) != buf.size()) {
-    return Status::Corruption("truncated body: " + path);
+  std::string bytes;
+  char chunk[4096];
+  for (size_t n; (n = std::fread(chunk, 1, sizeof(chunk), file.get())) > 0;) {
+    bytes.append(chunk, n);
   }
   Series series;
-  for (uint64_t i = 0; i < count; ++i) {
-    Status append = series.Append({DecodeDouble(buf.data() + i * 16),
-                                   DecodeDouble(buf.data() + i * 16 + 8)});
-    if (!append.ok()) {
-      return Status::Corruption("bad sample in " + path + ": " +
-                                append.ToString());
+  const Status status = [&]() -> Status {
+    ByteReader r(bytes);
+    SEGDIFF_ASSIGN_OR_RETURN(const uint32_t magic, r.U32());
+    SEGDIFF_ASSIGN_OR_RETURN(const uint32_t version, r.U32());
+    if (magic != kBinaryMagic || version != kBinaryVersion) {
+      return Status::Corruption("bad magic or unsupported version");
     }
+    SEGDIFF_ASSIGN_OR_RETURN(const uint64_t count, r.Count<uint64_t>(16));
+    for (uint64_t i = 0; i < count; ++i) {
+      Sample sample;
+      SEGDIFF_ASSIGN_OR_RETURN(sample.t, r.F64());
+      SEGDIFF_ASSIGN_OR_RETURN(sample.v, r.F64());
+      SEGDIFF_RETURN_IF_ERROR(series.Append(sample));
+    }
+    return r.End();
+  }();
+  if (!status.ok()) {
+    return Status::Corruption(path + ": " + std::string(status.message()));
   }
   return series;
 }

@@ -21,7 +21,8 @@ Result<Series> ReadSeriesCsv(const std::string& path);
 /// Writes the binary format: magic, version, count, then packed samples.
 Status WriteSeriesBinary(const Series& series, const std::string& path);
 
-/// Reads the binary format; verifies magic/version/length.
+/// Reads the binary format; Corruption unless the file holds exactly the
+/// samples its count names.
 Result<Series> ReadSeriesBinary(const std::string& path);
 
 }  // namespace segdiff

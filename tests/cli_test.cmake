@@ -11,8 +11,9 @@
 # including the damaged-transect contract: a corrupt sensor store must
 # flip stats/verify to exit 2 with the sensor counted in the health
 # block, searches must isolate it with a loud warning, and repair must
-# report the unsalvageable store honestly; and that a negative
-# --threads or --max-open is refused as a usage error.
+# report the unsalvageable store honestly; that a negative --threads or
+# --max-open, or any malformed numeric flag, is refused as a usage
+# error; and that transect search prints the fan-out width it used.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORK)
   message(FATAL_ERROR "pass -DCLI=<binary> -DWORK=<dir>")
@@ -219,9 +220,33 @@ run_cli_status(2 "--max-open must not be negative"
                transect search --dir ${TRANSECT} --max-open -1)
 run_cli_status(2 "--threads must not be negative"
                search --db ${DB} --threads -1)
+# Every numeric flag parses whole and in range for its type: a
+# malformed value is a usage error (exit 2) naming the flag, refused
+# before any store opens, never a silent 0 (atoi), a prefix ("3x" as 3)
+# or a negative count wrapped round to 2^64 - 1.
+run_cli_status(2 "--threads: 'abc' is not a valid integer"
+               transect build --dir ${TRANSECT} --sensors 2 --days 1
+               --threads abc)
+run_cli_status(2 "--threads: '3x' is not a valid integer"
+               search --db ${DB} --threads 3x)
+run_cli_status(2 "--threads: '2147483648' is not a valid integer"
+               search --db ${DB} --threads 2147483648)
+run_cli_status(2 "--timeout-ms: '-1' is not a valid non-negative integer"
+               search --db ${DB} --timeout-ms -1)
+run_cli_status(2 "--max-mem: '-1' is not a valid non-negative integer"
+               search --db ${DB} --max-mem -1)
+run_cli_status(2 "--t-hours: '1h' is not a valid number"
+               transect search --dir ${TRANSECT} --t-hours 1h)
 if(EXISTS ${TRANSECT})
   message(FATAL_ERROR "a refused transect build created ${TRANSECT}")
 endif()
+
+# transect search prints the fan-out width it ran at: --threads capped
+# by the shard count, so a one-shard transect searches serially.
+run_cli("built transect" transect build --dir ${TRANSECT} --sensors 2
+        --days 1)
+run_cli("fan-out 1\\)" transect search --dir ${TRANSECT} --threads 3)
+file(REMOVE_RECURSE ${TRANSECT})
 
 file(REMOVE ${CSV} ${CSV2} ${SEGMENTS} ${STORES} ${SIDECARS})
 message(STATUS "segdiff_cli workflow OK")

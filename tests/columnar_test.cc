@@ -29,6 +29,7 @@
 
 #include "test_paths.h"
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "common/vfs.h"
 #include "query/executor.h"
@@ -564,6 +565,141 @@ TEST_F(ColumnarDifferentialTest, CatalogIndexOnColumnarTableIsRefused) {
             std::string::npos)
       << db.status().ToString();
   EXPECT_EQ(file_bytes(), before) << "the refused open modified the file";
+}
+
+/// Scans `table` with a row callback: plainly it must fail with
+/// Corruption, and a partial scan must route around its one segment of
+/// `rows` rows and `pages` pages as quarantined.
+void ExpectSegmentQuarantined(const Table& table, uint64_t rows,
+                              uint64_t pages) {
+  const size_t width = table.schema().num_columns();
+  auto copy_row = [&](const char* record, RecordId) {
+    std::vector<double> row(width);
+    std::memcpy(row.data(), record, width * 8);
+    return Status::OK();
+  };
+  const Status plain = SeqScan(table, Predicate::True(), copy_row);
+  EXPECT_TRUE(plain.IsCorruption()) << plain.ToString();
+  SeqScanOptions partial;
+  partial.skip_quarantined = true;
+  ScanStats stats;
+  const Status routed =
+      SeqScan(table, Predicate::True(), copy_row, &stats, partial);
+  EXPECT_TRUE(routed.ok()) << routed.ToString();
+  EXPECT_EQ(stats.rows_scanned, 0u);
+  EXPECT_EQ(stats.rows_quarantined, rows);
+  EXPECT_EQ(stats.pages_quarantined, pages);
+}
+
+// A catalog entry of a 3-column table pointing at a 5-column table's
+// segment with the same row count: the segment's column count must
+// match its table's, or scans rebuild 5-double rows into 3-double
+// buffers.
+TEST_F(ColumnarDifferentialTest, SegmentWiderThanItsTableIsQuarantined) {
+  constexpr size_t kRows = 200;
+  {
+    auto db = Database::Open(col_path_, DatabaseOptions{});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (const auto& [name, width] :
+         {std::pair<const char*, size_t>{"narrow", 3}, {"wide", 5}}) {
+      std::vector<std::string> columns;
+      for (size_t c = 0; c < width; ++c) {
+        columns.push_back("c" + std::to_string(c));
+      }
+      auto table = (*db)->CreateTable(name, DoubleSchema(columns).value());
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      std::vector<double> records;
+      for (size_t i = 0; i < kRows * width; ++i) {
+        records.push_back(0.5 * static_cast<double>(i));
+      }
+      ASSERT_TRUE((*table)
+                      ->AppendColumnarSegment(
+                          reinterpret_cast<const char*>(records.data()), kRows)
+                      .ok());
+    }
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  uint32_t pages = 0;
+  {
+    auto pager = Pager::Open(col_path_, /*create=*/false);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    BufferPool pool(pager->get(), 64);
+    auto catalog = ReadCatalog(&pool);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    ASSERT_EQ(catalog->tables.size(), 2u);
+    ColumnSegmentInfo& narrow = catalog->tables[0].columnar.segments.at(0);
+    const ColumnSegmentInfo& wide = catalog->tables[1].columnar.segments.at(0);
+    ASSERT_EQ(narrow.rows, wide.rows);
+    narrow.first_page = wide.first_page;
+    narrow.pages = pages = wide.pages;
+    narrow.encoded_bytes = wide.encoded_bytes;
+    ASSERT_TRUE(WriteCatalog(&pool, EncodeCatalog(*catalog)).ok());
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
+  }
+  DatabaseOptions options;
+  options.create_if_missing = false;
+  auto db = Database::Open(col_path_, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto table = (*db)->GetTable("narrow");
+  ASSERT_TRUE(table.ok());
+  ExpectSegmentQuarantined(**table, kRows, pages);
+}
+
+// A raw column whose payload_bytes says 8 (the difference added to the
+// next column, so the directory total still matches): each column's
+// payload must be the size its encoding decodes `rows` values from, or
+// the cursor reads past the assembled payload.
+TEST_F(ColumnarDifferentialTest, PayloadSizeDisagreeingWithRowsIsQuarantined) {
+  constexpr size_t kRows = 200;
+  {
+    auto db = Database::Open(col_path_, DatabaseOptions{});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto table = (*db)->CreateTable("f", DoubleSchema({"dt", "dv"}).value());
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    std::vector<double> records;
+    Rng rng(9);
+    for (size_t i = 0; i < kRows; ++i) {
+      records.push_back(rng.Uniform(-1.0, 1.0) * 1e300);  // encodes raw
+      records.push_back(static_cast<double>(i));
+    }
+    ASSERT_TRUE((*table)
+                    ->AppendColumnarSegment(
+                        reinterpret_cast<const char*>(records.data()), kRows)
+                    .ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  uint32_t pages = 0;
+  {
+    auto pager = Pager::Open(col_path_, /*create=*/false);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    BufferPool pool(pager->get(), 64);
+    auto catalog = ReadCatalog(&pool);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    const ColumnSegmentInfo& info =
+        catalog->tables.at(0).columnar.segments.at(0);
+    pages = info.pages;
+    auto page = pool.FetchMut(info.first_page);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    // Chain header (16 bytes), segment header (16), then 32 bytes per
+    // column: encoding at +0, payload_bytes at +4.
+    char* dir = page->data() + 16 + 16;
+    ASSERT_EQ(static_cast<ColumnEncoding>(dir[0]), ColumnEncoding::kRaw);
+    ASSERT_EQ(DecodeFixed32(dir + 4), kRows * 8);
+    EncodeFixed32(dir + 4, 8);
+    EncodeFixed32(dir + 32 + 4, DecodeFixed32(dir + 32 + 4) + kRows * 8 - 8);
+    page->MarkDirty();
+    page->Release();
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
+  }
+  DatabaseOptions options;
+  options.create_if_missing = false;
+  auto db = Database::Open(col_path_, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto table = (*db)->GetTable("f");
+  ASSERT_TRUE(table.ok());
+  ExpectSegmentQuarantined(**table, kRows, pages);
 }
 
 TEST_F(ColumnarDifferentialTest, SqlEndToEndAgreesAcrossFormats) {

@@ -112,6 +112,28 @@ TEST(EnvTest, ParsesDoubles) {
   ::unsetenv("SEGDIFF_TEST_DBL");
 }
 
+// One strict parser behind the environment helpers and segdiff_cli's
+// numeric flags: the whole string, in range for the target type.
+TEST(EnvTest, ParseNumberIsStrict) {
+  EXPECT_EQ(ParseNumber<int>("42"), 42);
+  EXPECT_EQ(ParseNumber<int>("-7"), -7);
+  EXPECT_EQ(ParseNumber<int>("2147483647"), 2147483647);
+  for (const char* bad : {"", "abc", "3x", " 3", "3 ", "+3", "2147483648",
+                          "-2147483649", "1e3"}) {
+    EXPECT_FALSE(ParseNumber<int>(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ParseNumber<uint64_t>("18446744073709551615"),
+            UINT64_C(18446744073709551615));
+  for (const char* bad : {"-1", "-0", "18446744073709551616", "0x10"}) {
+    EXPECT_FALSE(ParseNumber<uint64_t>(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ParseNumber<int64_t>("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(ParseNumber<double>("-2.5e-3"), -2.5e-3);
+  for (const char* bad : {"", "1.5x", "inf", "nan", "1e400", " 1"}) {
+    EXPECT_FALSE(ParseNumber<double>(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST(EnvTest, ReadsStrings) {
   ::setenv("SEGDIFF_TEST_STR", "hello", 1);
   EXPECT_EQ(GetEnvString("SEGDIFF_TEST_STR", "d"), "hello");

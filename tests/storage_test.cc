@@ -8,6 +8,7 @@
 
 #include "test_paths.h"
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "query/executor.h"
 #include "storage/buffer_pool.h"
@@ -445,6 +446,36 @@ TEST_F(StorageTest, MetaBlobSpillsAcrossCatalogPages) {
     EXPECT_EQ(*blob, big);
     EXPECT_TRUE((*db)->GetTable("t").ok());
   }
+}
+
+// A checksum-valid catalog page whose next pointer names an earlier
+// chain page (here page 1 itself) fails the open with Corruption after
+// at most the file's page count, instead of appending chunks forever.
+TEST_F(StorageTest, CatalogChainCycleFailsOpen) {
+  {
+    auto db = Database::Open(path_, DatabaseOptions{});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->CreateTable("t", DoubleSchema({"x"}).value()).ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  {
+    auto pager = Pager::Open(path_, /*create=*/false);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    BufferPool pool(pager->get(), 16);
+    auto page = pool.FetchMut(1);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    ASSERT_NE(DecodeFixed32(page->data() + 8), 0u) << "empty catalog chunk";
+    EncodeFixed64(page->data(), 1);
+    page->MarkDirty();
+    page->Release();
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
+  }
+  DatabaseOptions options;
+  options.create_if_missing = false;
+  auto db = Database::Open(path_, options);
+  ASSERT_FALSE(db.ok()) << "opened a store whose catalog chain loops";
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
 }
 
 TEST_F(StorageTest, MetaBlobsSurviveCompaction) {

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -22,6 +23,7 @@
 #include "segdiff/exh_index.h"
 #include "segdiff/segdiff_index.h"
 #include "storage/db.h"
+#include "storage/wal.h"
 #include "ts/generator.h"
 
 namespace segdiff {
@@ -35,6 +37,47 @@ Series MakeSeries(int num_days, uint64_t seed = 20080325) {
   auto data = GenerateCadSeries(gen);
   EXPECT_TRUE(data.ok()) << data.status().ToString();
   return std::move(data->series);
+}
+
+/// The bytes of the store at `path` followed by its WAL sidecar's.
+std::string StoreFiles(const std::string& path) {
+  std::string bytes;
+  for (const std::string& file : {path, Wal::PathFor(path)}) {
+    std::ifstream in(file, std::ios::binary);
+    bytes.append(std::istreambuf_iterator<char>(in), {});
+    bytes += '|';
+  }
+  return bytes;
+}
+
+std::string StoredBlob(const std::string& path, const std::string& key) {
+  DatabaseOptions options;
+  options.create_if_missing = false;
+  auto raw = Database::Open(path, options);
+  EXPECT_TRUE(raw.ok()) << raw.status().ToString();
+  auto blob = (*raw)->GetMeta(key);
+  EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+  return blob.ok() ? *blob : "";
+}
+
+/// Stores `blob` under `key`, then expects `open` to fail with
+/// Corruption and leave the store's files as they were.
+template <typename OpenFn>
+void ExpectBlobRefused(const std::string& path, const std::string& key,
+                       const std::string& blob, const OpenFn& open) {
+  {
+    DatabaseOptions options;
+    options.create_if_missing = false;
+    auto raw = Database::Open(path, options);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    ASSERT_TRUE((*raw)->PutMeta(key, blob).ok());
+    ASSERT_TRUE((*raw)->Checkpoint().ok());
+  }
+  const std::string before = StoreFiles(path);
+  const Status status = open();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_TRUE(StoreFiles(path) == before)
+      << "the failed open modified the store";
 }
 
 const char* const kSegDiffTables[] = {"segments", "drop1", "drop2", "drop3",
@@ -355,6 +398,31 @@ TEST_F(StreamingIngestTest, CorruptIngestStateFailsOpenCleanly) {
   EXPECT_EQ(*blob, garbage);
 }
 
+// A window count the blob cannot hold (reserved up front, 0xFFFFFFFF
+// aborted the process with std::bad_alloc) and one byte past the
+// engine's state both fail Open with Corruption, files untouched.
+TEST_F(StreamingIngestTest, MalformedIngestStateFailsOpenUntouched) {
+  {
+    auto stream = OpenStore(stream_path_, SegDiffOptions{});
+    ASSERT_TRUE(stream->IngestSeries(MakeSeries(3)).ok());
+  }
+  const std::string blob = StoredBlob(stream_path_, "segdiff.ingest");
+  // 270 bytes of fixed fields precede the window count; four doubles
+  // per window segment follow it.
+  constexpr size_t kWindowCount = 270;
+  ASSERT_EQ(blob.size(),
+            kWindowCount + 4 + 32 * DecodeFixed32(blob.data() + kWindowCount));
+  std::string huge_window = blob;
+  EncodeFixed32(huge_window.data() + kWindowCount, 0xFFFFFFFFu);
+  SegDiffOptions reopen;
+  reopen.create_if_missing = false;
+  for (const std::string& bad : {huge_window, blob + '\0'}) {
+    ExpectBlobRefused(stream_path_, "segdiff.ingest", bad, [&] {
+      return SegDiffIndex::Open(stream_path_, reopen).status();
+    });
+  }
+}
+
 TEST_F(StreamingIngestTest, OutOfOrderSegmentDirectoryRejected) {
   SegDiffOptions options;
   {
@@ -552,6 +620,30 @@ TEST_F(ExhStreamingTest, CorruptIngestStateFailsOpenCleanly) {
   auto blob = (*raw)->GetMeta("exh.ingest");
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
   EXPECT_EQ(*blob, garbage);
+}
+
+// The Exh window count is bounded by the blob too, and trailing bytes
+// are refused (see MalformedIngestStateFailsOpenUntouched above).
+TEST_F(ExhStreamingTest, MalformedIngestStateFailsOpenUntouched) {
+  ExhOptions options;
+  options.window_s = 3600.0;
+  {
+    auto stream = OpenStore(stream_path_, options);
+    ASSERT_TRUE(stream->IngestSeries(series_).ok());
+  }
+  const std::string blob = StoredBlob(stream_path_, "exh.ingest");
+  // Magic, version, window length and observation count precede the
+  // window count; two doubles per sample follow it.
+  constexpr size_t kWindowCount = 24;
+  ASSERT_EQ(blob.size(),
+            kWindowCount + 4 + 16 * DecodeFixed32(blob.data() + kWindowCount));
+  std::string huge_window = blob;
+  EncodeFixed32(huge_window.data() + kWindowCount, 0xFFFFFFFFu);
+  for (const std::string& bad : {huge_window, blob + '\0'}) {
+    ExpectBlobRefused(stream_path_, "exh.ingest", bad, [&] {
+      return ExhIndex::Open(stream_path_, options).status();
+    });
+  }
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -196,6 +200,30 @@ TEST_F(IoTest, BinaryDetectsTruncation) {
   ASSERT_EQ(::truncate(bin_path_.c_str(), 24), 0);
   auto loaded = ReadSeriesBinary(bin_path_);
   EXPECT_TRUE(loaded.status().IsCorruption());
+}
+
+// The header's sample count must match the body exactly. A count of
+// 2^60 made the reader size its buffer as count * 16, which wraps to 0,
+// and then read samples past it.
+TEST_F(IoTest, BinaryCountMustMatchTheBody) {
+  Series series = MakeSeries({{0, 1}, {1, 2}});
+  ASSERT_TRUE(WriteSeriesBinary(series, bin_path_).ok());
+  std::string bytes;
+  {
+    std::ifstream in(bin_path_, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(bytes.size(), 16 + 2 * 16u);
+  auto rewrite_and_read = [&](const std::string& raw) {
+    std::ofstream(bin_path_, std::ios::binary | std::ios::trunc) << raw;
+    return ReadSeriesBinary(bin_path_).status();
+  };
+  std::string huge_count = bytes;
+  const uint64_t count = uint64_t{1} << 60;
+  std::memcpy(huge_count.data() + 8, &count, sizeof(count));
+  EXPECT_TRUE(rewrite_and_read(huge_count).IsCorruption());
+  EXPECT_TRUE(rewrite_and_read(bytes + '\0').IsCorruption());
+  EXPECT_TRUE(rewrite_and_read(bytes).ok());
 }
 
 TEST_F(IoTest, EmptySeriesRoundTrips) {

@@ -117,6 +117,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "query/executor.h"
 #include "query/scan_kernel.h"
 #include "segdiff/segdiff_index.h"
@@ -171,41 +172,97 @@ class Flags {
     }
   }
 
+  /// Every numeric flag given must parse whole and in range for its
+  /// type; --threads and --max-open become size_t widths, to which a
+  /// negative value would wrap as a huge count. Prints the first
+  /// offender and returns false (a usage error, exit 2), before any
+  /// command opens a store.
+  bool NumbersValid() const {
+    for (const NumericFlag& flag : kNumericFlags) {
+      auto it = values_.find(flag.name);
+      if (it == values_.end()) continue;
+      const std::string& text = it->second;
+      bool valid = false;
+      switch (flag.type) {
+        case NumberType::kInt:
+        case NumberType::kCount:
+          valid = ParseNumber<int>(text).has_value();
+          break;
+        case NumberType::kUint64:
+          valid = ParseNumber<uint64_t>(text).has_value();
+          break;
+        case NumberType::kDouble:
+          valid = ParseNumber<double>(text).has_value();
+          break;
+      }
+      if (!valid) {
+        std::fprintf(stderr, "%s: '%s' is not a valid %s\n", flag.name,
+                     text.c_str(),
+                     flag.type == NumberType::kDouble   ? "number"
+                     : flag.type == NumberType::kUint64 ? "non-negative integer"
+                                                        : "integer");
+        return false;
+      }
+      if (flag.type == NumberType::kCount && *ParseNumber<int>(text) < 0) {
+        std::fprintf(stderr, "%s must not be negative\n", flag.name);
+        return false;
+      }
+    }
+    return true;
+  }
+
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // The numeric getters read flags NumbersValid() has checked.
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return Number<double>(key, fallback);
   }
   int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    return Number<int>(key, fallback);
   }
   uint64_t GetUint64(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return static_cast<uint64_t>(std::strtoull(it->second.c_str(),
-                                               nullptr, 10));
+    return Number<uint64_t>(key, fallback);
   }
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
 
  private:
+  enum class NumberType { kInt, kCount, kUint64, kDouble };
+  struct NumericFlag {
+    const char* name;
+    NumberType type;
+  };
+  /// Every flag read through GetInt, GetUint64 or GetDouble.
+  static constexpr NumericFlag kNumericFlags[] = {
+      {"--days", NumberType::kInt},
+      {"--limit", NumberType::kInt},
+      {"--seed", NumberType::kInt},
+      {"--sensor", NumberType::kInt},
+      {"--sensors", NumberType::kInt},
+      {"--shard-sensors", NumberType::kInt},
+      {"--wal-window-ms", NumberType::kInt},
+      {"--max-open", NumberType::kCount},
+      {"--threads", NumberType::kCount},
+      {"--max-mem", NumberType::kUint64},
+      {"--timeout-ms", NumberType::kUint64},
+      {"--eps", NumberType::kDouble},
+      {"--rate-mbps", NumberType::kDouble},
+      {"--start-day", NumberType::kDouble},
+      {"--t-hours", NumberType::kDouble},
+      {"--v", NumberType::kDouble},
+      {"--window-hours", NumberType::kDouble},
+  };
+
+  template <typename T>
+  T Number(const std::string& key, T fallback) const {
+    auto it = values_.find(key);
+    return it == values_.end() ? fallback
+                               : ParseNumber<T>(it->second).value_or(fallback);
+  }
+
   std::map<std::string, std::string> values_;
 };
-
-/// --threads and --max-open become size_t widths, to which a negative
-/// value would wrap as a huge count: refuse one (usage error, exit 2).
-bool NegativeCount(const Flags& flags) {
-  for (const char* key : {"--threads", "--max-open"}) {
-    if (flags.GetInt(key, 0) < 0) {
-      std::fprintf(stderr, "%s must not be negative\n", key);
-      return true;
-    }
-  }
-  return false;
-}
 
 Result<Series> Smooth(const Series& series) {
   SEGDIFF_ASSIGN_OR_RETURN(Series filtered,
@@ -793,7 +850,7 @@ int CmdTransectSearch(const Flags& flags) {
               "%.2f h (%.2f ms wall, fan-out %zu)%s\n",
               hits->size(), sensors_hit, (*transect)->sensor_count(),
               jump ? "jump" : "drop", jump ? ">= " : "<= ", V, T / 3600.0,
-              stats.seconds * 1e3, search.num_threads,
+              stats.seconds * 1e3, stats.fan_out,
               stats.truncated ? " TRUNCATED" : "");
   if (stats.partial) {
     std::printf("  WARNING: partial result — %llu quarantined page%s "
@@ -1024,7 +1081,7 @@ int CmdTransect(int argc, char** argv) {
   }
   const std::string action = argv[2];
   const Flags flags(argc, argv, 3);
-  if (NegativeCount(flags)) return 2;
+  if (!flags.NumbersValid()) return 2;
   if (action == "build") return CmdTransectBuild(flags);
   if (action == "search") return CmdTransectSearch(flags);
   if (action == "stats") return CmdTransectStats(flags);
@@ -1151,7 +1208,7 @@ int Run(int argc, char** argv) {
   const std::string command = argv[1];
   if (command == "transect") return CmdTransect(argc, argv);
   const Flags flags(argc, argv, 2);
-  if (NegativeCount(flags)) return 2;
+  if (!flags.NumbersValid()) return 2;
   if (command == "generate") return CmdGenerate(flags);
   if (command == "build") return CmdBuild(flags);
   if (command == "append") return CmdAppend(flags);
