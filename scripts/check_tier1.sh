@@ -21,13 +21,15 @@
 #      surfacing), and a reads-write-nothing smoke (transect searches
 #      and stats under store-cache churn leave every file as it was)
 #   4. an AddressSanitizer + UndefinedBehaviorSanitizer build (any UBSan
-#      finding aborts its test) running the streaming-ingest and storage
+#      finding aborts its test, float-to-integer conversions that
+#      overflow included) running the streaming-ingest and storage
 #      suites (the subsystems that serialize/restore raw state blobs),
 #      the byte codec's suites (format golden bytes, every decoder fed
 #      every prefix of a valid blob, the binary series reader, the
 #      strict number parser, the corrupt shard catalog),
 #      both engines' store-shell paths (Exh and SegDiff open, ingest and
-#      serial/parallel search), the fan-out suite (ParallelFor keeps its
+#      serial/parallel search, the t_d bucket pass that orders a
+#      search's pairs), the fan-out suite (ParallelFor keeps its
 #      state alive for helper tasks that run after it returns), the scan
 #      evaluator's suites (columnar decode, selection-bitmap kernels,
 #      zone maps), the table-model and SQL suites (DELETE rewrites and
@@ -281,7 +283,7 @@ if [[ "${RUN_ASAN}" == "1" ]]; then
     fault_injection_test chaos_test transect_chaos_test governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|ExhTest|ParallelQueryTest|ThreadPoolTest|ParallelForTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|DbModelTest|LexerTest|ParserTest|ParserFuzzTest|EngineTest|ByteCodecTest|DecoderSweepTest|FormatGoldenTest|IoTest|EnvTest|TransectShardTest.CorruptCatalogFailsLoudly')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|SortUniquePairsTest|ExhTest|ParallelQueryTest|ThreadPoolTest|ParallelForTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|DbModelTest|LexerTest|ParserTest|ParserFuzzTest|EngineTest|ByteCodecTest|DecoderSweepTest|FormatGoldenTest|IoTest|EnvTest|TransectShardTest.CorruptCatalogFailsLoudly')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

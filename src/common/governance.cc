@@ -21,11 +21,6 @@ bool MemoryBudget::Charge(uint64_t bytes) {
     breached_.store(true, std::memory_order_relaxed);
     return false;
   }
-  uint64_t peak = peak_.load(std::memory_order_relaxed);
-  while (now > peak &&
-         !peak_.compare_exchange_weak(peak, now,
-                                      std::memory_order_relaxed)) {
-  }
   return true;
 }
 

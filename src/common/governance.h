@@ -107,10 +107,12 @@ class CancellationSource {
 };
 
 /// Tracks bytes charged by result-set growth across all threads of one
-/// query. limit 0 = unlimited (still tracks usage/peak, so governance
-/// counters can report peak bytes even for unbudgeted queries). A failed
-/// Charge latches `breached`, which the search drivers translate into
-/// explicit truncation — never a silently shortened result.
+/// query. limit 0 = unlimited (still tracks usage, so governance
+/// counters can report peak bytes even for unbudgeted queries). Charges
+/// are never released — a query's results only grow — so usage is also
+/// the peak. A failed Charge latches `breached`, which the search
+/// drivers translate into explicit truncation — never a silently
+/// shortened result.
 class MemoryBudget {
  public:
   MemoryBudget() = default;  ///< unlimited
@@ -123,14 +125,11 @@ class MemoryBudget {
   /// charge is not applied, and `breached()` latches true).
   bool Charge(uint64_t bytes);
 
-  void Release(uint64_t bytes) {
-    used_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-
   uint64_t limit() const { return limit_; }
   bool unlimited() const { return limit_ == 0; }
   uint64_t used() const { return used_.load(std::memory_order_relaxed); }
-  uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
+  /// High-water mark of usage: usage itself, which never falls.
+  uint64_t peak() const { return used(); }
   bool breached() const { return breached_.load(std::memory_order_relaxed); }
 
   /// The ResourceExhausted status a breach surfaces as.
@@ -139,7 +138,6 @@ class MemoryBudget {
  private:
   uint64_t limit_ = 0;  ///< 0 = unlimited
   std::atomic<uint64_t> used_{0};
-  std::atomic<uint64_t> peak_{0};
   std::atomic<bool> breached_{false};
 };
 

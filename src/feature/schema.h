@@ -5,6 +5,7 @@
 #define SEGDIFF_FEATURE_SCHEMA_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "feature/cases.h"
 #include "feature/frontier.h"
@@ -26,6 +27,28 @@ struct PairId {
            x.t_a == y.t_a;
   }
 };
+
+/// Search-result order: by t_d, then t_c, then t_b (t_a follows from
+/// t_b). A strict weak order only over finite keys.
+inline bool PairIdLess(const PairId& a, const PairId& b) {
+  if (a.t_d != b.t_d) return a.t_d < b.t_d;
+  if (a.t_c != b.t_c) return a.t_c < b.t_c;
+  return a.t_b < b.t_b;
+}
+
+/// Same (t_d, t_c, t_b) key: one segment pair reported twice.
+inline bool PairIdKeyEq(const PairId& a, const PairId& b) {
+  return a.t_d == b.t_d && a.t_c == b.t_c && a.t_b == b.t_b;
+}
+
+/// Orders `pairs` by PairIdLess and keeps the first of each run of
+/// equal keys: the result of std::stable_sort then std::unique (also
+/// that of std::sort then std::unique wherever equal keys carry equal
+/// bytes). Keys must be finite. Past a small-input cutoff one stable
+/// counting pass scatters the pairs by t_d into about n/2 buckets of a
+/// scratch buffer and each bucket is sorted, so a search's union costs
+/// near-linear time instead of n log n.
+void SortUniquePairs(std::vector<PairId>* pairs);
 
 /// One extracted feature row: the eps-shifted frontier corners of one
 /// segment pair for one search kind.

@@ -1,6 +1,7 @@
 #include "segdiff/segdiff_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -39,13 +40,18 @@ struct RangeQuery {
   int corner = 1;  ///< point: corner j; line: edge (j, j+1)
 };
 
-bool PairIdLess(const PairId& a, const PairId& b) {
-  if (a.t_d != b.t_d) return a.t_d < b.t_d;
-  if (a.t_c != b.t_c) return a.t_c < b.t_c;
-  return a.t_b < b.t_b;
-}
-bool PairIdKeyEq(const PairId& a, const PairId& b) {
-  return a.t_d == b.t_d && a.t_c == b.t_c && a.t_b == b.t_b;
+/// Index of the segment that starts at `t` in `starts` (strictly
+/// increasing), or starts.size() when none does. Tries `hint` and the
+/// segment after it before a binary search.
+size_t FindSegment(const std::vector<double>& starts, double t,
+                   size_t hint) {
+  const size_t n = starts.size();
+  if (hint < n && starts[hint] == t) return hint;
+  if (hint + 1 < n && starts[hint + 1] == t) return hint + 1;
+  const auto it = std::lower_bound(starts.begin(), starts.end(), t);
+  return it != starts.end() && *it == t
+             ? static_cast<size_t>(it - starts.begin())
+             : n;
 }
 
 }  // namespace
@@ -208,9 +214,13 @@ Status SegDiffIndex::OnSegment(const DataSegment& segment) {
                                                segment.end.t, segment.end.v})
                               .status());
   {
-    // Searches resolve t_a from segment_dir_ while ingest appends to it.
+    // Searches resolve t_a from the directory while ingest appends to
+    // it; a stale directory is reloaded whole by the next search.
     std::lock_guard<std::mutex> lock(lazy_mu_);
-    segment_dir_[segment.start.t] = segment.end.t;
+    if (segment_dir_fresh_) {
+      seg_starts_.push_back(segment.start.t);
+      seg_ends_.push_back(segment.end.t);
+    }
   }
   return extractor_->AddSegment(segment);
 }
@@ -349,15 +359,26 @@ Status SegDiffIndex::EnsureSegmentDirectory() {
   if (segment_dir_fresh_) {
     return Status::OK();  // another search rebuilt it while we waited
   }
-  segment_dir_.clear();
+  seg_starts_.clear();
+  seg_ends_.clear();
   SEGDIFF_RETURN_IF_ERROR(QuarantineScanError(
       SeqScan(*segments_table_, Predicate::True(),
               [this](const char* record, RecordId) -> Status {
-                segment_dir_[DecodeDoubleColumn(record, 0)] =
-                    DecodeDoubleColumn(record, 2);
+                seg_starts_.push_back(DecodeDoubleColumn(record, 0));
+                seg_ends_.push_back(DecodeDoubleColumn(record, 2));
                 return Status::OK();
               }),
       "the segment directory"));
+  // The scan visits segments in insertion order, which ingest keeps in
+  // time order; the t_a lookups rely on it.
+  for (size_t i = 1; i < seg_starts_.size(); ++i) {
+    if (!(seg_starts_[i - 1] < seg_starts_[i])) {
+      return Status::Corruption(
+          "segment directory is out of time order: segment " +
+          std::to_string(i) + " does not start after segment " +
+          std::to_string(i - 1));
+    }
+  }
   segment_dir_fresh_ = true;
   return Status::OK();
 }
@@ -390,24 +411,34 @@ Result<std::vector<PairId>> SegDiffIndex::Search(SearchKind kind, double T,
 }
 
 Status SegDiffIndex::FinishPairs(std::vector<PairId>* results) {
-  // Union of all queries: dedupe on (t_d, t_c, t_b).
-  std::sort(results->begin(), results->end(), PairIdLess);
-  results->erase(std::unique(results->begin(), results->end(), PairIdKeyEq),
-                 results->end());
-
-  // Materialize t_a from the segment directory. Every pair came from
-  // the snapshot, so its segment is in the directory (which only grows
-  // under concurrent ingest — lookups happen under lazy_mu_ because
-  // OnSegment inserts while we read).
+  // Materialize t_a from the segment directory, in collection order.
+  // Every pair came from the snapshot, so its segment is in the
+  // directory (which only grows under concurrent ingest — lookups
+  // happen under lazy_mu_ because OnSegment appends while we read). A
+  // pass emits a table's rows in t_b order, so in a dense result the
+  // next pair's segment is mostly the previous one or the one after
+  // it; sparse results and index-scan order fall back to a binary
+  // search.
   SEGDIFF_RETURN_IF_ERROR(EnsureSegmentDirectory());
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  for (PairId& id : *results) {
-    auto it = segment_dir_.find(id.t_b);
-    if (it == segment_dir_.end()) {
-      return Status::Corruption("feature row references unknown segment");
+  {
+    std::lock_guard<std::mutex> lock(lazy_mu_);
+    size_t hint = 0;
+    for (PairId& id : *results) {
+      // Ingest rejects non-finite samples, so only a damaged or crafted
+      // store gets here; such a key would break the ordering below.
+      if (!std::isfinite(id.t_d) || !std::isfinite(id.t_c) ||
+          !std::isfinite(id.t_b)) {
+        return Status::Corruption("feature row with a non-finite pair key");
+      }
+      hint = FindSegment(seg_starts_, id.t_b, hint);
+      if (hint == seg_starts_.size()) {
+        return Status::Corruption("feature row references unknown segment");
+      }
+      id.t_a = seg_ends_[hint];
     }
-    id.t_a = it->second;
   }
+  // Union of all queries: sort and dedupe on (t_d, t_c, t_b).
+  SortUniquePairs(results);
   return Status::OK();
 }
 
@@ -632,7 +663,8 @@ Status SegDiffIndex::Repair(const std::string& destination_path,
 Status SegDiffIndex::DropCaches() {
   Status status = store_.DropCaches();
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  segment_dir_.clear();
+  seg_starts_.clear();
+  seg_ends_.clear();
   segment_dir_fresh_ = false;  // force re-read through the (cold) pool
   return status;
 }

@@ -24,7 +24,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -169,9 +168,13 @@ class SegDiffIndex : public FeatureSink {
   Status SearchImpl(SearchKind kind, double T, double V,
                     const SearchOptions& options, const SearchScope& scope,
                     std::vector<PairId>* results);
-  /// Dedupes `results` on (t_d, t_c, t_b) and materializes t_a from the
-  /// segment directory.
+  /// Materializes t_a from the segment directory in collection order,
+  /// then sorts and dedupes `results` on (t_d, t_c, t_b)
+  /// (SortUniquePairs). A non-finite key or a t_b that starts no
+  /// segment fails with Corruption.
   Status FinishPairs(std::vector<PairId>* results);
+  /// Loads the directory from the segments table unless it is fresh; a
+  /// table whose starts do not strictly increase fails with Corruption.
   Status EnsureSegmentDirectory();
 
   SegDiffOptions options_;
@@ -185,13 +188,20 @@ class SegDiffIndex : public FeatureSink {
   /// construction in LayOut (the pipeline needs the adopted options).
   std::unique_ptr<ExtractorState> restored_extractor_;
   std::unique_ptr<SegmenterState> restored_segmenter_;
-  /// Serializes the lazy segment-directory load and guards segment_dir_,
-  /// which ingest keeps appending to while searches resolve t_a from it.
-  /// Lock order: the store's ingest lock before lazy_mu_.
+  /// Serializes the lazy segment-directory load and guards the
+  /// directory below, which ingest keeps appending to while searches
+  /// resolve t_a from it. Lock order: the store's ingest lock before
+  /// lazy_mu_.
   std::mutex lazy_mu_;
 
-  /// t_start -> t_end of every segment, for materializing t_a.
-  std::unordered_map<double, double> segment_dir_;
+  /// The segment directory in time order: segment i spans
+  /// [seg_starts_[i], seg_ends_[i]], starts strictly increasing, so a
+  /// pair's t_a is the end of the segment starting at its t_b. A fresh
+  /// directory holds every segment and OnSegment appends to it; a stale
+  /// one (reopened or cache-dropped store) is reloaded whole by the next
+  /// search.
+  std::vector<double> seg_starts_;
+  std::vector<double> seg_ends_;
   bool segment_dir_fresh_ = false;
 
   std::vector<double> row_buf_;

@@ -1,8 +1,12 @@
 // Facade-level tests for SegDiffIndex: ingest, search modes, reopen,
-// sizes, option validation, and kAuto's one-pass-per-table execution.
+// sizes, option validation, kAuto's one-pass-per-table execution, and
+// the finish step (t_a resolution, ordering and deduplication).
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -11,8 +15,11 @@
 #include "test_paths.h"
 
 #include "common/vfs.h"
+#include "query/executor.h"
 #include "segdiff/segdiff_index.h"
+#include "storage/db.h"
 #include "storage/page.h"
+#include "storage/record.h"
 #include "storage/wal.h"
 #include "ts/generator.h"
 
@@ -472,6 +479,407 @@ TEST_F(SegDiffIndexTest, AutoSearchCountsQuarantinedSegmentOnce) {
   RemoveStoreFiles(clean_path);
   RemoveStoreFiles(damaged_path);
   RemoveStoreFiles(repaired_path);
+}
+
+/// FNV-1a over the bytes of `pairs`: one number that changes when any
+/// pair, its order or the count changes.
+uint64_t PairsDigest(const std::vector<PairId>& pairs) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const PairId& pair : pairs) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&pair);
+    for (size_t i = 0; i < sizeof(PairId); ++i) {
+      hash = (hash ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+/// A 4-day random walk sampled every 5 minutes, built from integer
+/// steps and IEEE basic arithmetic only, so every platform ingests the
+/// same samples.
+Series RandomWalkSeries() {
+  Series series;
+  uint64_t state = 20080325;
+  double v = 20.0;
+  for (int i = 0; i < 4 * 288; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    v += static_cast<double>(static_cast<int>((state >> 33) % 81) - 40) /
+         100.0;
+    EXPECT_TRUE(series.Append({300.0 * i, v}).ok());
+  }
+  return series;
+}
+
+// Pairs of a fixed store, pinned as digests: every mode, thread count
+// and format returns the same pairs byte for byte, so a change to how
+// the finish orders, dedupes or resolves t_a that moves one byte fails
+// here.
+TEST_F(SegDiffIndexTest, GoldenResultsInEveryModeAndFormat) {
+  std::remove(path_.c_str());
+  auto index = SegDiffIndex::Open(path_, SegDiffOptions{});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_TRUE((*index)->IngestSeries(RandomWalkSeries()).ok());
+  const std::string compact_path =
+      UniqueTestPath("segdiff_index", "_compact.db");
+  auto compacted = CompactAndOpen(index->get(), compact_path);
+  ASSERT_NE(compacted, nullptr);
+  struct Golden {
+    SearchKind kind;
+    double T;
+    double V;
+    size_t pairs;
+    uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {SearchKind::kDrop, 900.0, -0.5, 911, 0x9a7767d0b790b00aull},
+      {SearchKind::kDrop, 3600.0, -2.0, 67, 0x7472971b81e102cbull},
+      {SearchKind::kDrop, 3600.0, -3.0, 4, 0xad9d77f374aee165ull},
+      {SearchKind::kDrop, 4 * 3600.0, -1.0, 6358, 0x547d755201589733ull},
+      {SearchKind::kDrop, 8 * 3600.0, -4.0, 976, 0xd33f861fc2dffe62ull},
+      {SearchKind::kJump, 900.0, 2.0, 0, 0xcbf29ce484222325ull},
+      {SearchKind::kJump, 3600.0, 1.0, 1131, 0x274090cb6e526f6bull},
+      {SearchKind::kJump, 4 * 3600.0, 3.0, 524, 0x88c433762b6eb0b6ull},
+  };
+  struct Mode {
+    const char* name;
+    QueryMode mode;
+    bool fused;
+  };
+  const Mode modes[] = {{"per-corner", QueryMode::kSeqScan, false},
+                        {"fused", QueryMode::kSeqScan, true},
+                        {"index", QueryMode::kIndexScan, false},
+                        {"auto", QueryMode::kAuto, false}};
+  for (SegDiffIndex* store : {index->get(), compacted.get()}) {
+    const bool row = store == index->get();
+    for (const Golden& golden : goldens) {
+      for (const Mode& mode : modes) {
+        for (const size_t threads : {size_t{0}, size_t{4}}) {
+          SearchOptions options;
+          options.mode = mode.mode;
+          options.fused_scan = mode.fused;
+          options.num_threads = threads;
+          auto result = golden.kind == SearchKind::kDrop
+                            ? store->SearchDrops(golden.T, golden.V, options)
+                            : store->SearchJumps(golden.T, golden.V, options);
+          const std::string where =
+              std::string(row ? "row" : "compacted") + " " + mode.name +
+              " threads=" + std::to_string(threads) + " " +
+              std::string(SearchKindName(golden.kind)) + " T=" + std::to_string(golden.T) +
+              " V=" + std::to_string(golden.V);
+          if (!row && mode.mode == QueryMode::kIndexScan) {
+            EXPECT_TRUE(result.status().IsInvalidArgument()) << where;
+            continue;
+          }
+          ASSERT_TRUE(result.ok()) << where << ": "
+                                   << result.status().ToString();
+          EXPECT_EQ(result->size(), golden.pairs) << where;
+          EXPECT_EQ(PairsDigest(*result), golden.digest) << where;
+        }
+      }
+    }
+  }
+  compacted.reset();
+  RemoveStoreFiles(compact_path);
+}
+
+/// Start times of `index`'s segment directory, in table order.
+std::vector<double> SegmentStarts(SegDiffIndex* index) {
+  std::vector<double> starts;
+  auto segments = index->db()->GetTable("segments");
+  EXPECT_TRUE(segments.ok());
+  Status scanned = SeqScan(**segments, Predicate::True(),
+                           [&starts](const char* record, RecordId) {
+                             starts.push_back(DecodeDoubleColumn(record, 0));
+                             return Status::OK();
+                           });
+  EXPECT_TRUE(scanned.ok()) << scanned.ToString();
+  return starts;
+}
+
+/// Appends `rows` to table `table` of the closed store at `path`
+/// through a raw Database, as a damaged or crafted store would hold
+/// them; the ingest blob stays, so the store still opens.
+void AppendRawRows(const std::string& path, const std::string& table,
+                   const std::vector<std::vector<double>>& rows) {
+  DatabaseOptions raw_options;
+  raw_options.create_if_missing = false;
+  auto raw = Database::Open(path, raw_options);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  auto target = (*raw)->GetTable(table);
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  for (const std::vector<double>& row : rows) {
+    ASSERT_TRUE((*target)->InsertDoubles(row).ok());
+  }
+  ASSERT_TRUE((*raw)->Checkpoint().ok());
+}
+
+/// A drop1 row [dt1, dv1, t_d, t_c, t_b] that a 1 h, -3 drop search
+/// selects through its point query.
+std::vector<double> CraftedDropRow(double t_d, double t_c, double t_b) {
+  return {600.0, -5.0, t_d, t_c, t_b};
+}
+
+constexpr QueryMode kFinishModes[] = {QueryMode::kSeqScan,
+                                      QueryMode::kIndexScan, QueryMode::kAuto};
+
+// A feature row whose t_b starts no segment (before the first start,
+// between two starts, after the last) fails the search with the
+// unknown-segment Corruption in every mode, whether the rows before it
+// arrive in t_b order (hinted lookups) or shuffled (binary searches).
+TEST_F(SegDiffIndexTest, UnknownSegmentFailsSearch) {
+  std::vector<double> starts;
+  {
+    auto index = Build(SegDiffOptions{});
+    starts = SegmentStarts(index.get());
+  }
+  ASSERT_GT(starts.size(), 40u);
+  const double bad_t_bs[] = {starts.front() - 60.0,
+                             (starts[20] + starts[21]) / 2.0,
+                             starts.back() + 60.0};
+  for (const double bad : bad_t_bs) {
+    for (const bool shuffled : {false, true}) {
+      // Two rows per segment start for the first 40 segments, then the
+      // stray row, in t_b order or shuffled.
+      std::vector<std::vector<double>> rows;
+      for (size_t i = 0; i < 40; ++i) {
+        rows.push_back(CraftedDropRow(starts[i] - 900.0, starts[i] - 300.0,
+                                      starts[i]));
+        rows.push_back(CraftedDropRow(starts[i] - 600.0, starts[i] - 300.0,
+                                      starts[i]));
+      }
+      rows.push_back(CraftedDropRow(bad - 900.0, bad - 300.0, bad));
+      if (shuffled) {
+        std::mt19937_64 rng(7);
+        std::shuffle(rows.begin(), rows.end(), rng);
+      } else {
+        std::stable_sort(rows.begin(), rows.end(),
+                         [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+                           return a[4] < b[4];
+                         });
+      }
+      RemoveStoreFiles(path_);
+      Build(SegDiffOptions{}).reset();
+      AppendRawRows(path_, "drop1", rows);
+      auto index = SegDiffIndex::Open(path_, SegDiffOptions{});
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      for (const QueryMode mode : kFinishModes) {
+        SearchOptions options;
+        options.mode = mode;
+        auto result = (*index)->SearchDrops(3600.0, -3.0, options);
+        const std::string where = "t_b=" + std::to_string(bad) +
+                                  (shuffled ? " shuffled" : " ordered") +
+                                  " mode=" +
+                                  std::to_string(static_cast<int>(mode));
+        ASSERT_FALSE(result.ok()) << where;
+        EXPECT_TRUE(result.status().IsCorruption()) << where;
+        EXPECT_NE(result.status().ToString().find("unknown segment"),
+                  std::string::npos)
+            << where << ": " << result.status().ToString();
+      }
+    }
+  }
+}
+
+// A feature row with a NaN t_d or t_c breaks PairIdLess's strict weak
+// order, which would leave duplicates apart and the NaN pairs in the
+// answer. Ingest never writes one, so a search that collects such a
+// row has met a damaged or crafted store and fails with Corruption, in
+// every mode.
+TEST_F(SegDiffIndexTest, NonFinitePairKeyFailsSearch) {
+  std::vector<double> starts;
+  {
+    auto index = Build(SegDiffOptions{});
+    starts = SegmentStarts(index.get());
+    for (const QueryMode mode : kFinishModes) {
+      SearchOptions options;
+      options.mode = mode;
+      auto clean = index->SearchDrops(3600.0, -1.0, options);
+      ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+      ASSERT_FALSE(clean->empty());
+    }
+  }
+  ASSERT_GT(starts.size(), 50u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<double>> rows;
+  for (size_t i = 0; i < 50; ++i) {
+    const double t_b = starts[i];
+    rows.push_back(i % 2 == 0 ? CraftedDropRow(nan, t_b - 300.0, t_b)
+                              : CraftedDropRow(t_b - 600.0, nan, t_b));
+  }
+  AppendRawRows(path_, "drop1", rows);
+  auto index = SegDiffIndex::Open(path_, SegDiffOptions{});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  for (const QueryMode mode : kFinishModes) {
+    SearchOptions options;
+    options.mode = mode;
+    auto result = (*index)->SearchDrops(3600.0, -1.0, options);
+    ASSERT_FALSE(result.ok()) << "mode " << static_cast<int>(mode);
+    EXPECT_TRUE(result.status().IsCorruption())
+        << result.status().ToString();
+    EXPECT_NE(result.status().ToString().find("non-finite"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
+/// The finish's reference order: std::sort by PairIdLess, then
+/// std::unique on the key.
+std::vector<PairId> SortThenUnique(std::vector<PairId> pairs) {
+  std::sort(pairs.begin(), pairs.end(), PairIdLess);
+  pairs.erase(std::unique(pairs.begin(), pairs.end(), PairIdKeyEq),
+              pairs.end());
+  return pairs;
+}
+
+/// SortUniquePairs(`input`) must equal `expected` byte for byte.
+void ExpectOrderedLike(std::vector<PairId> input,
+                       const std::vector<PairId>& expected,
+                       const std::string& label) {
+  SortUniquePairs(&input);
+  ASSERT_EQ(input.size(), expected.size()) << label;
+  if (!input.empty()) {
+    EXPECT_EQ(std::memcmp(input.data(), expected.data(),
+                          input.size() * sizeof(PairId)),
+              0)
+        << label;
+  }
+}
+
+/// A pair whose t_a follows from its t_b, as every resolved pair's
+/// does, so equal keys carry equal bytes.
+PairId MakePair(double t_d, double t_c, double t_b) {
+  PairId pair;
+  pair.t_d = t_d;
+  pair.t_c = t_c;
+  pair.t_b = t_b;
+  pair.t_a = t_b + 300.0;
+  return pair;
+}
+
+/// `n` pairs on a 300 s grid with about one duplicate key in four.
+std::vector<PairId> GridPairs(size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<PairId> pairs;
+  for (size_t i = 0; i < n; ++i) {
+    const double t_d = 300.0 * static_cast<double>(rng() % (n + 1));
+    const double t_c = t_d + 300.0 * static_cast<double>(rng() % 3);
+    pairs.push_back(
+        MakePair(t_d, t_c, t_c + 300.0 * static_cast<double>(rng() % 3)));
+  }
+  return pairs;
+}
+
+TEST(SortUniquePairsTest, MatchesSortThenUniqueAcrossSizes) {
+  // Around the small-input cutoff (64) and the bucket count (n / 2).
+  for (const size_t n : {0, 1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 66,
+                         127, 128, 129, 1000, 20000}) {
+    const std::vector<PairId> pairs = GridPairs(n, n);
+    ExpectOrderedLike(pairs, SortThenUnique(pairs),
+                      "random n=" + std::to_string(n));
+    std::vector<PairId> reversed = SortThenUnique(pairs);
+    reversed.insert(reversed.end(), reversed.begin(), reversed.end());
+    std::sort(reversed.begin(), reversed.end(), PairIdLess);
+    std::reverse(reversed.begin(), reversed.end());
+    ExpectOrderedLike(reversed, SortThenUnique(reversed),
+                      "reversed n=" + std::to_string(n));
+  }
+}
+
+TEST(SortUniquePairsTest, MatchesSortThenUniqueOnPassShapedRuns) {
+  // Three passes' outputs, each a subset of the pairs in t_b order,
+  // overlapping so the union holds duplicates across runs.
+  const std::vector<PairId> base = GridPairs(3000, 11);
+  std::mt19937_64 rng(12);
+  std::vector<PairId> collected;
+  for (int run = 0; run < 3; ++run) {
+    std::vector<PairId> part;
+    for (const PairId& pair : base) {
+      if (rng() % 2 == 0) {
+        part.push_back(pair);
+      }
+    }
+    std::stable_sort(part.begin(), part.end(),
+                     [](const PairId& a, const PairId& b) {
+                       return a.t_b < b.t_b;
+                     });
+    collected.insert(collected.end(), part.begin(), part.end());
+  }
+  ExpectOrderedLike(collected, SortThenUnique(collected), "runs");
+}
+
+TEST(SortUniquePairsTest, MatchesSortThenUniqueOnDegenerateSpreads) {
+  std::mt19937_64 rng(13);
+  auto pick = [&rng](const std::vector<double>& values) {
+    return values[rng() % values.size()];
+  };
+  struct Case {
+    const char* label;
+    std::vector<double> t_ds;
+  };
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const Case cases[] = {
+      // Zero span: one distinct t_d, told apart by t_c and t_b only.
+      {"one t_d", {4200.0}},
+      // The span overflows to infinity.
+      {"+-1e308", {-1e308, 0.0, 1e308}},
+      {"max", {-std::numeric_limits<double>::max(), 1.0,
+               std::numeric_limits<double>::max()}},
+      // The span is subnormal, so buckets / span overflows.
+      {"subnormal apart", {0.0, sub}},
+      {"subnormal apart, offset", {1.0, 1.0 + 2.220446049250313e-16}},
+      // Most pairs in one t_d: one bucket far above the
+      // insertion-sort size among sparse ones.
+      {"clustered", {7.0, 7.0, 7.0, 7.0, 7.0, 7.0, 1.0, 2.0, 3.0, 50.0}},
+  };
+  for (const Case& c : cases) {
+    for (const size_t n : {size_t{10}, size_t{100}, size_t{1000}}) {
+      std::vector<PairId> pairs;
+      for (size_t i = 0; i < n; ++i) {
+        const double t_c = 300.0 * static_cast<double>(rng() % 8);
+        pairs.push_back(MakePair(pick(c.t_ds), t_c,
+                                 t_c + 300.0 * static_cast<double>(rng() % 8)));
+      }
+      ExpectOrderedLike(pairs, SortThenUnique(pairs),
+                        std::string(c.label) + " n=" + std::to_string(n));
+    }
+  }
+  // Equal t_d, different t_c: t_c decides.
+  const std::vector<PairId> tie = {MakePair(5.0, 9.0, 9.0),
+                                   MakePair(5.0, 6.0, 9.0),
+                                   MakePair(5.0, 6.0, 9.0)};
+  ExpectOrderedLike(tie, {MakePair(5.0, 6.0, 9.0), MakePair(5.0, 9.0, 9.0)},
+                    "t_c tie-break");
+}
+
+// -0.0 and 0.0 are one key: they share a bucket and deduplicate, and
+// the first in collection order survives. std::sort may keep either
+// zero, so the reference here is the stable sort.
+TEST(SortUniquePairsTest, NegativeZeroIsZero) {
+  for (const size_t n : {size_t{8}, size_t{200}}) {
+    std::mt19937_64 rng(n);
+    std::vector<PairId> pairs;
+    for (size_t i = 0; i < n; ++i) {
+      const double t_d = rng() % 2 == 0 ? -0.0 : 0.0;
+      const double t_b = 300.0 * static_cast<double>(rng() % 4);
+      pairs.push_back(MakePair(i % 3 == 0 ? 600.0 * static_cast<double>(i)
+                                          : t_d,
+                               0.0, t_b));
+    }
+    std::vector<PairId> expected = pairs;
+    std::stable_sort(expected.begin(), expected.end(), PairIdLess);
+    expected.erase(
+        std::unique(expected.begin(), expected.end(), PairIdKeyEq),
+        expected.end());
+    ExpectOrderedLike(pairs, expected, "n=" + std::to_string(n));
+    std::vector<PairId> ordered = pairs;
+    SortUniquePairs(&ordered);
+    size_t zeros = 0;
+    for (const PairId& pair : ordered) {
+      zeros += pair.t_d == 0.0 ? 1 : 0;
+    }
+    EXPECT_LE(zeros, 4u) << "a zero key was left twice";
+  }
 }
 
 }  // namespace

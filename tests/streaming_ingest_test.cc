@@ -457,6 +457,44 @@ TEST_F(StreamingIngestTest, OutOfOrderSegmentDirectoryRejected) {
       << failed.status().ToString();
 }
 
+// The same out-of-order segment with the ingest blob kept: the store
+// opens, and the first search, which loads the directory, refuses it
+// for its order rather than answering from it or blaming unreadable
+// pages.
+TEST_F(StreamingIngestTest, OutOfOrderSegmentDirectoryFailsSearch) {
+  {
+    auto stream = OpenStore(stream_path_, SegDiffOptions{});
+    Series first;
+    for (size_t i = 0; i < series_.size() / 2; ++i) {
+      ASSERT_TRUE(first.Append(series_[i]).ok());
+    }
+    ASSERT_TRUE(stream->IngestSeries(first).ok());
+  }
+  {
+    DatabaseOptions raw_options;
+    raw_options.create_if_missing = false;
+    auto raw = Database::Open(stream_path_, raw_options);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    auto segments = (*raw)->GetTable("segments");
+    ASSERT_TRUE(segments.ok());
+    ASSERT_TRUE((*segments)->InsertDoubles({1.0, 0.0, 2.0, 0.0}).ok());
+    ASSERT_TRUE((*raw)->Checkpoint().ok());
+  }
+  SegDiffOptions reopen;
+  reopen.create_if_missing = false;
+  auto store = OpenStore(stream_path_, reopen);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto result = store->SearchDrops(3600.0, -3.0);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+    const std::string message = result.status().ToString();
+    EXPECT_NE(message.find("out of time order"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("unreadable pages"), std::string::npos)
+        << message;
+  }
+}
+
 // Every checkpoint that makes rows durable saves the ingest-state blob
 // first, so a store holding rows without one has no resume point: both
 // engines refuse to open it, naming the missing blob, and leave its
