@@ -2,11 +2,13 @@
 # Tier-1 verification in one command:
 #   1. configure + build + full ctest suite (the CI gate from ROADMAP.md),
 #      the scan suites (scan_kernel, columnar, zone_map) rerun with the
-#      scalar and the SSE2 compare variant forced, a compile-only build
-#      of the perfbench package (the repo benchmark builds apart from
-#      the main tree), then a --quick smoke of the scan/parallel/micro
-#      benches (proves the bench binaries still run end to end; no perf
-#      assertions)
+#      scalar and the SSE2 variant forced (each forces the compare
+#      kernel and, with it, the scalar decode of packed columns), a
+#      compile-only build of the perfbench package (the repo benchmark
+#      builds apart from the main tree), then a --quick smoke of the
+#      scan/parallel/micro benches (proves the bench binaries still run
+#      end to end, the decode benches at the scalar and the active
+#      variant; no perf assertions)
 #   2. a governance smoke: N concurrent pathological corner queries with
 #      a 50 ms deadline through segdiff_cli — every one must reach a
 #      terminal status (deadline-exceeded or success), proving a slow
@@ -31,7 +33,9 @@
 #      serial/parallel search, the t_d bucket pass that orders a
 #      search's pairs), the fan-out suite (ParallelFor keeps its
 #      state alive for helper tasks that run after it returns), the scan
-#      evaluator's suites (columnar decode, selection-bitmap kernels,
+#      evaluator's suites (columnar decode, the AVX2 packed decode
+#      against the scalar loop, crafted XOR streams that must fail
+#      without a read past their payload, selection-bitmap kernels,
 #      zone maps), the table-model and SQL suites (DELETE rewrites and
 #      SQL scans read through the same scan executor), plus the `faults`
 #      and `governance` ctest groups (crash-recovery, fault injection,
@@ -68,12 +72,16 @@ cmake --build build -j "${JOBS}"
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
-echo "== tier-1: scan suites under each forced compare variant =="
-# The evaluator picks its compare variant once per process — the widest
-# the CPU supports — so the ctest run above drives only that one end to
-# end. Rerun the scan suites with each narrower variant forced;
-# ScanKernelTest.ActiveVariantHonoursOverride fails if the override did
-# not take.
+echo "== tier-1: scan suites under each forced compare and decode variant =="
+# The evaluator picks its variant once per process — the widest the CPU
+# supports — so the ctest run above drives only that one end to end.
+# The variant is both the compare kernel and the packed-column decode:
+# AVX2 compares with the AVX2 unpack, scalar and SSE2 with the scalar
+# decode loop. Rerun the scan suites with each narrower variant forced,
+# which runs them on the scalar decode too;
+# ScanKernelTest.ActiveVariantHonoursOverride and
+# ScanKernelTest.PackedDecodeFollowsTheCompareVariant fail if the
+# override did not take.
 for kernel in scalar sse2; do
   echo "-- SEGDIFF_SCAN_KERNEL=${kernel}"
   (cd build && export SEGDIFF_SCAN_KERNEL="${kernel}" && \
@@ -95,7 +103,7 @@ echo "== tier-1: bench smoke (--quick) =="
  ./bench/bench_checksum --quick && \
  ./bench/bench_shard --quick && \
  ./bench/bench_micro --quick \
-   --benchmark_filter='BM_ScanKernelBatch|BM_PredicateMatch|BM_DecodeFOR|BM_DecodeXor')
+   --benchmark_filter='BM_ScanKernelBatch|BM_PredicateMatch|BM_DecodeFOR|BM_DecodeDelta|BM_DecodeXor')
 
 echo "== tier-1: chaos smoke (fixed-seed fault cycles + ENOSPC) =="
 # A reduced fixed-seed slice of the chaos sweep (the full 200-cycle run
@@ -283,7 +291,7 @@ if [[ "${RUN_ASAN}" == "1" ]]; then
     fault_injection_test chaos_test transect_chaos_test governance_test
   echo "== asan: run =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
-    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|SortUniquePairsTest|ExhTest|ParallelQueryTest|ThreadPoolTest|ParallelForTest|ColumnEncodingTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|DbModelTest|LexerTest|ParserTest|ParserFuzzTest|EngineTest|ByteCodecTest|DecoderSweepTest|FormatGoldenTest|IoTest|EnvTest|TransectShardTest.CorruptCatalogFailsLoudly')
+    -R 'StreamingIngestTest|ExhStreamingTest|StorageTest|SegDiffIndexTest|SortUniquePairsTest|ExhTest|ParallelQueryTest|ThreadPoolTest|ParallelForTest|ColumnEncodingTest|PackedDecodeTest|ColumnarDifferentialTest|ScanKernelTest|ScanDifferentialTest|ZoneMapTest|ZoneCanMatchTest|ZoneMapStoreTest|DbModelTest|LexerTest|ParserTest|ParserFuzzTest|EngineTest|ByteCodecTest|DecoderSweepTest|FormatGoldenTest|IoTest|EnvTest|TransectShardTest.CorruptCatalogFailsLoudly')
   echo "== asan: fault + governance groups (ctest -L) =="
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" \
     -L 'faults|governance')

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <new>
 
 namespace segdiff {
 namespace {
@@ -12,6 +14,20 @@ constexpr size_t kInsertionSortMax = 16;
 
 /// Below this many pairs one stable sort beats the counting pass.
 constexpr size_t kMinBucketedPairs = 64;
+
+/// Uninitialized storage for pairs that are written before they are read.
+/// PairId's member initializers would zero every slot of a
+/// std::vector<PairId>(n), and of a make_unique_for_overwrite array too;
+/// raw storage skips that, and PairId, an aggregate, is an
+/// implicit-lifetime type, so writing a slot starts its object.
+struct OperatorDelete {
+  void operator()(PairId* p) const { ::operator delete(p); }
+};
+using PairBuffer = std::unique_ptr<PairId[], OperatorDelete>;
+
+PairBuffer NewPairBuffer(size_t n) {
+  return PairBuffer(static_cast<PairId*>(::operator new(n * sizeof(PairId))));
+}
 
 /// Stable sort of [first, last) by PairIdLess.
 void SortRun(PairId* first, PairId* last) {
@@ -62,16 +78,16 @@ bool BucketSortUnique(std::vector<PairId>* pairs) {
   for (size_t b = 1; b <= buckets; ++b) {
     ends[b] += ends[b - 1];
   }
-  std::vector<PairId> scattered(n);
+  const PairBuffer scattered = NewPairBuffer(n);
   for (const PairId& pair : *pairs) {
     scattered[ends[bucket_of(pair.t_d)]++] = pair;
   }
   size_t begin = 0;
   for (size_t b = 0; b < buckets; ++b) {
-    SortRun(scattered.data() + begin, scattered.data() + ends[b]);
+    SortRun(scattered.get() + begin, scattered.get() + ends[b]);
     begin = ends[b];
   }
-  pairs->erase(std::unique_copy(scattered.begin(), scattered.end(),
+  pairs->erase(std::unique_copy(scattered.get(), scattered.get() + n,
                                 pairs->begin(), PairIdKeyEq),
                pairs->end());
   return true;

@@ -191,13 +191,15 @@ class PageEvaluator {
                       static_cast<uint32_t>(decoder.batch_start() + i)};
     };
     auto column_at = [&](size_t col) { return decoder.column(col); };
-    size_t count;
-    while ((count = decoder.NextBatch()) > 0) {
+    while (true) {
+      SEGDIFF_ASSIGN_OR_RETURN(const size_t count, decoder.NextBatch());
+      if (count == 0) {
+        return Status::OK();
+      }
       SEGDIFF_RETURN_IF_ERROR(
           batch_ ? EvaluateBatch(count, need_rows, column_at, row_at, id_at)
                  : EvaluateRows(count, row_at, id_at));
     }
-    return Status::OK();
   }
 
   const ScanStats& stats() const { return stats_; }

@@ -129,6 +129,7 @@ void ColumnCompareSse2(const double* vals, size_t count, CmpOp op,
 struct KernelChoice {
   ColumnCompareFn fn;
   const char* name;
+  PackedDecodeFn packed;
 };
 
 KernelChoice PickKernel() {
@@ -144,19 +145,21 @@ KernelChoice PickKernel() {
 #endif
   const std::string want = GetEnvString("SEGDIFF_SCAN_KERNEL", "");
   if (want == "scalar") {
-    return {&ColumnCompareScalar, "scalar"};
+    return {&ColumnCompareScalar, "scalar", nullptr};
   }
   if (want == "sse2" && sse2 != nullptr) {
-    return {sse2, "sse2"};
+    return {sse2, "sse2", nullptr};
   }
   // Default (and fallback for unsupported requests): widest available.
+  // Both AVX2 translation units are built with the same flag, so the
+  // compare kernel exists exactly when the decoder does.
   if (avx2 != nullptr) {
-    return {avx2, "avx2"};
+    return {avx2, "avx2", Avx2PackedDecode()};
   }
   if (sse2 != nullptr) {
-    return {sse2, "sse2"};
+    return {sse2, "sse2", nullptr};
   }
-  return {&ColumnCompareScalar, "scalar"};
+  return {&ColumnCompareScalar, "scalar", nullptr};
 }
 
 const KernelChoice& Active() {
@@ -246,6 +249,8 @@ ColumnCompareFn ActiveColumnCompare() { return Active().fn; }
 
 const char* ActiveScanKernelName() { return Active().name; }
 
+PackedDecodeFn ActivePackedDecode() { return Active().packed; }
+
 ColumnCompareFn ScalarColumnCompare() { return &ColumnCompareScalar; }
 
 ColumnCompareFn Sse2ColumnCompare() {
@@ -317,20 +322,26 @@ Result<ColumnDecoder> ColumnDecoder::Create(
       return Status::InvalidArgument("decoder column out of range");
     }
     decoder.slot_of_[col] = static_cast<uint8_t>(i);
-    SEGDIFF_ASSIGN_OR_RETURN(ColumnCursor cursor, handle->OpenColumn(col));
+    SEGDIFF_ASSIGN_OR_RETURN(ColumnCursor cursor,
+                             handle->OpenColumn(col, ActivePackedDecode()));
     decoder.cursors_.push_back(cursor);
   }
   return decoder;
 }
 
-size_t ColumnDecoder::NextBatch() {
+Result<size_t> ColumnDecoder::NextBatch() {
   const size_t rows = handle_->rows();
   if (next_row_ >= rows) {
-    return 0;
+    return size_t{0};
   }
   const size_t count = std::min(kColumnBatchRows, rows - next_row_);
   for (size_t i = 0; i < cursors_.size(); ++i) {
-    cursors_[i].Decode(count, buffers_[i].vals);
+    if (!cursors_[i].Decode(count, buffers_[i].vals)) {
+      return Status::Corruption(
+          "columnar segment at page " +
+          std::to_string(handle_->first_page()) + ": column " +
+          std::to_string(columns_[i]) + " does not decode");
+    }
   }
   batch_start_ = next_row_;
   next_row_ += count;

@@ -10,6 +10,8 @@
 // loop (auto-vectorizable), an SSE2 loop (x86-64 baseline), and an AVX2
 // loop compiled with a target attribute and selected at runtime via CPU
 // detection, following the crc32c hardware/software dispatch pattern.
+// The same choice picks how cursors decode packed columns: the AVX2
+// variant with the AVX2 unpack, the others with the scalar loop.
 //
 // Semantics match EvalCondition exactly: all comparisons are ordered,
 // so a NaN cell never matches. Page zones and segment zones prune
@@ -61,6 +63,11 @@ ColumnCompareFn ActiveColumnCompare();
 /// Name of the variant ActiveColumnCompare() returns ("scalar", "sse2",
 /// "avx2") — for --stats output and bench reports.
 const char* ActiveScanKernelName();
+
+/// The packed-column decoder that goes with the active compare variant:
+/// Avx2PackedDecode() beside the AVX2 compare, null (the cursor's scalar
+/// loop) beside the scalar and SSE2 ones.
+PackedDecodeFn ActivePackedDecode();
 
 /// The individual variants, exposed for differential tests and benches.
 /// Sse2/Avx2 are null off x86-64 (and Avx2 may be unusable even where
@@ -131,8 +138,9 @@ ColumnarSurvey SurveyColumnarSegments(
     const ColumnStore& store, const std::vector<ColumnCondition>& conditions);
 
 /// Streams one columnar segment in kColumnBatchRows batches, decoding
-/// only the requested columns into 64-byte-aligned buffers that feed
-/// ColumnCompareFn (and, for materialization, row reconstruction).
+/// only the requested columns, with ActivePackedDecode(), into
+/// 64-byte-aligned buffers that feed ColumnCompareFn (and, for
+/// materialization, row reconstruction).
 class ColumnDecoder {
  public:
   /// `handle` must outlive the decoder. `columns` are table column
@@ -141,8 +149,9 @@ class ColumnDecoder {
                                       const std::vector<size_t>& columns);
 
   /// Decodes the next batch of every requested column; returns the batch
-  /// row count, 0 when the segment is exhausted.
-  size_t NextBatch();
+  /// row count, 0 when the segment is exhausted. Corruption, naming the
+  /// segment's first page, when a column's bits do not decode.
+  Result<size_t> NextBatch();
 
   /// Row index (within the segment) of the current batch's first row.
   size_t batch_start() const { return batch_start_; }

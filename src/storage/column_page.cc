@@ -39,12 +39,21 @@ constexpr size_t kPagePayloadBytes = kPageCapacity - kChainHeaderBytes;
 // explicitly.
 constexpr size_t kPayloadSlackBytes = ColumnCursor::kPayloadSlackBytes;
 
-constexpr double kPow10[] = {1.0, 10.0, 100.0, 1000.0, 10000.0};
-constexpr unsigned kMaxScaleLog10 = 4;
-
 // Quantized magnitudes are capped well below 2^53 so every integer is
 // exactly representable and deltas cannot overflow.
 constexpr double kMaxQuantized = 9.0e15;
+
+// XOR decodes at about 5 ns per value against about 0.25 ns for raw, so
+// a column is kept XOR only when that saves at least 1/32 of the raw
+// bytes.
+constexpr uint64_t kXorMinSavingDivisor = 32;
+
+// Bits of one XOR value's header: the changed flag, 6 bits of leading
+// zeros and 6 bits of significant-bit count minus one.
+constexpr unsigned kXorHeaderBits = 13;
+// A 64-bit window loaded at any bit position holds at least 57 bits, so
+// it covers the header and up to this many significant bits.
+constexpr unsigned kXorWindowSigBits = 57 - kXorHeaderBits;
 
 uint64_t DoubleBits(double v) {
   uint64_t bits;
@@ -75,6 +84,15 @@ uint64_t LoadWord(const char* p) {
   uint64_t w;
   std::memcpy(&w, p, sizeof(w));
   return w;
+}
+
+/// The low `bits` (0..63) bits set.
+inline uint64_t LowMask(unsigned bits) { return (uint64_t{1} << bits) - 1; }
+
+/// x / 10^s, or x itself when s = 0: a packed column's decoded value.
+inline double ScaledDouble(int64_t x, unsigned s) {
+  return s == 0 ? static_cast<double>(x)
+                : static_cast<double>(x) / kScalePow10[s];
 }
 
 /// Reads `bits` (1..64) starting at bit `pos`. Requires
@@ -151,7 +169,7 @@ struct ColumnPlan {
 /// Rejects NaN/inf, -0.0 and anything past kMaxQuantized.
 bool TryQuantize(const uint64_t* bits, size_t rows, unsigned s,
                  std::vector<int64_t>* xs) {
-  const double scale = kPow10[s];
+  const double scale = kScalePow10[s];
   for (size_t i = 0; i < rows; ++i) {
     const double v = BitsToDouble(bits[i]);
     if (!std::isfinite(v)) {
@@ -162,9 +180,7 @@ bool TryQuantize(const uint64_t* bits, size_t rows, unsigned s,
       return false;
     }
     const int64_t x = std::llround(scaled);
-    const double back =
-        s == 0 ? static_cast<double>(x) : static_cast<double>(x) / scale;
-    if (DoubleBits(back) != bits[i]) {
+    if (DoubleBits(ScaledDouble(x, s)) != bits[i]) {
       return false;
     }
     (*xs)[i] = x;
@@ -260,7 +276,9 @@ ColumnPlan PlanColumn(const uint64_t* bits, size_t rows) {
   }
 
   EncodeXorPayload(bits, rows, &plan.payload);
-  if (plan.payload.size() >= rows * 8) {
+  const uint64_t raw_bytes = rows * 8;
+  if (plan.payload.size() * kXorMinSavingDivisor >
+      raw_bytes * (kXorMinSavingDivisor - 1)) {
     plan.encoding = ColumnEncoding::kRaw;
     plan.payload.clear();
     plan.payload.reserve(rows * 8);
@@ -289,8 +307,9 @@ ColumnDirEntry DirFromPlan(const ColumnPlan& plan) {
 
 /// True when `dir.payload_bytes` is what its encoding decodes `rows`
 /// values from. XOR has no fixed size: it holds at least the first
-/// value's 8 bytes and is shorter than raw, or the encoder would have
-/// chosen raw.
+/// value's 8 bytes and is shorter than raw. (The encoder asks for 1/32
+/// shorter, but a store written under the plain "shorter" rule holds
+/// XOR columns closer to raw, and they decode the same.)
 bool PayloadSizeMatchesRows(const ColumnDirEntry& dir, uint64_t rows) {
   const uint64_t bytes = dir.payload_bytes;
   switch (dir.encoding) {
@@ -318,7 +337,9 @@ bool PlanRoundTrips(const ColumnPlan& plan, const uint64_t* bits,
   payload.append(kPayloadSlackBytes, '\0');
   ColumnCursor cursor(&dir, payload.data(), rows);
   std::vector<double> decoded(rows);
-  cursor.Decode(rows, decoded.data());
+  if (!cursor.Decode(rows, decoded.data())) {
+    return false;
+  }
   for (size_t i = 0; i < rows; ++i) {
     if (DoubleBits(decoded[i]) != bits[i]) {
       return false;
@@ -403,97 +424,133 @@ std::string EncodeColumnSegment(const char* records, size_t num_columns,
 }
 
 ColumnCursor::ColumnCursor(const ColumnDirEntry* dir, const char* payload,
-                           size_t rows)
-    : dir_(dir), payload_(payload), rows_(rows) {}
+                           size_t rows, PackedDecodeFn packed)
+    : dir_(dir), payload_(payload), rows_(rows), packed_(packed) {}
 
-void ColumnCursor::Decode(size_t n, double* out) {
+bool ColumnCursor::Decode(size_t n, double* out) {
   if (n == 0) {
-    return;
+    return true;
   }
   switch (dir_->encoding) {
     case ColumnEncoding::kRaw:
       for (size_t i = 0; i < n; ++i) {
         out[i] = BitsToDouble(DecodeFixed64(payload_ + (pos_ + i) * 8));
       }
-      pos_ += n;
-      return;
+      break;
     case ColumnEncoding::kForPacked:
     case ColumnEncoding::kDeltaPacked:
       DecodePacked(n, out);
-      pos_ += n;
-      return;
+      break;
     case ColumnEncoding::kXor:
-      DecodeXor(n, out);
-      pos_ += n;
-      return;
+      if (!DecodeXor(n, out)) {
+        return false;
+      }
+      break;
   }
+  pos_ += n;
+  return true;
 }
 
 void ColumnCursor::DecodePacked(size_t n, double* out) {
+  size_t i = 0;
+  if (dir_->encoding == ColumnEncoding::kDeltaPacked && pos_ == 0) {
+    prev_int_ = dir_->base;
+    out[i++] = ScaledDouble(prev_int_, dir_->scale_log10);
+  }
+  if (packed_ != nullptr) {
+    // Peel to a byte boundary. From there on every group of eight values
+    // starts on one, since eight values span bit_width whole bytes.
+    while (i < n && bit_pos_ % 8 != 0) {
+      UnpackScalar(1, out + i++);
+    }
+    while (n - i >= 8) {
+      const size_t groups = (n - i) / 8;
+      const size_t done =
+          packed_(*dir_, payload_ + bit_pos_ / 8, groups, &prev_int_, out + i);
+      i += done * 8;
+      bit_pos_ += done * 8 * dir_->bit_width;
+      if (done < groups) {
+        UnpackScalar(8, out + i);  // the group the vector loop declined
+        i += 8;
+      }
+    }
+  }
+  UnpackScalar(n - i, out + i);
+}
+
+void ColumnCursor::UnpackScalar(size_t n, double* out) {
   const unsigned w = dir_->bit_width;
   const unsigned s = dir_->scale_log10;
-  const double scale = kPow10[s];
   uint64_t pos = bit_pos_;
+  // Sums are unsigned so that a crafted base or delta wraps instead of
+  // overflowing int64; the encoder's integers stay far inside it.
   if (dir_->encoding == ColumnEncoding::kForPacked) {
-    const int64_t base = dir_->base;
+    const uint64_t base = static_cast<uint64_t>(dir_->base);
     for (size_t i = 0; i < n; ++i) {
       uint64_t d = 0;
       if (w != 0) {
         d = ReadBitsAt(payload_, pos, w);
         pos += w;
       }
-      const int64_t x = base + static_cast<int64_t>(d);
-      out[i] = s == 0 ? static_cast<double>(x)
-                      : static_cast<double>(x) / scale;
+      out[i] = ScaledDouble(static_cast<int64_t>(base + d), s);
     }
   } else {
-    int64_t cur = prev_int_;
-    size_t i = 0;
-    if (pos_ == 0) {
-      cur = dir_->base;
-      out[i++] = s == 0 ? static_cast<double>(cur)
-                        : static_cast<double>(cur) / scale;
-    }
-    for (; i < n; ++i) {
+    uint64_t cur = static_cast<uint64_t>(prev_int_);
+    for (size_t i = 0; i < n; ++i) {
       uint64_t z = 0;
       if (w != 0) {
         z = ReadBitsAt(payload_, pos, w);
         pos += w;
       }
-      cur += UnZigZag(z);
-      out[i] = s == 0 ? static_cast<double>(cur)
-                      : static_cast<double>(cur) / scale;
+      cur += static_cast<uint64_t>(UnZigZag(z));
+      out[i] = ScaledDouble(static_cast<int64_t>(cur), s);
     }
-    prev_int_ = cur;
+    prev_int_ = static_cast<int64_t>(cur);
   }
   bit_pos_ = pos;
 }
 
-void ColumnCursor::DecodeXor(size_t n, double* out) {
+bool ColumnCursor::DecodeXor(size_t n, double* out) {
+  // Every value must end inside the payload; the window loads of a value
+  // that starts there stay inside the slack past it.
+  const uint64_t end = uint64_t{dir_->payload_bytes} * 8;
   uint64_t pos = bit_pos_;
   uint64_t prev = prev_bits_;
   size_t i = 0;
   if (pos_ == 0) {
-    prev = ReadBitsAt(payload_, pos, 64);
-    pos += 64;
+    if (end < 64) {
+      return false;
+    }
+    prev = LoadWord(payload_);
+    pos = 64;
     out[i++] = BitsToDouble(prev);
   }
   for (; i < n; ++i) {
-    const uint64_t changed = ReadBitsAt(payload_, pos, 1);
-    pos += 1;
-    if (changed) {
-      const unsigned lz =
-          static_cast<unsigned>(ReadBitsAt(payload_, pos, 6));
-      const unsigned sig =
-          static_cast<unsigned>(ReadBitsAt(payload_, pos + 6, 6)) + 1;
-      const uint64_t sig_bits = ReadBitsAt(payload_, pos + 12, sig);
-      pos += 12 + sig;
+    // One window holds the changed flag, both headers and up to
+    // kXorWindowSigBits significant bits; longer values read again.
+    const uint64_t window = LoadWord(payload_ + pos / 8) >> (pos % 8);
+    uint64_t next = pos + 1;
+    if (window & 1) {
+      const unsigned lz = (window >> 1) & 63;
+      const unsigned sig = ((window >> 7) & 63) + 1;
+      next = pos + kXorHeaderBits + sig;
+      if (lz + sig > 64 || next > end) {
+        return false;
+      }
+      const uint64_t sig_bits =
+          sig <= kXorWindowSigBits
+              ? (window >> kXorHeaderBits) & LowMask(sig)
+              : ReadBitsAt(payload_, pos + kXorHeaderBits, sig);
       prev ^= sig_bits << (64 - lz - sig);
+    } else if (next > end) {
+      return false;
     }
+    pos = next;
     out[i] = BitsToDouble(prev);
   }
   bit_pos_ = pos;
   prev_bits_ = prev;
+  return true;
 }
 
 Result<ColumnSegmentHandle> ColumnSegmentHandle::Open(
@@ -621,12 +678,13 @@ Result<const char*> ColumnSegmentHandle::ColumnPayload(size_t c) {
   return scratch.data();
 }
 
-Result<ColumnCursor> ColumnSegmentHandle::OpenColumn(size_t c) {
+Result<ColumnCursor> ColumnSegmentHandle::OpenColumn(size_t c,
+                                                     PackedDecodeFn packed) {
   if (c >= dir_.size()) {
     return Status::InvalidArgument("column index out of range");
   }
   SEGDIFF_ASSIGN_OR_RETURN(const char* payload, ColumnPayload(c));
-  return ColumnCursor(&dir_[c], payload, rows_);
+  return ColumnCursor(&dir_[c], payload, rows_, packed);
 }
 
 ColumnStore::ColumnStore(BufferPool* pool, size_t num_columns)

@@ -14,9 +14,11 @@
 //   kXor          Gorilla-style XOR of consecutive IEEE-754 bit
 //                 patterns with leading-zero/significant-bit headers;
 //                 handles arbitrary doubles (including NaN payloads,
-//                 infinities and -0.0) bit-exactly.
+//                 infinities and -0.0) bit-exactly. Kept only when it
+//                 is at least 1/32 smaller than raw: it decodes far
+//                 slower than raw, so a smaller saving does not pay.
 //   kRaw          verbatim little-endian doubles; the fallback when XOR
-//                 expands (adversarially random mantissas).
+//                 saves less than that (near-random mantissas).
 //
 // Every decode reproduces the exact bit pattern that was encoded, so
 // row-format and columnar scans return byte-identical records.
@@ -82,6 +84,13 @@ struct ColumnStoreMeta {
   uint64_t encoded_bytes = 0;
 };
 
+/// Frame-of-reference and delta columns store integers x on the 10^-s
+/// grid (s = scale_log10): a value decodes as x / 10^s, or as x itself
+/// when s = 0.
+inline constexpr unsigned kMaxScaleLog10 = 4;
+inline constexpr double kScalePow10[kMaxScaleLog10 + 1] = {
+    1.0, 10.0, 100.0, 1000.0, 10000.0};
+
 /// Parsed per-column header of one segment.
 struct ColumnDirEntry {
   ColumnEncoding encoding = ColumnEncoding::kRaw;
@@ -102,27 +111,54 @@ std::string EncodeColumnSegment(const char* records, size_t num_columns,
                                 size_t rows,
                                 ColumnSegmentInfo* info = nullptr);
 
+/// A vector decoder for frame-of-reference and delta columns, which
+/// ColumnCursor runs between a scalar peel and a scalar tail. It decodes
+/// up to `groups` groups of eight values whose bits start at the
+/// byte-aligned `bytes` into `out` and returns how many groups it
+/// decoded. It stops before the first group it cannot decode exactly
+/// as the cursor's scalar loop would; the cursor decodes that group
+/// itself and calls again. `running` is a delta column's last decoded
+/// integer, read and advanced; frame-of-reference columns ignore it.
+using PackedDecodeFn = size_t (*)(const ColumnDirEntry& dir,
+                                  const char* bytes, size_t groups,
+                                  int64_t* running, double* out);
+
+/// The AVX2 packed decoder, or null where the compiler could not build
+/// it. The caller checks that the CPU has AVX2 (query/scan_kernel.h's
+/// ActivePackedDecode makes that choice for scans).
+PackedDecodeFn Avx2PackedDecode();
+
 /// Sequential decoder over one encoded column. Decode advances the
 /// cursor; the total decoded must not exceed the segment's rows.
 class ColumnCursor {
  public:
-  /// Decode reads whole 64-bit words, so `payload` must stay readable
-  /// for this many bytes past its last byte.
-  static constexpr size_t kPayloadSlackBytes = 8;
+  /// Decode reads whole 64-bit words, and the packed decoder 32-byte
+  /// groups, so `payload` must stay readable for this many bytes past
+  /// its last byte.
+  static constexpr size_t kPayloadSlackBytes = 32;
 
   ColumnCursor() = default;
-  ColumnCursor(const ColumnDirEntry* dir, const char* payload, size_t rows);
+  /// `packed` decodes frame-of-reference and delta columns in groups of
+  /// eight; null decodes them with the scalar loop alone.
+  ColumnCursor(const ColumnDirEntry* dir, const char* payload, size_t rows,
+               PackedDecodeFn packed = nullptr);
 
-  /// Decodes the next `n` values into `out`.
-  void Decode(size_t n, double* out);
+  /// Decodes the next `n` values into `out`. False when the column's
+  /// bits are malformed: an XOR value whose header shifts past 64 bits
+  /// or whose bits end past payload_bytes. The cursor is spent then.
+  [[nodiscard]] bool Decode(size_t n, double* out);
 
  private:
   void DecodePacked(size_t n, double* out);
-  void DecodeXor(size_t n, double* out);
+  /// The scalar reference loop of DecodePacked: `n` values from
+  /// bit_pos_ on.
+  void UnpackScalar(size_t n, double* out);
+  bool DecodeXor(size_t n, double* out);
 
   const ColumnDirEntry* dir_ = nullptr;
   const char* payload_ = nullptr;
   size_t rows_ = 0;
+  PackedDecodeFn packed_ = nullptr;
   size_t pos_ = 0;        ///< values consumed so far
   uint64_t bit_pos_ = 0;  ///< packed/xor read position in bits
   int64_t prev_int_ = 0;  ///< running value (delta encoding)
@@ -146,10 +182,11 @@ class ColumnSegmentHandle {
   PageId first_page() const { return info_.first_page; }
   const ColumnSegmentInfo& info() const { return info_; }
 
-  /// Cursor over column `c` (assembles the payload on first use). The
-  /// one decode path: the scan executor's ColumnDecoder
-  /// (query/scan_kernel.h) drives these cursors batch by batch.
-  Result<ColumnCursor> OpenColumn(size_t c);
+  /// Cursor over column `c` (assembles the payload on first use) that
+  /// decodes packed columns with `packed`. The one decode path: the scan
+  /// executor's ColumnDecoder (query/scan_kernel.h) drives these cursors
+  /// batch by batch.
+  Result<ColumnCursor> OpenColumn(size_t c, PackedDecodeFn packed);
 
  private:
   ColumnSegmentHandle() = default;

@@ -14,6 +14,8 @@
 // columnar path (serial, parallel, count-only, and SQL end-to-end)
 // against the row format as the oracle.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +25,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -92,7 +95,7 @@ void ExpectRoundTrip(const std::vector<std::vector<double>>& cols) {
     payload.append(ColumnCursor::kPayloadSlackBytes, '\0');
     ColumnCursor cursor(&dir, payload.data(), rows);
     std::vector<double> decoded(rows);
-    cursor.Decode(rows, decoded.data());
+    ASSERT_TRUE(cursor.Decode(rows, decoded.data()));
     for (size_t r = 0; r < rows; ++r) {
       uint64_t want = 0, got = 0;
       std::memcpy(&want, &cols[c][r], 8);
@@ -160,6 +163,327 @@ TEST(ColumnEncodingTest, CompressesSensorShapedData) {
   const std::string blob = EncodeColumnSegment(records.data(), 2, rows);
   EXPECT_LT(blob.size(), records.size() / 2)
       << "sensor-shaped data must compress at least 2x";
+}
+
+/// Encoding of column `c` in a blob from EncodeColumnSegment.
+ColumnEncoding EncodingOf(const std::string& blob, size_t c) {
+  return static_cast<ColumnEncoding>(blob.at(16 + 32 * c));
+}
+
+/// An LSB-first bit stream, the bit order of CSG1 payloads.
+class LsbBits {
+ public:
+  void Put(uint64_t v, unsigned bits) {
+    for (unsigned i = 0; i < bits; ++i, ++bit_) {
+      if (bit_ % 8 == 0) {
+        bytes_.push_back('\0');
+      }
+      const unsigned bit = static_cast<unsigned>((v >> i) & 1u);
+      bytes_.back() = static_cast<char>(
+          static_cast<uint8_t>(bytes_.back()) | (bit << (bit_ % 8)));
+    }
+  }
+  /// One changed XOR value: flag, leading zeros, significant bits - 1,
+  /// then the significant bits.
+  void PutXorValue(unsigned lz, unsigned sig, uint64_t sig_bits) {
+    Put(1, 1);
+    Put(lz, 6);
+    Put(sig - 1, 6);
+    Put(sig_bits, sig);
+  }
+  uint64_t bits() const { return bit_; }
+  /// The stream cut or zero-padded to `n` bytes.
+  std::string Bytes(size_t n) const {
+    std::string out = bytes_.substr(0, n);
+    out.resize(n, '\0');
+    return out;
+  }
+
+ private:
+  std::string bytes_;
+  uint64_t bit_ = 0;
+};
+
+/// Doubles in [1, 2) whose consecutive XORs have exactly `lz` leading
+/// zeros and no trailing zero, so each value after the first costs
+/// 13 + (64 - lz) bits of XOR against 64 raw.
+std::vector<double> XorWithLeadingZeros(unsigned lz, size_t rows) {
+  Rng rng(lz);
+  std::vector<double> values;
+  uint64_t bits = 0x3FF0000000000000ull;  // 1.0
+  for (size_t i = 0; i < rows; ++i) {
+    values.push_back(std::bit_cast<double>(bits));
+    const uint64_t top = uint64_t{1} << (63 - lz);
+    bits ^= top | (rng.NextU64() & (top - 1)) | 1u;
+  }
+  return values;
+}
+
+/// One crafted XOR payload of a `rows`-value column.
+struct MalformedXor {
+  const char* name;
+  std::string payload;
+};
+
+/// Three XOR streams of `payload_bytes` bytes for a `rows`-value
+/// column that a cursor must refuse, each for one reason only:
+///   - a header whose leading zeros and significant bits add up past 64
+///     (40 + 40), in a stream whose other values fit the payload;
+///   - a run of 64-bit significands (lz 0) that ends past the payload
+///     before `rows` values;
+///   - a last value whose bits end one bit past the payload, after
+///     `rows` - 2 unchanged ones.
+std::vector<MalformedXor> MalformedXorStreams(size_t rows,
+                                              size_t payload_bytes) {
+  constexpr uint64_t kFirst = 0x3FD5555555555555ull;  // 1/3
+  std::vector<MalformedXor> out;
+  LsbBits shift;
+  shift.Put(kFirst, 64);
+  shift.PutXorValue(40, 40, 0xABCDEF);
+  for (size_t i = 2; i < rows; ++i) {
+    shift.Put(0, 1);  // unchanged
+  }
+  EXPECT_LE(shift.bits(), payload_bytes * 8) << "the shift case overflows";
+  out.push_back({"lz 40 + sig 40", shift.Bytes(payload_bytes)});
+
+  LsbBits run;
+  run.Put(kFirst, 64);
+  while (run.bits() < payload_bytes * 8) {
+    run.PutXorValue(0, 64, 0x8000000000000001ull);
+  }
+  EXPECT_LT((run.bits() - 64) / 77, rows - 1) << "the run fits the payload";
+  out.push_back({"sig 64 run past the payload", run.Bytes(payload_bytes)});
+
+  LsbBits cut;
+  cut.Put(kFirst, 64);
+  for (size_t i = 1; i + 1 < rows; ++i) {
+    cut.Put(0, 1);  // unchanged
+  }
+  const int64_t sig = static_cast<int64_t>(payload_bytes * 8 + 1) -
+                      static_cast<int64_t>(cut.bits() + 13);
+  EXPECT_TRUE(sig >= 1 && sig <= 64) << "no cut-off value fits: " << sig;
+  const unsigned s = static_cast<unsigned>(std::clamp<int64_t>(sig, 1, 64));
+  cut.PutXorValue(64 - s, s, 1);
+  out.push_back({"last value cut off", cut.Bytes(payload_bytes)});
+  return out;
+}
+
+// XOR decodes about 20 times slower per value than raw, so the encoder
+// keeps it only when it is at least 1/32 smaller. With 1024 rows, 15
+// leading zeros save 2 bits per value after the first, just under 1/32
+// of raw; 16 save 3 bits. The round trip holds either way.
+TEST(ColumnEncodingTest, XorIsKeptOnlyWhereItSavesAThirtySecond) {
+  constexpr size_t kRows = 1024;
+  for (const unsigned lz : {13u, 14u, 15u, 16u, 20u}) {
+    const std::vector<double> values = XorWithLeadingZeros(lz, kRows);
+    const std::string blob = EncodeColumnSegment(
+        reinterpret_cast<const char*>(values.data()), 1, kRows);
+    EXPECT_EQ(EncodingOf(blob, 0),
+              lz <= 15 ? ColumnEncoding::kRaw : ColumnEncoding::kXor)
+        << "lz " << lz;
+    ExpectRoundTrip({values});
+  }
+}
+
+// Crafted XOR streams the cursor must refuse rather than shift by 64 or
+// more or read past the payload. Each payload sits in an exactly sized
+// buffer (the payload plus the cursor's slack), so the sanitizer build
+// catches a read beyond it.
+TEST(ColumnEncodingTest, MalformedXorStreamsFailToDecode) {
+  constexpr size_t kRows = 200;
+  for (const MalformedXor& c : MalformedXorStreams(kRows, 41)) {
+    ColumnDirEntry dir;
+    dir.encoding = ColumnEncoding::kXor;
+    dir.payload_bytes = static_cast<uint32_t>(c.payload.size());
+    std::vector<char> payload(c.payload.begin(), c.payload.end());
+    payload.resize(c.payload.size() + ColumnCursor::kPayloadSlackBytes, '\0');
+    std::vector<double> out(kRows);
+    ColumnCursor whole(&dir, payload.data(), kRows);
+    EXPECT_FALSE(whole.Decode(kRows, out.data())) << c.name;
+    // Batch by batch, the failure surfaces in the batch that holds it.
+    ColumnCursor batched(&dir, payload.data(), kRows);
+    bool ok = true;
+    for (size_t done = 0; ok && done < kRows; done += 64) {
+      ok = batched.Decode(std::min<size_t>(64, kRows - done), out.data());
+    }
+    EXPECT_FALSE(ok) << c.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Packed decode variants: the AVX2 unpack must give the scalar loop's
+// bits for every width, scale and base, whichever way the calls split.
+
+bool Avx2DecodeRuns() {
+#if defined(__x86_64__) || defined(_M_X64)
+  return Avx2PackedDecode() != nullptr && __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+/// Bit patterns of `rows` values decoded with `packed` in calls of the
+/// sizes `first` lists, then of up to 1024 values until the end.
+std::vector<uint64_t> DecodeInCalls(const ColumnDirEntry& dir,
+                                    const std::string& payload, size_t rows,
+                                    PackedDecodeFn packed,
+                                    const std::vector<size_t>& first) {
+  ColumnCursor cursor(&dir, payload.data(), rows, packed);
+  std::vector<double> out(rows);
+  size_t done = 0;
+  size_t call = 0;
+  while (done < rows) {
+    const size_t n = std::min(
+        rows - done, call < first.size() ? first[call] : size_t{1024});
+    EXPECT_TRUE(cursor.Decode(n, out.data() + done));
+    done += n;
+    ++call;
+  }
+  std::vector<uint64_t> bits(rows);
+  std::memcpy(bits.data(), out.data(), rows * 8);
+  return bits;
+}
+
+/// A packed column of `rows` values with random `width`-bit lanes, as
+/// its directory entry and payload (plus the cursor's slack).
+std::pair<ColumnDirEntry, std::string> RandomPackedColumn(
+    ColumnEncoding encoding, unsigned width, unsigned scale, int64_t base,
+    size_t rows, Rng& rng) {
+  ColumnDirEntry dir;
+  dir.encoding = encoding;
+  dir.bit_width = static_cast<uint16_t>(width);
+  dir.scale_log10 = static_cast<uint8_t>(scale);
+  dir.base = base;
+  const size_t lanes =
+      encoding == ColumnEncoding::kDeltaPacked ? rows - 1 : rows;
+  dir.payload_bytes = static_cast<uint32_t>((lanes * width + 7) / 8);
+  std::string payload;
+  for (size_t i = 0; i < dir.payload_bytes; ++i) {
+    payload.push_back(static_cast<char>(rng.NextU64()));
+  }
+  payload.append(ColumnCursor::kPayloadSlackBytes, '\0');
+  return {dir, payload};
+}
+
+TEST(PackedDecodeTest, EveryWidthScaleAndBaseMatchesTheScalarLoop) {
+  if (!Avx2DecodeRuns()) {
+    GTEST_SKIP() << "no AVX2 decoder on this build or CPU";
+  }
+  const int64_t kBases[] = {0,
+                            -5,
+                            int64_t{1} << 40,
+                            -(int64_t{1} << 50),
+                            (int64_t{1} << 51) - 300,
+                            -(int64_t{1} << 51) + 100,
+                            std::numeric_limits<int64_t>::max() - 1000,
+                            std::numeric_limits<int64_t>::min() + 1000};
+  constexpr size_t kRows = 203;
+  Rng rng(51);
+  for (const ColumnEncoding encoding :
+       {ColumnEncoding::kForPacked, ColumnEncoding::kDeltaPacked}) {
+    for (unsigned width = 0; width <= 64; ++width) {
+      for (unsigned scale = 0; scale <= kMaxScaleLog10; ++scale) {
+        for (const int64_t base : kBases) {
+          const auto [dir, payload] =
+              RandomPackedColumn(encoding, width, scale, base, kRows, rng);
+          const std::vector<uint64_t> want =
+              DecodeInCalls(dir, payload, kRows, nullptr, {});
+          for (const std::vector<size_t>& first :
+               {std::vector<size_t>{}, {1, 7, 9}, {3, 8, 5}}) {
+            ASSERT_EQ(DecodeInCalls(dir, payload, kRows, Avx2PackedDecode(),
+                                    first),
+                      want)
+                << ColumnEncodingName(encoding) << " width " << width
+                << " scale " << scale << " base " << base
+                << " first call " << (first.empty() ? 0 : first[0]);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Whole segments decoded the way scans call: batches that start
+// unaligned after 1, 7, 9 or 1023 values, or aligned after 1024, and a
+// tail that is no multiple of eight.
+TEST(PackedDecodeTest, UnalignedCallSequencesMatchTheScalarLoop) {
+  if (!Avx2DecodeRuns()) {
+    GTEST_SKIP() << "no AVX2 decoder on this build or CPU";
+  }
+  constexpr size_t kRows = 4093;
+  Rng rng(52);
+  const std::vector<std::vector<size_t>> kSequences = {
+      {1}, {7}, {9}, {1023}, {1024}, {1, 7, 9, 1023, 1024}};
+  for (const ColumnEncoding encoding :
+       {ColumnEncoding::kForPacked, ColumnEncoding::kDeltaPacked}) {
+    for (const unsigned width : {1u, 3u, 8u, 13u, 32u, 50u, 57u}) {
+      const auto [dir, payload] =
+          RandomPackedColumn(encoding, width, 2, -1000, kRows, rng);
+      const std::vector<uint64_t> want =
+          DecodeInCalls(dir, payload, kRows, nullptr, {kRows});
+      for (const std::vector<size_t>& first : kSequences) {
+        EXPECT_EQ(
+            DecodeInCalls(dir, payload, kRows, Avx2PackedDecode(), first),
+            want)
+            << ColumnEncodingName(encoding) << " width " << width
+            << " first call " << first[0] << " of " << first.size();
+      }
+    }
+  }
+}
+
+// Delta runs that climb through 2^51 or fall through -2^51 leave the
+// range the vector conversion is exact in: those groups fall back to
+// the scalar loop, and every value still decodes to its source bits.
+TEST(PackedDecodeTest, DeltaRunsAcrossTwoToThe51StayExact) {
+  constexpr size_t kRows = ColumnStore::kMaxSegmentRows;
+  const double two51 = std::ldexp(1.0, 51);
+  std::vector<double> up, down;
+  Rng rng(53);
+  double a = two51 - 3000.0;
+  double b = -two51 + 3000.0;
+  for (size_t i = 0; i < kRows; ++i) {
+    up.push_back(a);
+    down.push_back(b);
+    a += static_cast<double>(1 + rng.UniformU64(2));
+    b -= static_cast<double>(1 + rng.UniformU64(2));
+  }
+  ASSERT_GT(up.back(), two51);
+  ASSERT_LT(down.back(), -two51);
+  std::vector<char> records(kRows * 16);
+  for (size_t r = 0; r < kRows; ++r) {
+    std::memcpy(&records[r * 16], &up[r], 8);
+    std::memcpy(&records[r * 16 + 8], &down[r], 8);
+  }
+  const std::string blob = EncodeColumnSegment(records.data(), 2, kRows);
+  ASSERT_EQ(EncodingOf(blob, 0), ColumnEncoding::kDeltaPacked);
+  ASSERT_EQ(EncodingOf(blob, 1), ColumnEncoding::kDeltaPacked);
+  ExpectRoundTrip({up, down});
+  if (!Avx2DecodeRuns()) {
+    return;
+  }
+  uint64_t offset = 16 + 32 * 2;
+  for (size_t c = 0; c < 2; ++c) {
+    ColumnDirEntry dir;
+    const char* e = blob.data() + 16 + 32 * c;
+    dir.encoding = static_cast<ColumnEncoding>(e[0]);
+    dir.scale_log10 = static_cast<uint8_t>(e[1]);
+    std::memcpy(&dir.bit_width, e + 2, 2);
+    std::memcpy(&dir.payload_bytes, e + 4, 4);
+    std::memcpy(&dir.base, e + 8, 8);
+    std::string payload = blob.substr(offset, dir.payload_bytes);
+    payload.append(ColumnCursor::kPayloadSlackBytes, '\0');
+    offset += dir.payload_bytes;
+    const std::vector<double>& source = c == 0 ? up : down;
+    std::vector<uint64_t> want(kRows);
+    std::memcpy(want.data(), source.data(), kRows * 8);
+    for (const std::vector<size_t>& first :
+         {std::vector<size_t>{}, {1, 7, 9}}) {
+      EXPECT_EQ(DecodeInCalls(dir, payload, kRows, Avx2PackedDecode(), first),
+                want)
+          << "column " << c;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -700,6 +1024,90 @@ TEST_F(ColumnarDifferentialTest, PayloadSizeDisagreeingWithRowsIsQuarantined) {
   auto table = (*db)->GetTable("f");
   ASSERT_TRUE(table.ok());
   ExpectSegmentQuarantined(**table, kRows, pages);
+}
+
+// Crafted XOR bits inside a valid directory: each payload keeps the
+// length the encoder gave it, so the segment opens and its pages pass
+// their checksums. The cursor refuses the bits, the decoder names the
+// segment's first page, and the scan fails whether it materializes rows,
+// counts, or routes quarantined pages around: a segment that already
+// emitted rows cannot be skipped.
+TEST_F(ColumnarDifferentialTest, MalformedXorBitsFailTheScan) {
+  constexpr size_t kRows = 200;
+  // An off-grid constant whose last value changes 48 bits: XOR-coded in
+  // 41 bytes, which every malformed stream fits (see
+  // MalformedXorStreams).
+  std::vector<double> values(kRows, 1.0 / 3.0);
+  values.back() = std::bit_cast<double>(
+      std::bit_cast<uint64_t>(values.back()) ^ (0xFFFFFFFFFFFFull << 4));
+  {
+    auto db = Database::Open(col_path_, DatabaseOptions{});
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto table = (*db)->CreateTable("f", DoubleSchema({"v"}).value());
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE((*table)
+                    ->AppendColumnarSegment(
+                        reinterpret_cast<const char*>(values.data()), kRows)
+                    .ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  PageId first_page = kInvalidPageId;
+  size_t payload_bytes = 0;
+  {
+    auto pager = Pager::Open(col_path_, /*create=*/false);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    BufferPool pool(pager->get(), 64);
+    auto catalog = ReadCatalog(&pool);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    first_page = catalog->tables.at(0).columnar.segments.at(0).first_page;
+    auto page = pool.Fetch(first_page);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    // Chain header (16 bytes), segment header (16), the directory entry.
+    const char* dir = page->data() + 16 + 16;
+    ASSERT_EQ(static_cast<ColumnEncoding>(dir[0]), ColumnEncoding::kXor);
+    payload_bytes = DecodeFixed32(dir + 4);
+    ASSERT_EQ(payload_bytes, 41u);
+  }
+  for (const MalformedXor& c : MalformedXorStreams(kRows, payload_bytes)) {
+    SCOPED_TRACE(c.name);
+    {
+      auto pager = Pager::Open(col_path_, /*create=*/false);
+      ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+      BufferPool pool(pager->get(), 64);
+      auto page = pool.FetchMut(first_page);
+      ASSERT_TRUE(page.ok()) << page.status().ToString();
+      std::memcpy(page->data() + 16 + 16 + 32, c.payload.data(),
+                  c.payload.size());
+      page->MarkDirty();
+      page->Release();
+      ASSERT_TRUE(pool.FlushAll().ok());
+      ASSERT_TRUE((*pager)->Sync().ok());
+    }
+    DatabaseOptions options;
+    options.create_if_missing = false;
+    auto db = Database::Open(col_path_, options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto table = (*db)->GetTable("f");
+    ASSERT_TRUE(table.ok());
+    const std::string page_name = "page " + std::to_string(first_page);
+    const Status plain = SeqScan(**table, Predicate::True(),
+                                 [](const char*, RecordId) {
+                                   return Status::OK();
+                                 });
+    EXPECT_TRUE(plain.IsCorruption()) << plain.ToString();
+    EXPECT_NE(std::string(plain.message()).find(page_name),
+              std::string::npos)
+        << plain.ToString();
+    Predicate any_value;
+    any_value.And(0, CmpOp::kGe, -kInf);
+    EXPECT_TRUE(SeqScan(**table, any_value, nullptr, nullptr).IsCorruption());
+    SeqScanOptions partial;
+    partial.skip_quarantined = true;
+    EXPECT_TRUE(SeqScan(**table, Predicate::True(),
+                        [](const char*, RecordId) { return Status::OK(); },
+                        nullptr, partial)
+                    .IsCorruption());
+  }
 }
 
 TEST_F(ColumnarDifferentialTest, SqlEndToEndAgreesAcrossFormats) {

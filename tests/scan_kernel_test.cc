@@ -178,6 +178,23 @@ TEST(ScanKernelTest, ActiveVariantHonoursOverride) {
   EXPECT_EQ(ActiveColumnCompare(), expect_fn);
 }
 
+// The same choice picks how cursors decode packed columns: the AVX2
+// unpack beside the AVX2 compare, the scalar loop beside the scalar and
+// SSE2 ones. So SEGDIFF_SCAN_KERNEL=scalar|sse2, which the tier-1 script
+// sets to rerun the scan suites, runs them on the scalar decode too.
+TEST(ScanKernelTest, PackedDecodeFollowsTheCompareVariant) {
+  const std::string want = GetEnvString("SEGDIFF_SCAN_KERNEL", "");
+  if (want == "scalar" || want == "sse2") {
+    EXPECT_EQ(ActivePackedDecode(), nullptr) << "SEGDIFF_SCAN_KERNEL=" << want;
+  }
+  if (std::string(ActiveScanKernelName()) == "avx2") {
+    EXPECT_NE(ActivePackedDecode(), nullptr);
+    EXPECT_EQ(ActivePackedDecode(), Avx2PackedDecode());
+  } else {
+    EXPECT_EQ(ActivePackedDecode(), nullptr) << ActiveScanKernelName();
+  }
+}
+
 /// One differential trial: a randomized table + predicate, executed by
 /// the row-at-a-time baseline, the batched kernel (with and without
 /// pruning), and the partitioned parallel scan. Results must be
